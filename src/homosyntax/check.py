@@ -8,7 +8,7 @@ novelty of freshly generated sentences) and reports pass/fail per check.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +17,7 @@ from . import model1, model2, model3
 from .errors import HomosyntaxError
 from .generation import GenerationResources
 from .model3 import score_candidates
-from .pos import read_tagged_tsv
+from .pos import TaggedSentence, read_tagged_tsv
 from .resources import TAGGED, load_resources
 from .templates import extract_template
 from .errors import TemplateError
@@ -46,8 +46,9 @@ def check_row_stochastic(res: GenerationResources, tol: float = 1e-9) -> CheckRe
     )
 
 
-def check_ta_soundness(res: GenerationResources, tagged_path: Path) -> CheckResult:
-    corpus = read_tagged_tsv(tagged_path)
+def check_ta_soundness(
+    res: GenerationResources, corpus: list[TaggedSentence]
+) -> CheckResult:
     attested: set[tuple[str, str]] = set()
     for ts in corpus:
         for surface, tag in ts.tokens:
@@ -66,9 +67,8 @@ def check_ta_soundness(res: GenerationResources, tagged_path: Path) -> CheckResu
 
 
 def check_template_roundtrip(
-    res: GenerationResources, tagged_path: Path
+    res: GenerationResources, corpus: list[TaggedSentence]
 ) -> CheckResult:
-    corpus = read_tagged_tsv(tagged_path)
     bad = 0
     total = 0
     for ts in corpus:
@@ -151,7 +151,9 @@ def check_score_oracle(
 def check_novelty(res: GenerationResources, query: str | None = None) -> CheckResult:
     query = query or res.store.words[0]
     # small vocabularies need a wider neighbor lexicon for model 1
-    res.neighbors_m = max(res.neighbors_m, min(60, len(res.store) - 1))
+    res = replace(
+        res, neighbors_m=max(res.neighbors_m, min(60, len(res.store) - 1))
+    )
     failures = 0
     generated = 0
     for model_fn in (model1.generate_model1, model2.generate_model2,
@@ -181,10 +183,11 @@ def run_check(directory: str | Path) -> list[CheckResult]:
             path=str(directory),
         )
     res = load_resources(directory)
+    corpus = read_tagged_tsv(directory / TAGGED)
     results = [
         check_row_stochastic(res),
-        check_template_roundtrip(res, directory / TAGGED),
-        check_ta_soundness(res, directory / TAGGED),
+        check_template_roundtrip(res, corpus),
+        check_ta_soundness(res, corpus),
         check_score_oracle(res),
         check_novelty(res),
     ]

@@ -62,11 +62,24 @@ class EmbeddingStore:
             raise OovError(word)
         return i
 
-    def proximity(self, a: str, b: str) -> float:
-        """(cosine + 1) / 2, clipped to [0, 1]."""
-        ia, ib = self._require(a), self._require(b)
-        cos = float(np.dot(self._unit[ia], self._unit[ib]))
-        return min(1.0, max(0.0, (cos + 1.0) / 2.0))
+    def _indices(self, words) -> np.ndarray:
+        """Row indices shaped like words: one word (0-d) or an array of words."""
+        arr = np.asarray(words, dtype=object)
+        return np.array(
+            [self._require(w) for w in arr.flat], dtype=np.intp
+        ).reshape(arr.shape)
+
+    def proximity(self, a, b) -> float | np.ndarray:
+        """(cosine + 1) / 2, clipped to [0, 1].
+
+        a and b are each a word or a broadcastable array of words. Two words
+        give a float; otherwise the result is an array of the broadcast
+        shape. np.vecdot runs the same dot kernel as np.dot on one pair, so
+        every element equals the one-pair value bit for bit.
+        """
+        cos = np.vecdot(self._unit[self._indices(a)], self._unit[self._indices(b)])
+        prox = np.clip((cos + 1.0) / 2.0, 0.0, 1.0)
+        return float(prox) if prox.ndim == 0 else prox
 
     def neighbors(self, q: str, m: int) -> Lexicon:
         """Top-m words by proximity to q, q excluded, ties lexicographic."""
@@ -75,11 +88,15 @@ class EmbeddingStore:
         iq = self._require(q)
         cos = self._unit @ self._unit[iq]
         prox = np.clip((cos + 1.0) / 2.0, 0.0, 1.0)
-        order = sorted(
-            (i for i in range(len(self.words)) if i != iq),
-            key=lambda i: (-prox[i], self.words[i]),
-        )
-        entries = tuple((self.words[i], float(prox[i])) for i in order[:m])
+        prox[iq] = -1.0  # below every proximity: q is never its own neighbor
+        k = min(m, len(self.words) - 1)
+        if k == 0:
+            return Lexicon(query=q, entries=())
+        kth = np.partition(prox, -k)[-k]
+        # keep every word tied with the k-th value: the word order breaks the tie
+        tied = np.flatnonzero(prox >= kth).tolist()
+        order = sorted(tied, key=lambda i: (-prox[i], self.words[i]))[:k]
+        entries = tuple((self.words[i], float(prox[i])) for i in order)
         return Lexicon(query=q, entries=entries)
 
     def save(self, path: str | Path) -> None:

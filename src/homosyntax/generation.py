@@ -8,7 +8,6 @@ and the bundle of prebuilt resources the pipelines consume.
 from __future__ import annotations
 
 import json
-import random
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -135,7 +134,3 @@ class GenerationResources:
 
     def is_novel(self, tokens: tuple[str, ...]) -> bool:
         return normalize_tokens(tokens) not in self.corpus_norms
-
-
-def derive_rng(seed: int) -> random.Random:
-    return random.Random(seed)

@@ -31,7 +31,7 @@ def rank_vocabulary(
         raise EmptyRankError(
             f"no in-vocabulary candidate for tag {tag.truncated!r}"
         )
-    ranked = [(w, store.proximity(q, w)) for w in in_vocab]
+    ranked = list(zip(in_vocab, store.proximity(q, in_vocab).tolist()))
     ranked.sort(key=lambda wp: (-wp[1], wp[0]))
     return ranked
 

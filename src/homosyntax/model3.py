@@ -63,14 +63,15 @@ def build_u(o: str, q: str, w: str, store: EmbeddingStore) -> UVector:
 
 def distance_vector(anchor: str, u: UVector, store: EmbeddingStore) -> np.ndarray:
     """Element j = proximity(anchor, u_j), all in [0, 1]."""
-    return np.array([store.proximity(anchor, uj) for uj in u.words])
+    return store.proximity(anchor, u.words)
 
 
-def _cos(a: np.ndarray, b: np.ndarray) -> float:
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
+def _cos(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cosines along the last axis, each equal to the one-pair np.dot form."""
+    na, nb = np.sqrt(np.vecdot(a, a)), np.sqrt(np.vecdot(b, b))
+    if np.any(na == 0.0) or np.any(nb == 0.0):
         raise DegenerateScoreError("zero-norm distance vector")
-    return float(np.dot(a, b) / (na * nb))
+    return np.vecdot(a, b) / (na * nb)
 
 
 def score_candidates(
@@ -87,14 +88,17 @@ def score_candidates(
         if word not in store:
             raise OovError(word)
 
-    thetas, betas = [], []
-    for w in vk:
-        u = build_u(o, q, w, store)
-        x = distance_vector(o, u, store)
-        qv = distance_vector(q, u, store)
-        wv = distance_vector(w, u, store)
-        thetas.append(_cos(qv, wv))
-        betas.append(_cos(x, wv))
+    # one row of U per candidate; the o and q segments are shared
+    oq = store.neighbors(o, SEGMENT).words() + store.neighbors(q, SEGMENT).words()
+    u = np.array(
+        [UVector(oq + store.neighbors(w, SEGMENT).words()).words for w in vk],
+        dtype=object,
+    )
+    x = store.proximity(o, u)
+    qv = store.proximity(q, u)
+    wv = store.proximity(np.array(vk, dtype=object)[:, None], u)
+    thetas = _cos(qv, wv).tolist()
+    betas = _cos(x, wv).tolist()
 
     mean_theta = sum(thetas) / len(thetas)
     mean_beta = sum(betas) / len(betas)

@@ -1,7 +1,10 @@
+import itertools
 import math
+import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from homosyntax.corpus import SentenceRecord
 from homosyntax.embeddings import (
@@ -46,6 +49,47 @@ class TestProximity:
             _toy_store().proximity("oeste", "norte")
 
 
+def _dot_reference(store, a, b):
+    """One-pair np.dot on the store's unit rows, clipped like the contract."""
+    cos = float(np.dot(store._unit[store.index[a]], store._unit[store.index[b]]))
+    return min(1.0, max(0.0, (cos + 1.0) / 2.0))
+
+
+class TestBatchedProximity:
+    def test_two_words_give_a_float(self, store):
+        assert type(store.proximity(store.words[0], store.words[1])) is float
+
+    def test_word_against_array_is_exact(self, store):
+        rng = random.Random(2)
+        for _ in range(20):
+            a = rng.choice(store.words)
+            words = [rng.choice(store.words) for _ in range(30)]
+            got = store.proximity(a, words)
+            assert got.shape == (30,)
+            assert got.tolist() == [_dot_reference(store, a, b) for b in words]
+
+    def test_broadcast_rows_are_exact(self, store):
+        rng = random.Random(3)
+        anchors = np.array([rng.choice(store.words) for _ in range(8)], dtype=object)
+        u = np.array(
+            [[rng.choice(store.words) for _ in range(30)] for _ in range(8)],
+            dtype=object,
+        )
+        got = store.proximity(anchors[:, None], u)
+        assert got.shape == (8, 30)
+        expected = [
+            [_dot_reference(store, a, b) for b in row] for a, row in zip(anchors, u)
+        ]
+        assert got.tolist() == expected
+
+    def test_oov_anywhere_in_array(self, store):
+        w = store.words
+        with pytest.raises(OovError):
+            store.proximity(w[0], [[w[1], w[2]], [w[3], "zzzqx"]])
+        with pytest.raises(OovError):
+            store.proximity(["zzzqx", w[1]], w[0])
+
+
 def _brute_force_neighbors(store, q, m):
     """Independent oracle: pure-python scan with math.cos formula."""
     qv = store.vectors[store.index[q]]
@@ -86,6 +130,57 @@ class TestNeighbors:
     def test_oov_query(self, store):
         with pytest.raises(OovError):
             store.neighbors("zzzqx", 5)
+
+    def test_single_word_store_has_no_neighbors(self):
+        s = EmbeddingStore(["solo"], np.array([[1.0, 2.0]]))
+        assert s.neighbors("solo", 1).entries == ()
+        assert s.neighbors("solo", 5).entries == ()
+
+    def test_two_word_store(self):
+        s = EmbeddingStore(["b", "a"], np.array([[1.0, 0.0], [1.0, 0.0]]))
+        for m in (1, 2, 7):
+            assert s.neighbors("a", m).words() == ("b",)
+            assert s.neighbors("b", m).words() == ("a",)
+
+
+# Rows whose unit vectors, dot products and norms are exact in binary
+# floating point in any summation order: every entry +-1 (norm 2) or one
+# nonzero entry, scaled by a power of two. Equal cosines are therefore equal
+# bit for bit in the store and in the oracle, and duplicated rows plant exact
+# ties at every rank, the k-th boundary included.
+_EXACT_ROWS = [
+    np.array(signs, dtype=np.float64)
+    for signs in itertools.product((-1.0, 1.0), repeat=4)
+] + [sign * np.eye(4)[i] for i in range(4) for sign in (-1.0, 1.0)]
+
+
+@st.composite
+def _tied_stores(draw):
+    words = draw(
+        st.lists(
+            st.text(alphabet="abc", min_size=1, max_size=3),
+            min_size=1,
+            max_size=9,
+            unique=True,
+        )
+    )
+    bases = draw(st.lists(st.sampled_from(range(len(_EXACT_ROWS))),
+                          min_size=1, max_size=3))
+    rows = [
+        _EXACT_ROWS[draw(st.sampled_from(bases))] * draw(st.sampled_from((1.0, 2.0, 4.0)))
+        for _ in words
+    ]
+    return EmbeddingStore(words, np.array(rows))
+
+
+class TestNeighborTies:
+    @settings(max_examples=150, deadline=None)
+    @given(_tied_stores())
+    def test_ties_match_brute_force(self, store):
+        for q in store.words:
+            for m in range(1, len(store) + 6):
+                expected = tuple(_brute_force_neighbors(store, q, m))
+                assert store.neighbors(q, m).words() == expected
 
 
 class TestTraining:
