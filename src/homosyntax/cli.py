@@ -55,8 +55,8 @@ class CliParser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _diagnostic(kind: str, message: str) -> None:
-    print(json.dumps({"error": kind, "message": message}), file=sys.stderr)
+def _diagnostic(kind: str, message: str, **fields) -> None:
+    print(json.dumps({"error": kind, "message": message, **fields}), file=sys.stderr)
     print(f"error: {message}", file=sys.stderr)
 
 
@@ -294,13 +294,17 @@ def main(argv: list[str] | None = None) -> int:
     except (ResourceError, FileNotFoundError) as e:
         _diagnostic("resource", str(e))
         return EXIT_RESOURCE
+    except (FormatError, IngestError) as e:
+        path, line = getattr(e, "path", None), getattr(e, "line", None)
+        _diagnostic(type(e).__name__, str(e), path=path, line=line)
+        return EXIT_RESOURCE
     except GenerationError as e:
         _diagnostic("generation", str(e))
         return EXIT_GENERATION
     except ConfigError as e:
         _diagnostic("usage", str(e))
         return EXIT_USAGE
-    except (IngestError, FormatError, HomosyntaxError) as e:
+    except HomosyntaxError as e:
         _diagnostic(type(e).__name__, str(e))
         return EXIT_GENERATION
     return EXIT_OK

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import SentenceRecord
-from .errors import FormatError, OovError, TableError, TrainError
+from .errors import FormatError, OovError, TableError, TrainError, read_jsonl
 from .pos import TaggedSentence, is_content
 
 
@@ -109,30 +109,35 @@ class EmbeddingStore:
     def load(cls, path: str | Path) -> "EmbeddingStore":
         lines = Path(path).read_text(encoding="utf-8").splitlines()
         if not lines:
-            raise FormatError("empty embedding file", line=1)
+            raise FormatError("empty embedding file", 1, path)
         header = lines[0].split()
         if len(header) != 2:
-            raise FormatError("expected '<vocab_count> <dims>' header", line=1)
+            raise FormatError("expected '<vocab_count> <dims>' header", 1, path)
         try:
             count, dims = int(header[0]), int(header[1])
         except ValueError as e:
-            raise FormatError("non-integer header", line=1) from e
+            raise FormatError("non-integer header", 1, path) from e
         if len(lines) - 1 < count:
-            raise FormatError(f"expected {count} vector rows")
-        words = []
+            raise FormatError(f"expected {count} vector rows", path=path)
+        first_line: dict[str, int] = {}  # word -> line of its row
         vectors = np.zeros((count, dims), dtype=np.float64)
         for row, line in enumerate(lines[1 : 1 + count]):
-            parts = line.split()
+            i, parts = row + 2, line.split()
             if len(parts) != dims + 1:
-                raise FormatError(
-                    f"expected word + {dims} floats", line=row + 2
-                )
-            words.append(parts[0])
+                raise FormatError(f"expected word + {dims} floats", i, path)
+            word = parts[0]
+            if word in first_line:
+                msg = f"duplicate word {word!r}, first at line {first_line[word]}"
+                raise FormatError(msg, i, path)
+            first_line[word] = i
             try:
                 vectors[row] = [float(p) for p in parts[1:]]
             except ValueError as e:
-                raise FormatError("non-numeric component", line=row + 2) from e
-        return cls(words, vectors)
+                raise FormatError("non-numeric component", i, path) from e
+        for i, line in enumerate(lines[1 + count :], start=2 + count):
+            if line.strip():
+                raise FormatError(f"more than {count} vector rows", i, path)
+        return cls(list(first_line), vectors)
 
 
 def _normalize_tokens(tokens: tuple[str, ...]) -> list[str]:
@@ -254,16 +259,11 @@ class AssociativeTable:
     @classmethod
     def load(cls, path: str | Path) -> "AssociativeTable":
         table: dict[str, list[tuple[str, int]]] = {}
-        for i, line in enumerate(
-            Path(path).read_text(encoding="utf-8").splitlines(), start=1
-        ):
-            if not line.strip():
-                continue
+        for i, obj in read_jsonl(path):
             try:
-                obj = json.loads(line)
                 table[obj["tag"]] = [(w, int(c)) for w, c in obj["words"]]
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
-                raise FormatError(f"bad table row: {e}", line=i) from e
+            except (KeyError, TypeError, ValueError) as e:
+                raise FormatError(f"bad table row: {e}", i, path) from e
         return cls(table)
 
 

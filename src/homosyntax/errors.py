@@ -1,4 +1,10 @@
-"""Exception hierarchy shared by all homosyntax modules."""
+"""Exception hierarchy and resource-file line readers shared by all modules."""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+from typing import Any, Iterator
 
 
 class HomosyntaxError(Exception):
@@ -40,11 +46,39 @@ class StoreError(HomosyntaxError):
 class FormatError(HomosyntaxError):
     """Malformed resource file."""
 
-    def __init__(self, message, line=None):
+    def __init__(self, message, line=None, path=None):
         if line is not None:
             message = f"line {line}: {message}"
+        if path is not None:
+            message = f"{path}: {message}"
         super().__init__(message)
         self.line = line
+        self.path = None if path is None else str(path)
+
+
+def _rows(path: str | Path) -> Iterator[tuple[int, str]]:
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    return ((i, line) for i, line in enumerate(lines, start=1) if line.strip())
+
+
+def read_jsonl(path: str | Path) -> Iterator[tuple[int, Any]]:
+    """(line number, decoded object) for each non-blank line."""
+    for lineno, line in _rows(path):
+        try:
+            yield lineno, json.loads(line)
+        except json.JSONDecodeError as e:
+            raise FormatError(f"invalid JSON: {e}", lineno, path) from e
+
+
+def read_tsv(path: str | Path, fields: int) -> Iterator[tuple[int, list[str]]]:
+    """(line number, fields) for each non-blank line of ``fields`` columns."""
+    for lineno, line in _rows(path):
+        parts = line.split("\t")
+        if len(parts) != fields:
+            raise FormatError(
+                f"expected {fields} tab-separated fields", lineno, path
+            )
+        yield lineno, parts
 
 
 class TrainError(HomosyntaxError):

@@ -1,22 +1,35 @@
-"""Shared plumbing for the three generation pipelines.
+"""The generation driver shared by the three models, and its plumbing.
 
-Holds the generated-sentence record, surface realization (detokenization),
-sentence normalization used for novelty checks, the function-word dictionary
-and the bundle of prebuilt resources the pipelines consume.
+Every model draws a syntactic skeleton and fills its slots; only the
+skeleton source and the slot filler differ. ``generate`` owns the rest: the
+query check, the seeded RNG, the novelty retries and the one template
+reselection when a slot has no candidate. This module also holds the
+generated-sentence record, surface realization (detokenization), sentence
+normalization used for novelty checks, the function-word dictionary and the
+bundle of prebuilt resources the models consume.
 """
 
 from __future__ import annotations
 
 import json
+import random
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Any, Callable, Sequence
 
 from .embeddings import AssociativeTable, EmbeddingStore
-from .errors import DictError, FormatError
+from .errors import (
+    DictError,
+    EmptyRankError,
+    FormatError,
+    GenerationError,
+    OovError,
+    read_jsonl,
+)
 from .markov import DecodePolicy, TransitionMatrix
 from .morphology import FormsLexicon
 from .pos import PosTag, TaggedSentence, is_content
-from .templates import TemplateStore
+from .templates import Literal, TemplateStore
 
 # tokens that attach to the preceding word
 _NO_SPACE_BEFORE = set(".,;:!?…)]}»")
@@ -89,16 +102,11 @@ class FunctionWordDictionary:
     @classmethod
     def load(cls, path: str | Path) -> "FunctionWordDictionary":
         table: dict[str, list[str]] = {}
-        for i, line in enumerate(
-            Path(path).read_text(encoding="utf-8").splitlines(), start=1
-        ):
-            if not line.strip():
-                continue
+        for i, obj in read_jsonl(path):
             try:
-                obj = json.loads(line)
                 table[obj["tag"]] = list(obj["words"])
-            except (json.JSONDecodeError, KeyError, TypeError) as e:
-                raise FormatError(f"bad dictionary row: {e}", line=i) from e
+            except (KeyError, TypeError) as e:
+                raise FormatError(f"bad dictionary row: {e}", i, path) from e
         return cls(table)
 
     @classmethod
@@ -134,3 +142,60 @@ class GenerationResources:
 
     def is_novel(self, tokens: tuple[str, ...]) -> bool:
         return normalize_tokens(tokens) not in self.corpus_norms
+
+
+def generate(
+    model: int,
+    q: str,
+    res: GenerationResources,
+    seed: int,
+    skeleton: Callable[[random.Random], tuple[str, Sequence[Any]]],
+    fill_slot: Callable[[int, Any, random.Random], tuple[str, dict]],
+) -> GeneratedSentence:
+    """Fill skeletons until the sentence is novel, at most NOVELTY_RETRIES times.
+
+    ``skeleton(rng)`` returns the provenance and the items of one skeleton; a
+    ``GenerationError`` from it costs one attempt. ``Literal`` items are
+    copied, every other item goes to ``fill_slot(position, item, rng)``, which
+    returns the word and its trace record. A slot without candidates
+    (``EmptyRankError``) gets one fresh skeleton per attempt.
+    """
+    if q not in res.store:
+        raise OovError(q)
+    rng = random.Random(seed)
+
+    def fill(items: Sequence[Any]) -> tuple[tuple[str, ...], list[dict]]:
+        tokens, trace = [], []
+        for position, item in enumerate(items):
+            if isinstance(item, Literal):
+                tokens.append(item.surface)
+            else:
+                word, record = fill_slot(position, item, rng)
+                tokens.append(word)
+                trace.append(record)
+        return tuple(tokens), trace
+
+    last_error: Exception | None = None
+    for _attempt in range(NOVELTY_RETRIES):
+        try:
+            source, items = skeleton(rng)
+        except GenerationError as e:
+            last_error = e
+            continue
+        try:
+            tokens, trace = fill(items)
+        except EmptyRankError as e:
+            # one reselection per attempt keeps sparse stores usable
+            source, items = skeleton(rng)
+            try:
+                tokens, trace = fill(items)
+            except EmptyRankError as e2:
+                raise EmptyRankError(
+                    f"{e2} (after template reselection; first failure: {e})"
+                ) from e2
+        if res.is_novel(tokens):
+            return GeneratedSentence(tokens, model, q, source, trace)
+        last_error = GenerationError("generated sentence exists in corpus")
+    raise GenerationError(
+        f"model {model} failed after {NOVELTY_RETRIES} attempts: {last_error}"
+    )

@@ -91,13 +91,13 @@ class TransitionMatrix:
     def load(cls, path: str | Path) -> "TransitionMatrix":
         lines = Path(path).read_text(encoding="utf-8").splitlines()
         if not lines or not lines[0].startswith("states "):
-            raise FormatError("missing 'states <n>' header", line=1)
+            raise FormatError("missing 'states <n>' header", 1, path)
         try:
             n = int(lines[0].split()[1])
         except (IndexError, ValueError) as e:
-            raise FormatError("bad state count", line=1) from e
+            raise FormatError("bad state count", 1, path) from e
         if len(lines) < 1 + n:
-            raise FormatError(f"expected {n} state lines")
+            raise FormatError(f"expected {n} state lines", path=path)
         states = tuple(lines[1 : 1 + n])
         counts = np.zeros((n, n), dtype=np.int64)
         for lineno, line in enumerate(lines[1 + n :], start=2 + n):
@@ -105,13 +105,13 @@ class TransitionMatrix:
                 continue
             parts = line.split()
             if len(parts) != 3:
-                raise FormatError("expected 'i j count'", line=lineno)
+                raise FormatError("expected 'i j count'", lineno, path)
             try:
                 i, j, c = int(parts[0]), int(parts[1]), int(parts[2])
             except ValueError as e:
-                raise FormatError("non-integer triple", line=lineno) from e
+                raise FormatError("non-integer triple", lineno, path) from e
             if not (0 <= i < n and 0 <= j < n):
-                raise FormatError("state index out of range", line=lineno)
+                raise FormatError("state index out of range", lineno, path)
             counts[i, j] = c
         return cls(states, counts)
 

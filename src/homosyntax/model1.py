@@ -1,8 +1,11 @@
 """Model 1: Markov-generated skeleton filled from embedding neighborhoods.
 
-Functional slots draw uniformly from the function-word dictionary. Content
-slots take the first neighbor of the query that fits the slot's tag, trying
-inflection before relaxing the query to its nearest unvisited neighbor.
+The skeleton is a tag sequence decoded from the POS transition matrix; an
+EGV dead-end costs one attempt of the shared driver. Functional slots draw
+uniformly from the function-word dictionary, and a skeleton-final
+punctuation slot is a period. Content slots take the first neighbor of the
+query that fits the slot's tag, trying inflection before relaxing the query
+to its nearest unvisited neighbor.
 """
 
 from __future__ import annotations
@@ -10,12 +13,12 @@ from __future__ import annotations
 import random
 
 from .embeddings import EmbeddingStore
-from .errors import GenerationError, OovError, RelaxationError
+from .errors import OovError, RelaxationError
 from .generation import (
-    NOVELTY_RETRIES,
-    GeneratedSentence,
     FunctionWordDictionary,
+    GeneratedSentence,
     GenerationResources,
+    generate,
 )
 from .markov import generate_egv
 from .morphology import FormsLexicon, inflect, matches_tag
@@ -72,58 +75,23 @@ def fill_content_with_relaxation(
 def generate_model1(
     q: str, n: int, res: GenerationResources, seed: int
 ) -> GeneratedSentence:
-    if q not in res.store:
-        raise OovError(q)
-    rng = random.Random(seed)
-    last_error: Exception | None = None
-    for _attempt in range(NOVELTY_RETRIES):
-        try:
-            egv = generate_egv(res.matrix, None, n, res.policy, rng)
-        except GenerationError as e:
-            last_error = e
-            continue
-        tokens: list[str] = []
-        trace: list[dict] = []
-        for pos, tag in enumerate(egv.slots):
-            if is_content(tag):
-                word, hops, visited = fill_content_with_relaxation(
-                    tag, q, res.store, res.forms, res.neighbors_m, res.max_hops
-                )
-                tokens.append(word)
-                trace.append(
-                    {
-                        "position": pos,
-                        "tag": tag.truncated,
-                        "kind": "content",
-                        "chosen": word,
-                        "hops": hops,
-                        "queries": visited,
-                    }
-                )
-            else:
-                # a skeleton-final punctuation slot always realizes as a period
-                if pos == n - 1 and tag.category == "F":
-                    word = "."
-                else:
-                    word = fill_functional(tag, res.funcdict, rng)
-                tokens.append(word)
-                trace.append(
-                    {
-                        "position": pos,
-                        "tag": tag.truncated,
-                        "kind": "functional",
-                        "chosen": word,
-                    }
-                )
-        if res.is_novel(tuple(tokens)):
-            return GeneratedSentence(
-                tokens=tuple(tokens),
-                model=1,
-                query=q,
-                source="markov",
-                trace=trace,
+    def fill_slot(pos: int, tag: PosTag, rng: random.Random) -> tuple[str, dict]:
+        relaxation = {}
+        if is_content(tag):
+            word, hops, visited = fill_content_with_relaxation(
+                tag, q, res.store, res.forms, res.neighbors_m, res.max_hops
             )
-        last_error = GenerationError("generated sentence exists in corpus")
-    raise GenerationError(
-        f"model 1 failed after {NOVELTY_RETRIES} attempts: {last_error}"
-    )
+            relaxation = {"hops": hops, "queries": visited}
+        elif pos == n - 1 and tag.category == "F":
+            # a skeleton-final punctuation slot always realizes as a period
+            word = "."
+        else:
+            word = fill_functional(tag, res.funcdict, rng)
+        kind = "content" if relaxation else "functional"
+        record = {"position": pos, "tag": tag.truncated, "kind": kind, "chosen": word}
+        return word, {**record, **relaxation}
+
+    def skeleton(rng: random.Random) -> tuple[str, tuple[PosTag, ...]]:
+        return "markov", generate_egv(res.matrix, None, n, res.policy, rng).slots
+
+    return generate(1, q, res, seed, skeleton, fill_slot)

@@ -11,7 +11,8 @@ as printed in the source formulation. Because the printed formula appears
 inverted relative to its stated intent (reward closeness to q, distance
 from o), an `invert` switch computes (theta_i / mean(theta)) * (mean(beta)
 / beta_i) instead. The replacement is drawn uniformly from the top three
-scores.
+scores. Templates are drawn as in model 2, and a slot whose original word is
+out of vocabulary falls back to model 2's ranking.
 """
 
 from __future__ import annotations
@@ -22,15 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embeddings import EmbeddingStore
-from .errors import (
-    DegenerateScoreError,
-    EmptyRankError,
-    GenerationError,
-    OovError,
-)
-from .generation import GeneratedSentence, GenerationResources, NOVELTY_RETRIES
-from .model2 import choose_top3, rank_vocabulary
-from .templates import EgpSkeleton, Literal, select_template
+from .errors import DegenerateScoreError, EmptyRankError, OovError
+from .generation import GeneratedSentence, GenerationResources, generate
+from .model2 import choose_top3, rank_vocabulary, template_skeleton
+from .templates import Slot
 
 SEGMENT = 10  # neighbors per anchor word; |U| = 3 * SEGMENT
 
@@ -128,59 +124,6 @@ def _candidate_vocab(
     return [w for w, _ in in_vocab[: res.cap_m]]
 
 
-def _fill_template(
-    template: EgpSkeleton,
-    q: str,
-    res: GenerationResources,
-    rng: random.Random,
-    invert: bool,
-    trace: list[dict],
-) -> tuple[str, ...]:
-    tokens: list[str] = []
-    for item in template.items:
-        if isinstance(item, Literal):
-            tokens.append(item.surface)
-            continue
-        o = item.original.lower()
-        if o not in res.store:
-            # graceful degradation: rank by query proximity alone
-            ranked = rank_vocabulary(item.tag, q, res.ta, res.store)
-            word = choose_top3(ranked, rng)
-            tokens.append(word)
-            trace.append(
-                {
-                    "position": item.position,
-                    "tag": item.tag.truncated,
-                    "o": o,
-                    "fallback": "model2",
-                    "top3": [w for w, _ in ranked[:3]],
-                    "chosen": word,
-                }
-            )
-            continue
-        vk = _candidate_vocab(item.tag.truncated, res)
-        if len(vk) < 2:
-            raise EmptyRankError(
-                f"fewer than 2 in-vocabulary candidates for {item.tag.truncated!r}"
-            )
-        scored = score_candidates(o, q, vk, res.store, invert=invert)
-        word = choose_top3([c.w for c in scored], rng)
-        tokens.append(word)
-        trace.append(
-            {
-                "position": item.position,
-                "tag": item.tag.truncated,
-                "o": o,
-                "candidates": [
-                    {"w": c.w, "theta": c.theta, "beta": c.beta, "s": c.s}
-                    for c in scored
-                ],
-                "chosen": word,
-            }
-        )
-    return tuple(tokens)
-
-
 def generate_model3(
     q: str,
     n: int,
@@ -188,33 +131,36 @@ def generate_model3(
     seed: int,
     invert: bool = False,
 ) -> GeneratedSentence:
-    if q not in res.store:
-        raise OovError(q)
-    rng = random.Random(seed)
-    last_error: Exception | None = None
-    for _attempt in range(NOVELTY_RETRIES):
-        template = select_template(res.templates, n, rng)
-        trace: list[dict] = []
-        try:
-            tokens = _fill_template(template, q, res, rng, invert, trace)
-        except EmptyRankError as e:
-            template = select_template(res.templates, n, rng)
-            trace = []
-            try:
-                tokens = _fill_template(template, q, res, rng, invert, trace)
-            except EmptyRankError as e2:
-                raise EmptyRankError(
-                    f"{e2} (after template reselection; first failure: {e})"
-                ) from e2
-        if res.is_novel(tokens):
-            return GeneratedSentence(
-                tokens=tokens,
-                model=3,
-                query=q,
-                source=template.source_id,
-                trace=trace,
+    def fill_slot(pos: int, slot: Slot, rng: random.Random) -> tuple[str, dict]:
+        o = slot.original.lower()
+        if o not in res.store:
+            # graceful degradation: rank by query proximity alone
+            ranked = rank_vocabulary(slot.tag, q, res.ta, res.store)
+            word = choose_top3(ranked, rng)
+            return word, {
+                "position": pos,
+                "tag": slot.tag.truncated,
+                "o": o,
+                "fallback": "model2",
+                "top3": [w for w, _ in ranked[:3]],
+                "chosen": word,
+            }
+        vk = _candidate_vocab(slot.tag.truncated, res)
+        if len(vk) < 2:
+            raise EmptyRankError(
+                f"fewer than 2 in-vocabulary candidates for {slot.tag.truncated!r}"
             )
-        last_error = GenerationError("generated sentence exists in corpus")
-    raise GenerationError(
-        f"model 3 failed after {NOVELTY_RETRIES} attempts: {last_error}"
-    )
+        scored = score_candidates(o, q, vk, res.store, invert=invert)
+        word = choose_top3([c.w for c in scored], rng)
+        return word, {
+            "position": pos,
+            "tag": slot.tag.truncated,
+            "o": o,
+            "candidates": [
+                {"w": c.w, "theta": c.theta, "beta": c.beta, "s": c.s}
+                for c in scored
+            ],
+            "chosen": word,
+        }
+
+    return generate(3, q, res, seed, template_skeleton(res, n), fill_slot)

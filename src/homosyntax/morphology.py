@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .errors import FormatError, TagError
+from .errors import FormatError, TagError, read_tsv
 from .pos import PosTag
 
 
@@ -36,19 +36,11 @@ class FormsLexicon:
     @classmethod
     def load(cls, path: str | Path) -> "FormsLexicon":
         entries = []
-        for i, line in enumerate(
-            Path(path).read_text(encoding="utf-8").splitlines(), start=1
-        ):
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise FormatError("expected 4 tab-separated fields", line=i)
-            lemma, surface, fulltag, freq_s = parts
+        for i, (lemma, surface, fulltag, freq_s) in read_tsv(path, 4):
             try:
                 freq = int(freq_s)
             except ValueError as e:
-                raise FormatError(f"bad frequency {freq_s!r}", line=i) from e
+                raise FormatError(f"bad frequency {freq_s!r}", i, path) from e
             entries.append((lemma, surface, fulltag, freq))
         return cls(entries)
 

@@ -15,7 +15,7 @@ from enum import Enum
 from pathlib import Path
 
 from .corpus import SentenceRecord
-from .errors import FormatError, TagError
+from .errors import FormatError, TagError, read_tsv
 
 
 @dataclass(frozen=True)
@@ -122,19 +122,11 @@ class TaggerLexicon:
     def load(cls, path: str | Path) -> "TaggerLexicon":
         """Read ``surface<TAB>fulltag<TAB>weight`` lines."""
         entries: dict[str, list[tuple[str, float]]] = {}
-        for i, line in enumerate(
-            Path(path).read_text(encoding="utf-8").splitlines(), start=1
-        ):
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise FormatError("expected 3 tab-separated fields", line=i)
-            surface, full, weight_s = parts
+        for i, (surface, full, weight_s) in read_tsv(path, 3):
             try:
                 weight = float(weight_s)
             except ValueError as e:
-                raise FormatError(f"bad weight {weight_s!r}", line=i) from e
+                raise FormatError(f"bad weight {weight_s!r}", i, path) from e
             entries.setdefault(surface, []).append((full, weight))
         return cls(entries)
 
@@ -194,7 +186,7 @@ def read_tagged_tsv(path: str | Path) -> list[TaggedSentence]:
             continue
         parts = line.split("\t")
         if len(parts) != 2 or not parts[0] or not parts[1]:
-            raise FormatError("expected 'surface<TAB>fulltag'", line=i)
+            raise FormatError("expected 'surface<TAB>fulltag'", i, path)
         current.append((parts[0], PosTag(parts[1])))
     flush()
     return sentences

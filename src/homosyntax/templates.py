@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import FormatError, StoreError, TemplateError
+from .errors import FormatError, StoreError, TemplateError, read_jsonl
 from .pos import PosTag, TaggedSentence, is_content
 
 
@@ -89,6 +89,10 @@ class TemplateStore:
     def lengths(self) -> list[int]:
         return sorted(self._by_length)
 
+    def ids_of_length(self, n: int) -> list[str]:
+        """Template ids of length n, in insertion order (empty if none)."""
+        return self._by_length.get(n, [])
+
     @classmethod
     def from_sentences(cls, corpus: list[TaggedSentence]) -> "TemplateStore":
         """Build a store, silently skipping untemplatable sentences."""
@@ -120,15 +124,7 @@ class TemplateStore:
     @classmethod
     def load(cls, path: str | Path) -> "TemplateStore":
         store = cls()
-        for i, line in enumerate(
-            Path(path).read_text(encoding="utf-8").splitlines(), start=1
-        ):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise FormatError("invalid JSON", line=i) from e
+        for i, obj in read_jsonl(path):
             try:
                 items: list[Slot | Literal] = []
                 for pos, it in enumerate(obj["items"]):
@@ -137,11 +133,11 @@ class TemplateStore:
                     elif it["t"] == "lit":
                         items.append(Literal(pos, it["w"]))
                     else:
-                        raise FormatError(f"unknown item type {it['t']!r}", line=i)
+                        raise FormatError(f"unknown item type {it['t']!r}", i, path)
                 template = EgpSkeleton(tuple(items), obj["source_id"])
                 store.add(template, obj["id"])
             except (KeyError, TypeError) as e:
-                raise FormatError(f"missing field: {e}", line=i) from e
+                raise FormatError(f"missing field: {e}", i, path) from e
         return store
 
 
@@ -151,9 +147,9 @@ def select_template(
     """Uniform pick among length-n templates, nearest length as fallback."""
     if not len(store):
         raise StoreError("template store is empty")
-    lengths = store.lengths()
-    if n not in store._by_length:
+    ids = store.ids_of_length(n)
+    if not ids:
         # nearest available length; ties resolve to the smaller one
-        n = min(lengths, key=lambda ln: (abs(ln - n), ln))
-    tid = rng.choice(store._by_length[n])
-    return store.get(tid)
+        n = min(store.lengths(), key=lambda ln: (abs(ln - n), ln))
+        ids = store.ids_of_length(n)
+    return store.get(rng.choice(ids))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -70,6 +71,25 @@ class TestExitCodes:
                       "--len", "6", "--policy", "beam:2"))
         assert exc.value.code == EXIT_USAGE
 
+    def test_malformed_resource_names_file_and_line(self, resources_dir,
+                                                    tmp_path, capsys):
+        import shutil
+
+        broken = tmp_path / "broken_templates"
+        shutil.copytree(resources_dir, broken)
+        path = broken / "templates.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert len(lines) >= 600
+        lines[599] = lines[599][:-1]  # cut the closing brace of line 600
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = main(_gen(broken, "--model", "2", "--query", "sol",
+                         "--len", "6"))
+        diagnostic = json.loads(capsys.readouterr().err.splitlines()[0])
+        assert code == EXIT_RESOURCE
+        assert diagnostic["path"] == str(path)
+        assert diagnostic["line"] == 600
+        assert "templates.jsonl: line 600: invalid JSON" in diagnostic["message"]
+
     def test_oov_query_is_generation_failure(self, resources_dir, capsys):
         code = main(_gen(resources_dir, "--model", "2", "--query", "zzzqx",
                          "--len", "6"))
@@ -136,6 +156,57 @@ class TestGenerate:
         code = main(_gen(resources_dir, "--model", "3", "--query", "sol",
                          "--len", "6", "--seed", "3", "--invert-score"))
         assert code == EXIT_OK
+
+
+# exit code, sha256 of stdout and of the --trace file (None: not written) for
+# `generate --query sol --len 8 --count 20 --seed 0`, frozen from the fixture
+# resources before the three models shared one generation driver
+GOLDEN_RUNS = {
+    ("--model", "1"): (
+        EXIT_OK,
+        "70f7e47e47dff80a4d8cde83db19bc4825f7c1dabf5a8549fb6d54b34cfd1bd9",
+        "9b6098f2ab376c450ed74228c1db0c1a30496da76a1215c9c5fee862d996cf4e",
+    ),
+    ("--model", "2"): (
+        EXIT_OK,
+        "fe4e0952911913c0a0cb07d3b0656caccd7c9741f7d22a1e570329230b4e2330",
+        "c138f458e5fb2cb37da0ca4c1221d508a8564532979aa39eab3e007103cde12d",
+    ),
+    ("--model", "3"): (
+        EXIT_OK,
+        "4d28602fcc8dd1f84101fad0d4adb59ff3dcb7bcf357b3ae4103160da1f19400",
+        "7ea7c750b62aeaa75ef8dc30516f6f21649812a83ab0ed583a4644bcc5063b6c",
+    ),
+    ("--model", "3", "--invert-score"): (
+        EXIT_OK,
+        "9d730835033e717b7d20703596a28d21b15d7de8f6fad51b66f3d82f3c518307",
+        "e907778c14debceed0e6604bae2d243975860837576e3a281eaee37d80b78ad0",
+    ),
+    # every argmax skeleton of length 8 dead-ends: nothing is printed
+    ("--model", "1", "--policy", "argmax"): (
+        EXIT_GENERATION,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        None,
+    ),
+}
+
+
+class TestGoldenRuns:
+    @pytest.mark.parametrize("flags", list(GOLDEN_RUNS), ids=" ".join)
+    def test_stdout_and_trace_digests(self, resources_dir, tmp_path, capsys,
+                                      flags):
+        trace = tmp_path / "trace.jsonl"
+        code = main(_gen(resources_dir, *flags, "--query", "sol", "--len", "8",
+                         "--count", "20", "--seed", "0",
+                         "--trace", str(trace)))
+        out = capsys.readouterr().out
+        trace_digest = (
+            hashlib.sha256(trace.read_bytes()).hexdigest()
+            if trace.exists() else None
+        )
+        assert (
+            code, hashlib.sha256(out.encode("utf-8")).hexdigest(), trace_digest
+        ) == GOLDEN_RUNS[flags]
 
 
 class TestCheck:

@@ -248,6 +248,26 @@ class TestSerialization:
             EmbeddingStore.load(p)
         assert exc.value.line == 3
 
+    def test_duplicate_word_rejected_at_second_row(self, tmp_path):
+        p = tmp_path / "v.txt"
+        p.write_text("3 2\na 1.0 0.0\nb 0.0 1.0\na 0.5 0.5\n")
+        with pytest.raises(FormatError, match="duplicate word 'a', first at line 2"
+                           ) as exc:
+            EmbeddingStore.load(p)
+        assert (exc.value.line, exc.value.path) == (4, str(p))
+
+    def test_rows_beyond_header_count_rejected(self, tmp_path):
+        p = tmp_path / "v.txt"
+        p.write_text("2 2\na 1.0 0.0\nb 0.0 1.0\n\nc 0.5 0.5\n")
+        with pytest.raises(FormatError, match="more than 2 vector rows") as exc:
+            EmbeddingStore.load(p)
+        assert exc.value.line == 5
+
+    def test_trailing_blank_lines_allowed(self, tmp_path):
+        p = tmp_path / "v.txt"
+        p.write_text("2 2\na 1.0 0.0\nb 0.0 1.0\n\n")
+        assert len(EmbeddingStore.load(p)) == 2
+
 
 def _ts(pairs):
     tokens = tuple((w, PosTag(t)) for w, t in pairs)

@@ -1,0 +1,127 @@
+"""The generation driver shared by models 1-3."""
+
+import random
+from dataclasses import replace
+
+import pytest
+
+from homosyntax.embeddings import EmbeddingStore
+from homosyntax.errors import EmptyRankError, GenerationError, OovError
+from homosyntax.generation import NOVELTY_RETRIES, generate
+from homosyntax.markov import DecodePolicy
+from homosyntax.model1 import generate_model1
+from homosyntax.model2 import generate_model2
+from homosyntax.model3 import generate_model3
+from homosyntax.templates import Literal
+
+MODELS = {1: generate_model1, 2: generate_model2, 3: generate_model3}
+
+
+class _EveryNorm:
+    """A corpus_norms that contains every sentence: nothing is novel."""
+
+    def __contains__(self, key):
+        return True
+
+
+def _without_adjectives(resources):
+    adjectives = {
+        w for tag in resources.ta.tags() if tag.startswith("A")
+        for w, _ in resources.ta.words_for(tag)
+    }
+    store = resources.store
+    keep = [i for i, w in enumerate(store.words) if w not in adjectives]
+    smaller = EmbeddingStore([store.words[i] for i in keep], store.vectors[keep])
+    return replace(resources, store=smaller), adjectives
+
+
+@pytest.mark.parametrize("model", sorted(MODELS))
+def test_nothing_novel_exhausts_retries(resources, model):
+    res = replace(resources, corpus_norms=_EveryNorm())
+    with pytest.raises(GenerationError) as exc:
+        MODELS[model]("sol", 8, res, 0)
+    assert str(exc.value) == (
+        f"model {model} failed after 20 attempts: "
+        "generated sentence exists in corpus"
+    )
+
+
+@pytest.mark.parametrize("model", [2, 3])
+def test_template_reselection_without_adjectives(resources, model):
+    res, adjectives = _without_adjectives(resources)
+    failures, sentences = [], []
+    for seed in range(10):
+        try:
+            sentences.append(MODELS[model]("sol", 8, res, seed))
+        except EmptyRankError as e:
+            failures.append(str(e))
+    assert failures and sentences
+    assert all("after template reselection; first failure:" in f for f in failures)
+    for s in sentences:
+        assert not adjectives & {r["chosen"] for r in s.trace}
+
+
+def test_model1_argmax_reports_dead_end(resources):
+    res = replace(resources, policy=DecodePolicy.argmax())
+    with pytest.raises(GenerationError) as exc:
+        generate_model1("sol", 8, res, 0)
+    assert str(exc.value) == (
+        "model 1 failed after 20 attempts: "
+        "dead-end before length 8 after 10 restarts"
+    )
+
+
+class TestDriver:
+    def _fill(self, position, item, rng):
+        return item.upper(), {"position": position, "chosen": item.upper()}
+
+    def test_literals_copied_and_slots_filled(self, resources):
+        items = (Literal(0, "el"), "sol", Literal(2, "."))
+        s = generate(9, "sol", resources, 0, lambda rng: ("src", items), self._fill)
+        assert s.tokens == ("el", "SOL", ".")
+        assert (s.model, s.query, s.source) == (9, "sol", "src")
+        assert s.trace == [{"position": 1, "chosen": "SOL"}]
+
+    def test_oov_query_checked_before_any_draw(self, resources):
+        def skeleton(rng):
+            raise AssertionError("skeleton drawn for an OOV query")
+
+        with pytest.raises(OovError):
+            generate(9, "zzzqx", resources, 0, skeleton, self._fill)
+
+    def test_skeleton_error_costs_one_attempt(self, resources):
+        calls = []
+
+        def skeleton(rng):
+            calls.append(rng)
+            raise GenerationError(f"dead-end {len(calls)}")
+
+        with pytest.raises(GenerationError, match="after 20 attempts: dead-end 20$"):
+            generate(9, "sol", resources, 0, skeleton, self._fill)
+        assert len(calls) == NOVELTY_RETRIES
+        assert all(isinstance(r, random.Random) and r is calls[0] for r in calls)
+
+    def test_one_reselection_per_attempt(self, resources):
+        drawn = []
+
+        def skeleton(rng):
+            drawn.append(len(drawn))
+            return f"t{len(drawn)}", ("sol",)
+
+        def fill(position, item, rng):
+            if len(drawn) < 2:
+                raise EmptyRankError("first skeleton has no candidate")
+            return self._fill(position, item, rng)
+
+        s = generate(9, "sol", resources, 0, skeleton, fill)
+        assert (s.source, s.tokens) == ("t2", ("SOL",))
+
+        def never(position, item, rng):
+            raise EmptyRankError(f"empty {len(drawn)}")
+
+        drawn.clear()
+        with pytest.raises(EmptyRankError) as exc:
+            generate(9, "sol", resources, 0, skeleton, never)
+        assert str(exc.value) == (
+            "empty 2 (after template reselection; first failure: empty 1)"
+        )
