@@ -14,13 +14,12 @@ from pathlib import Path
 import numpy as np
 
 from . import model1, model2, model3
-from .errors import HomosyntaxError
+from .errors import HomosyntaxError, ResourceError, TemplateError
 from .generation import GenerationResources
 from .model3 import score_candidates
 from .pos import TaggedSentence, read_tagged_tsv
 from .resources import TAGGED, load_resources
 from .templates import extract_template
-from .errors import TemplateError
 
 
 @dataclass
@@ -148,8 +147,8 @@ def check_score_oracle(
     )
 
 
-def check_novelty(res: GenerationResources, query: str | None = None) -> CheckResult:
-    query = query or res.store.words[0]
+def check_novelty(res: GenerationResources) -> CheckResult:
+    query = res.store.words[0]
     # small vocabularies need a wider neighbor lexicon for model 1
     res = replace(
         res, neighbors_m=max(res.neighbors_m, min(60, len(res.store) - 1))
@@ -176,12 +175,7 @@ def check_novelty(res: GenerationResources, query: str | None = None) -> CheckRe
 def run_check(directory: str | Path) -> list[CheckResult]:
     directory = Path(directory)
     if not (directory / TAGGED).is_file():
-        from .errors import ResourceError
-
-        raise ResourceError(
-            f"missing resource files in {directory}: {TAGGED}",
-            path=str(directory),
-        )
+        raise ResourceError(f"missing resource files in {directory}: {TAGGED}")
     res = load_resources(directory)
     corpus = read_tagged_tsv(directory / TAGGED)
     results = [

@@ -23,7 +23,7 @@ from pathlib import Path
 
 from . import check as check_mod
 from . import corpus as corpus_mod
-from . import model1, model2, model3
+from . import generation, model1, model2, model3
 from .embeddings import build_associative_table, train_embeddings
 from .errors import (
     ConfigError,
@@ -33,7 +33,6 @@ from .errors import (
     IngestError,
     ResourceError,
 )
-from .generation import FunctionWordDictionary
 from .markov import DecodePolicy, MAX_LEN, MIN_LEN, build_transition_matrix
 from .pos import TaggerLexicon, read_tagged_tsv, tag_sentence, write_tagged_tsv
 from .resources import load_resources
@@ -113,12 +112,12 @@ def build_parser() -> CliParser:
     p.add_argument("--resources", default=None)
     p.add_argument("--policy", default="topk:3",
                    help="EGV decoding: argmax or topk:K (model 1)")
-    p.add_argument("--neighbors", type=int, default=None,
+    p.add_argument("--neighbors", type=int, default=generation.DEFAULT_NEIGHBORS,
                    help="neighbor lexicon size m (model 1); small corpora "
                         "need larger values")
-    p.add_argument("--max-hops", type=int, default=None,
+    p.add_argument("--max-hops", type=int, default=generation.DEFAULT_MAX_HOPS,
                    help="query relaxation budget (model 1)")
-    p.add_argument("--cap-m", type=int, default=None,
+    p.add_argument("--cap-m", type=int, default=generation.DEFAULT_CAP_M,
                    help="candidate cap per slot (model 3)")
     p.add_argument("--invert-score", action="store_true",
                    help="use the prose-direction score (model 3)")
@@ -131,7 +130,7 @@ def build_parser() -> CliParser:
     return parser
 
 
-def _resource_dir(arg: str | None, parser: CliParser) -> Path:
+def _resource_dir(arg: str | None) -> Path:
     directory = arg or os.environ.get(RESOURCES_ENV)
     if not directory:
         raise ResourceError(
@@ -208,32 +207,30 @@ def _cmd_build_ta(args) -> int:
     ta.save(args.out)
     print(f"associative table with {len(ta.tags())} tags")
     if args.funcdict:
-        fdict = FunctionWordDictionary.from_sentences(corpus)
+        fdict = generation.FunctionWordDictionary.from_sentences(corpus)
         fdict.save(args.funcdict)
         print(f"function-word dictionary with {len(fdict.table)} tags")
     return EXIT_OK
 
 
-def _cmd_generate(args, parser: CliParser) -> int:
+def _cmd_generate(args) -> int:
+    # every flag is checked before anything is loaded
     if not (MIN_LEN <= args.length <= MAX_LEN):
-        parser.error(f"--len must be in [{MIN_LEN}, {MAX_LEN}]")
-    if args.count < 1:
-        parser.error("--count must be >= 1")
-    try:
-        policy = DecodePolicy.parse(args.policy)
-    except ConfigError as e:
-        parser.error(str(e))
-    res = load_resources(
-        _resource_dir(args.resources, parser), policy=policy, cap_m=args.cap_m
-    )
-    if args.neighbors is not None:
-        if args.neighbors < 1:
-            parser.error("--neighbors must be >= 1")
-        res.neighbors_m = args.neighbors
-    if args.max_hops is not None:
-        if args.max_hops < 0:
-            parser.error("--max-hops must be >= 0")
-        res.max_hops = args.max_hops
+        raise ConfigError(f"--len must be in [{MIN_LEN}, {MAX_LEN}]")
+    for flag, value, least in (
+        ("--count", args.count, 1),
+        ("--neighbors", args.neighbors, 1),
+        ("--max-hops", args.max_hops, 0),
+        ("--cap-m", args.cap_m, 2),  # model 3 scores at least two candidates
+    ):
+        if value < least:
+            raise ConfigError(f"{flag} must be >= {least}")
+    policy = DecodePolicy.parse(args.policy)
+    res = load_resources(_resource_dir(args.resources))
+    res.policy = policy
+    res.neighbors_m = args.neighbors
+    res.max_hops = args.max_hops
+    res.cap_m = args.cap_m
 
     generate = {
         1: lambda seed: model1.generate_model1(args.query, args.length, res, seed),
@@ -257,8 +254,8 @@ def _cmd_generate(args, parser: CliParser) -> int:
     return EXIT_OK
 
 
-def _cmd_check(args, parser: CliParser) -> int:
-    results = check_mod.run_check(_resource_dir(args.resources, parser))
+def _cmd_check(args) -> int:
+    results = check_mod.run_check(_resource_dir(args.resources))
     failed = 0
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -268,29 +265,26 @@ def _cmd_check(args, parser: CliParser) -> int:
     return EXIT_OK if failed == 0 else EXIT_CHECK_FAILED
 
 
+COMMANDS = {
+    "ingest": _cmd_ingest,
+    "tag": _cmd_tag,
+    "import-tagged": _cmd_import_tagged,
+    "build-matrix": _cmd_build_matrix,
+    "build-templates": _cmd_build_templates,
+    "train-emb": _cmd_train_emb,
+    "build-ta": _cmd_build_ta,
+    "generate": _cmd_generate,
+    "check": _cmd_check,
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "ingest":
-            return _cmd_ingest(args)
-        if args.command == "tag":
-            return _cmd_tag(args)
-        if args.command == "import-tagged":
-            return _cmd_import_tagged(args)
-        if args.command == "build-matrix":
-            return _cmd_build_matrix(args)
-        if args.command == "build-templates":
-            return _cmd_build_templates(args)
-        if args.command == "train-emb":
-            return _cmd_train_emb(args)
-        if args.command == "build-ta":
-            return _cmd_build_ta(args)
-        if args.command == "generate":
-            return _cmd_generate(args, parser)
-        if args.command == "check":
-            return _cmd_check(args, parser)
-        parser.error(f"unknown command {args.command!r}")
+        return COMMANDS[args.command](args)
+    except ConfigError as e:
+        parser.error(str(e))
     except (ResourceError, FileNotFoundError) as e:
         _diagnostic("resource", str(e))
         return EXIT_RESOURCE
@@ -301,13 +295,9 @@ def main(argv: list[str] | None = None) -> int:
     except GenerationError as e:
         _diagnostic("generation", str(e))
         return EXIT_GENERATION
-    except ConfigError as e:
-        _diagnostic("usage", str(e))
-        return EXIT_USAGE
     except HomosyntaxError as e:
         _diagnostic(type(e).__name__, str(e))
         return EXIT_GENERATION
-    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -3,7 +3,7 @@
 Documents are plain UTF-8 text. Segmentation is rule based: a sentence ends
 at one of ``. ! ? …`` followed by whitespace and an uppercase (or inverted
 punctuation) opener, unless the preceding word is a known abbreviation. The
-abbreviation list ships as a data file and can be replaced by the caller.
+abbreviation list ships as a data file.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ class CorpusStats:
     mean_words_per_sentence: float
 
 
-def _load_default_abbreviations() -> frozenset[str]:
+def _load_abbreviations() -> frozenset[str]:
     text = (
         importlib_resources.files("homosyntax")
         .joinpath("data/abbreviations.txt")
@@ -53,7 +53,7 @@ def _load_default_abbreviations() -> frozenset[str]:
     return frozenset(abbrevs)
 
 
-DEFAULT_ABBREVIATIONS = _load_default_abbreviations()
+ABBREVIATIONS = _load_abbreviations()
 
 # terminator run, whitespace, then something that opens a new sentence
 _BOUNDARY = re.compile(r"[.!?…]+\s+(?=[A-ZÁÉÍÓÚÑÜ¿¡«\"“(])")
@@ -69,19 +69,16 @@ _FILTER_PATTERNS = [
 ]
 
 
-def _is_abbreviation(text: str, dot_pos: int, abbreviations: frozenset[str]) -> bool:
+def _is_abbreviation(text: str, dot_pos: int) -> bool:
     """True if the word ending at text[dot_pos] is a guarded abbreviation."""
     start = dot_pos
     while start > 0 and not text[start - 1].isspace():
         start -= 1
     word = text[start:dot_pos].lower().lstrip("¿¡«\"“(")
-    return word in abbreviations
+    return word in ABBREVIATIONS
 
 
-def segment_sentences(
-    doc: RawDocument,
-    abbreviations: frozenset[str] = DEFAULT_ABBREVIATIONS,
-) -> list[SentenceRecord]:
+def segment_sentences(doc: RawDocument) -> list[SentenceRecord]:
     """Split a document into sentence records with punctuation kept as tokens."""
     if not isinstance(doc.text, str):
         raise IngestError(f"document {doc.id!r} is not text")
@@ -93,7 +90,7 @@ def segment_sentences(
     start = 0
     for m in _BOUNDARY.finditer(text):
         term_end = m.start() + len(m.group().rstrip())
-        if _is_abbreviation(text, m.start(), abbreviations):
+        if _is_abbreviation(text, m.start()):
             continue
         pieces.append(text[start:term_end])
         start = m.end()

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import SentenceRecord
-from .errors import FormatError, OovError, TableError, TrainError, read_jsonl
+from .errors import FormatError, OovError, TableError, TrainError, load_rows, read_jsonl
 from .pos import TaggedSentence, is_content
 
 
@@ -119,25 +119,32 @@ class EmbeddingStore:
             raise FormatError("non-integer header", 1, path) from e
         if len(lines) - 1 < count:
             raise FormatError(f"expected {count} vector rows", path=path)
-        first_line: dict[str, int] = {}  # word -> line of its row
+        row_of: dict[str, int] = {}  # word -> row index, in file order
         vectors = np.zeros((count, dims), dtype=np.float64)
-        for row, line in enumerate(lines[1 : 1 + count]):
-            i, parts = row + 2, line.split()
+
+        def add(parts: list[str]) -> None:
             if len(parts) != dims + 1:
-                raise FormatError(f"expected word + {dims} floats", i, path)
+                raise ValueError(f"expected word + {dims} floats")
             word = parts[0]
-            if word in first_line:
-                msg = f"duplicate word {word!r}, first at line {first_line[word]}"
-                raise FormatError(msg, i, path)
-            first_line[word] = i
-            try:
-                vectors[row] = [float(p) for p in parts[1:]]
-            except ValueError as e:
-                raise FormatError("non-numeric component", i, path) from e
+            if word in row_of:
+                raise ValueError(
+                    f"duplicate word {word!r}, first at line {row_of[word] + 2}"
+                )
+            vectors[len(row_of)] = [float(p) for p in parts[1:]]
+            row_of[word] = len(row_of)
+
+        rows = enumerate((line.split() for line in lines[1 : 1 + count]), start=2)
+        load_rows(rows, path, "bad vector row", add)
+        bad = np.flatnonzero(~np.isfinite(vectors).all(axis=1))
+        if bad.size:
+            raise FormatError("non-finite vector component", int(bad[0]) + 2, path)
         for i, line in enumerate(lines[1 + count :], start=2 + count):
             if line.strip():
                 raise FormatError(f"more than {count} vector rows", i, path)
-        return cls(list(first_line), vectors)
+        return cls(list(row_of), vectors)
+
+
+LEARNING_RATE = 0.025  # initial SGD step, decayed linearly to 1e-4 of it
 
 
 def _normalize_tokens(tokens: tuple[str, ...]) -> list[str]:
@@ -153,7 +160,6 @@ def train_embeddings(
     negatives: int = 5,
     seed: int = 0,
     min_count: int = 2,
-    lr: float = 0.025,
 ) -> EmbeddingStore:
     """Single-threaded skip-gram with negative sampling; fully deterministic."""
     if len(corpus) < 100:
@@ -196,7 +202,7 @@ def train_embeddings(
         pairs = 0
         for sent in encoded:
             for ci, center in enumerate(sent):
-                alpha = max(lr * (1.0 - step / total_steps), lr * 1e-4)
+                alpha = LEARNING_RATE * max(1.0 - step / total_steps, 1e-4)
                 step += 1
                 lo = max(0, ci - window)
                 hi = min(len(sent), ci + window + 1)
@@ -242,9 +248,6 @@ class AssociativeTable:
             raise TableError(f"no associative-table entry for tag {tag!r}")
         return list(self.table[tag])
 
-    def __contains__(self, tag: str) -> bool:
-        return tag in self.table
-
     def save(self, path: str | Path) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as f:
             for tag in sorted(self.table):
@@ -259,11 +262,11 @@ class AssociativeTable:
     @classmethod
     def load(cls, path: str | Path) -> "AssociativeTable":
         table: dict[str, list[tuple[str, int]]] = {}
-        for i, obj in read_jsonl(path):
-            try:
-                table[obj["tag"]] = [(w, int(c)) for w, c in obj["words"]]
-            except (KeyError, TypeError, ValueError) as e:
-                raise FormatError(f"bad table row: {e}", i, path) from e
+
+        def add(obj) -> None:
+            table[obj["tag"]] = [(w, int(c)) for w, c in obj["words"]]
+
+        load_rows(read_jsonl(path), path, "bad table row", add)
         return cls(table)
 
 

@@ -1,10 +1,10 @@
-"""Exception hierarchy and resource-file line readers shared by all modules."""
+"""Exception hierarchy and resource-file row readers shared by all modules."""
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 
 class HomosyntaxError(Exception):
@@ -81,6 +81,24 @@ def read_tsv(path: str | Path, fields: int) -> Iterator[tuple[int, list[str]]]:
         yield lineno, parts
 
 
+def load_rows(
+    rows: Iterable[tuple[int, Any]], path: str | Path, prefix: str, add: Callable
+) -> None:
+    """Call ``add(row)`` for each ``(line number, row)`` of a resource file.
+
+    An error raised while a row is parsed or added becomes a FormatError
+    ``<prefix>: <error>`` at its line; one that names its line passes as is.
+    """
+    for lineno, row in rows:
+        try:
+            add(row)
+        except (KeyError, TypeError, ValueError, HomosyntaxError) as e:
+            if isinstance(e, FormatError) and e.line is not None:
+                raise
+            detail = f"missing field {e}" if isinstance(e, KeyError) else e
+            raise FormatError(f"{prefix}: {detail}", lineno, path) from e
+
+
 class TrainError(HomosyntaxError):
     """Embedding training preconditions not met."""
 
@@ -123,7 +141,3 @@ class DegenerateScoreError(HomosyntaxError):
 
 class ResourceError(HomosyntaxError):
     """A required resource file is missing or unreadable."""
-
-    def __init__(self, message, path=None):
-        super().__init__(message)
-        self.path = path

@@ -21,9 +21,9 @@ from .embeddings import AssociativeTable, EmbeddingStore
 from .errors import (
     DictError,
     EmptyRankError,
-    FormatError,
     GenerationError,
     OovError,
+    load_rows,
     read_jsonl,
 )
 from .markov import DecodePolicy, TransitionMatrix
@@ -102,11 +102,11 @@ class FunctionWordDictionary:
     @classmethod
     def load(cls, path: str | Path) -> "FunctionWordDictionary":
         table: dict[str, list[str]] = {}
-        for i, obj in read_jsonl(path):
-            try:
-                table[obj["tag"]] = list(obj["words"])
-            except (KeyError, TypeError) as e:
-                raise FormatError(f"bad dictionary row: {e}", i, path) from e
+
+        def add(obj) -> None:
+            table[obj["tag"]] = list(obj["words"])
+
+        load_rows(read_jsonl(path), path, "bad dictionary row", add)
         return cls(table)
 
     @classmethod

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BuildError, ConfigError, FormatError, GenerationError
+from .errors import BuildError, ConfigError, FormatError, GenerationError, load_rows
 from .pos import PosTag, TaggedSentence
 
 START = "<s>"
@@ -21,7 +21,7 @@ END = "</s>"
 
 MIN_LEN = 3
 MAX_LEN = 15
-DEFAULT_RESTARTS = 10
+RESTARTS = 10  # fresh walks before a dead-end is an error
 
 
 @dataclass(frozen=True)
@@ -56,9 +56,6 @@ class DecodePolicy:
 @dataclass(frozen=True)
 class EgvSkeleton:
     slots: tuple[PosTag, ...]
-
-    def __len__(self) -> int:
-        return len(self.slots)
 
 
 class TransitionMatrix:
@@ -100,19 +97,20 @@ class TransitionMatrix:
             raise FormatError(f"expected {n} state lines", path=path)
         states = tuple(lines[1 : 1 + n])
         counts = np.zeros((n, n), dtype=np.int64)
-        for lineno, line in enumerate(lines[1 + n :], start=2 + n):
-            if not line.strip():
-                continue
-            parts = line.split()
+
+        def add(parts: list[str]) -> None:
             if len(parts) != 3:
-                raise FormatError("expected 'i j count'", lineno, path)
-            try:
-                i, j, c = int(parts[0]), int(parts[1]), int(parts[2])
-            except ValueError as e:
-                raise FormatError("non-integer triple", lineno, path) from e
+                raise ValueError("expected 'i j count'")
+            i, j, c = int(parts[0]), int(parts[1]), int(parts[2])
             if not (0 <= i < n and 0 <= j < n):
-                raise FormatError("state index out of range", lineno, path)
+                raise ValueError("state index out of range")
+            if c < 0:
+                raise ValueError(f"negative count {c}")
             counts[i, j] = c
+
+        body = enumerate(lines[1 + n :], start=2 + n)
+        rows = ((i, line.split()) for i, line in body if line.strip())
+        load_rows(rows, path, "bad count row", add)
         return cls(states, counts)
 
 
@@ -164,7 +162,6 @@ def generate_egv(
     n: int,
     policy: DecodePolicy = DecodePolicy.topk(3),
     rng: random.Random | None = None,
-    restarts: int = DEFAULT_RESTARTS,
 ) -> EgvSkeleton:
     """Generate an n-tag skeleton by walking the transition matrix.
 
@@ -180,7 +177,7 @@ def generate_egv(
     rng = rng if rng is not None else random.Random()
 
     partial: list[str] = []
-    for _ in range(restarts):
+    for _ in range(RESTARTS):
         if start is None:
             succ = _successors(m, START)
             if not succ:
@@ -198,6 +195,6 @@ def generate_egv(
             return EgvSkeleton(slots=tuple(PosTag(t) for t in seq))
         partial = seq
     raise GenerationError(
-        f"dead-end before length {n} after {restarts} restarts",
+        f"dead-end before length {n} after {RESTARTS} restarts",
         partial=tuple(partial),
     )

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 
 from .embeddings import EmbeddingStore
-from .errors import OovError, RelaxationError
+from .errors import RelaxationError
 from .generation import (
     FunctionWordDictionary,
     GeneratedSentence,
@@ -42,10 +42,9 @@ def fill_content_with_relaxation(
     """Find a tag-fitting word in L(Q), relaxing Q to Q* when needed.
 
     Returns (word, hops, visited queries). A word fits either directly
-    (attested under the tag) or through inflection.
+    (attested under the tag) or through inflection. An out-of-vocabulary q
+    raises OovError from the first neighbor query.
     """
-    if q not in store:
-        raise OovError(q)
     visited = [q]
     current = q
     for hops in range(max_hops + 1):

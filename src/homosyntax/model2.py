@@ -38,12 +38,11 @@ def rank_vocabulary(
     return ranked
 
 
-def choose_top3(ranked: list, rng: random.Random):
-    """Uniform choice among the first min(3, len) entries."""
+def choose_top3(ranked: list[tuple[str, float]], rng: random.Random) -> str:
+    """Word of a uniform choice among the first min(3, len) (word, score)s."""
     if not ranked:
         raise EmptyRankError("cannot choose from an empty ranking")
-    pick = ranked[rng.randrange(min(3, len(ranked)))]
-    return pick[0] if isinstance(pick, tuple) else pick
+    return ranked[rng.randrange(min(3, len(ranked)))][0]
 
 
 def template_skeleton(res: GenerationResources, n: int):

@@ -1,7 +1,8 @@
 """Model 3: template filling by geometric min-max scoring.
 
 For each candidate w replacing an original word o under query q, a 30-word
-symbolic vector U concatenates the 10 nearest neighbors of o, q and w. The
+symbolic vector U concatenates the 10 nearest neighbors of o, q and w (all
+V - 1 other words each when the vocabulary has V <= 10 words). The
 proximity profiles of o, q and w against U give three 30-dim vectors; the
 cosines theta = cos(Qv, Wv) and beta = cos(X, Wv) are combined into
 
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embeddings import EmbeddingStore
-from .errors import DegenerateScoreError, EmptyRankError, OovError
+from .errors import DegenerateScoreError, EmptyRankError
 from .generation import GeneratedSentence, GenerationResources, generate
 from .model2 import choose_top3, rank_vocabulary, template_skeleton
 from .templates import Slot
@@ -32,34 +33,11 @@ SEGMENT = 10  # neighbors per anchor word; |U| = 3 * SEGMENT
 
 
 @dataclass(frozen=True)
-class UVector:
-    words: tuple[str, ...]  # positions 0-9 from o, 10-19 from q, 20-29 from w
-
-    def __post_init__(self):
-        if len(self.words) != 3 * SEGMENT:
-            raise ValueError(f"U must have {3 * SEGMENT} words")
-
-
-@dataclass(frozen=True)
 class CandidateScore:
     w: str
     theta: float
     beta: float
     s: float
-
-
-def build_u(o: str, q: str, w: str, store: EmbeddingStore) -> UVector:
-    words = (
-        store.neighbors(o, SEGMENT).words()
-        + store.neighbors(q, SEGMENT).words()
-        + store.neighbors(w, SEGMENT).words()
-    )
-    return UVector(words=words)
-
-
-def distance_vector(anchor: str, u: UVector, store: EmbeddingStore) -> np.ndarray:
-    """Element j = proximity(anchor, u_j), all in [0, 1]."""
-    return store.proximity(anchor, u.words)
 
 
 def _cos(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -80,15 +58,11 @@ def score_candidates(
     """Score every candidate and return them sorted by descending s."""
     if len(vk) < 2:
         raise EmptyRankError(f"need >= 2 candidates, got {len(vk)}")
-    for word in (o, q, *vk):
-        if word not in store:
-            raise OovError(word)
-
-    # one row of U per candidate; the o and q segments are shared
+    # one row of U per candidate; the o and q segments are shared. neighbors
+    # raises OovError for o, then q, then the first out-of-vocabulary w
     oq = store.neighbors(o, SEGMENT).words() + store.neighbors(q, SEGMENT).words()
     u = np.array(
-        [UVector(oq + store.neighbors(w, SEGMENT).words()).words for w in vk],
-        dtype=object,
+        [oq + store.neighbors(w, SEGMENT).words() for w in vk], dtype=object
     )
     x = store.proximity(o, u)
     qv = store.proximity(q, u)
@@ -151,7 +125,7 @@ def generate_model3(
                 f"fewer than 2 in-vocabulary candidates for {slot.tag.truncated!r}"
             )
         scored = score_candidates(o, q, vk, res.store, invert=invert)
-        word = choose_top3([c.w for c in scored], rng)
+        word = choose_top3([(c.w, c.s) for c in scored], rng)
         return word, {
             "position": pos,
             "tag": slot.tag.truncated,

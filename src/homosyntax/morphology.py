@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .errors import FormatError, TagError, read_tsv
+from .errors import TagError, load_rows, read_tsv
 from .pos import PosTag
 
 
@@ -21,28 +21,28 @@ class FormsLexicon:
         self.lemmas_of: dict[str, set[str]] = {}
         # surface -> truncated tags it is attested under
         self.attested: dict[str, set[str]] = {}
-        seen = set()
-        for lemma, surface, fulltag, freq in entries:
-            if not fulltag:
-                raise TagError(f"empty tag for form {surface!r}")
-            key = (lemma, surface, fulltag)
-            if key in seen:
-                continue
-            seen.add(key)
-            self.forms.setdefault(lemma, []).append((surface, fulltag, freq))
-            self.lemmas_of.setdefault(surface, set()).add(lemma)
-            self.attested.setdefault(surface, set()).add(fulltag[:4])
+        self._seen: set[tuple[str, str, str]] = set()
+        for entry in entries:
+            self.add(*entry)
+
+    def add(self, lemma: str, surface: str, fulltag: str, freq: int) -> None:
+        """Record one form; a repeated (lemma, surface, fulltag) is ignored."""
+        if not fulltag:
+            raise TagError(f"empty tag for form {surface!r}")
+        key = (lemma, surface, fulltag)
+        if key in self._seen:
+            return
+        self._seen.add(key)
+        self.forms.setdefault(lemma, []).append((surface, fulltag, freq))
+        self.lemmas_of.setdefault(surface, set()).add(lemma)
+        self.attested.setdefault(surface, set()).add(fulltag[:4])
 
     @classmethod
     def load(cls, path: str | Path) -> "FormsLexicon":
-        entries = []
-        for i, (lemma, surface, fulltag, freq_s) in read_tsv(path, 4):
-            try:
-                freq = int(freq_s)
-            except ValueError as e:
-                raise FormatError(f"bad frequency {freq_s!r}", i, path) from e
-            entries.append((lemma, surface, fulltag, freq))
-        return cls(entries)
+        lex = cls([])
+        rows = read_tsv(path, 4)
+        load_rows(rows, path, "bad forms row", lambda r: lex.add(*r[:3], int(r[3])))
+        return lex
 
 
 def matches_tag(word: str, target: PosTag, lex: FormsLexicon) -> bool:

@@ -15,7 +15,7 @@ from enum import Enum
 from pathlib import Path
 
 from .corpus import SentenceRecord
-from .errors import FormatError, TagError, read_tsv
+from .errors import FormatError, TagError, load_rows, read_tsv
 
 
 @dataclass(frozen=True)
@@ -50,9 +50,7 @@ _CONTENT = {
 
 
 def truncate_tag(full: str) -> PosTag:
-    if not full:
-        raise TagError("empty POS tag")
-    return PosTag(full)
+    return PosTag(full)  # TagError if empty
 
 
 def classify_tag(tag: PosTag) -> TagClass:
@@ -74,7 +72,7 @@ class TaggedSentence:
 
 
 # Fallback suffix rules, tried in order (longest suffix first).
-DEFAULT_SUFFIX_RULES: tuple[tuple[str, str], ...] = (
+SUFFIX_RULES: tuple[tuple[str, str], ...] = (
     ("mente", "RG"),
     ("ciones", "NCFP000"),
     ("ción", "NCFS000"),
@@ -102,33 +100,29 @@ DEFAULT_SUFFIX_RULES: tuple[tuple[str, str], ...] = (
 
 
 class TaggerLexicon:
-    """surface -> weighted full tags, with suffix rules as fallback."""
+    """surface -> weighted full tags, with SUFFIX_RULES as fallback."""
 
-    def __init__(
-        self,
-        entries: dict[str, list[tuple[str, float]]],
-        suffix_rules: tuple[tuple[str, str], ...] = DEFAULT_SUFFIX_RULES,
-    ):
+    def __init__(self, entries: dict[str, list[tuple[str, float]]]):
+        self.entries: dict[str, list[tuple[str, float]]] = {}
         for surface, tags in entries.items():
             for full, weight in tags:
-                if not full:
-                    raise TagError(f"empty tag for {surface!r}")
-                if weight <= 0:
-                    raise FormatError(f"non-positive weight for {surface!r}")
-        self.entries = entries
-        self.suffix_rules = suffix_rules
+                self.add(surface, full, weight)
+
+    def add(self, surface: str, full: str, weight: float) -> None:
+        """Record one weighted full tag for a surface form."""
+        if not full:
+            raise TagError(f"empty tag for {surface!r}")
+        if weight <= 0:
+            raise FormatError(f"non-positive weight for {surface!r}")
+        self.entries.setdefault(surface, []).append((full, weight))
 
     @classmethod
     def load(cls, path: str | Path) -> "TaggerLexicon":
         """Read ``surface<TAB>fulltag<TAB>weight`` lines."""
-        entries: dict[str, list[tuple[str, float]]] = {}
-        for i, (surface, full, weight_s) in read_tsv(path, 3):
-            try:
-                weight = float(weight_s)
-            except ValueError as e:
-                raise FormatError(f"bad weight {weight_s!r}", i, path) from e
-            entries.setdefault(surface, []).append((full, weight))
-        return cls(entries)
+        lex = cls({})
+        rows = read_tsv(path, 3)
+        load_rows(rows, path, "bad lexicon row", lambda r: lex.add(*r[:2], float(r[2])))
+        return lex
 
     def best_tag(self, surface: str) -> str | None:
         candidates = self.entries.get(surface) or self.entries.get(surface.lower())
@@ -136,7 +130,7 @@ class TaggerLexicon:
             # highest weight wins; ties break lexicographically by full tag
             return min(candidates, key=lambda c: (-c[1], c[0]))[0]
         low = surface.lower()
-        for suffix, full in self.suffix_rules:
+        for suffix, full in SUFFIX_RULES:
             if len(low) > len(suffix) and low.endswith(suffix):
                 return full
         return None

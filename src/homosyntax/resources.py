@@ -24,7 +24,7 @@ from .generation import (
     GenerationResources,
     normalize_tokens,
 )
-from .markov import DecodePolicy, TransitionMatrix
+from .markov import TransitionMatrix
 from .morphology import FormsLexicon
 from .templates import TemplateStore
 
@@ -40,20 +40,16 @@ FORMS = "forms.tsv"
 REQUIRED = (SENTENCES, MATRIX, TEMPLATES, VECTORS, TA, FUNCDICT, FORMS)
 
 
-def load_resources(
-    directory: str | Path,
-    policy: DecodePolicy | None = None,
-    cap_m: int | None = None,
-) -> GenerationResources:
+def load_resources(directory: str | Path) -> GenerationResources:
+    """Load every resource; set generation parameters on the result."""
     directory = Path(directory)
     missing = [name for name in REQUIRED if not (directory / name).is_file()]
     if missing:
         raise ResourceError(
-            f"missing resource files in {directory}: {', '.join(missing)}",
-            path=str(directory),
+            f"missing resource files in {directory}: {', '.join(missing)}"
         )
     sentences = read_sentences(directory / SENTENCES)
-    res = GenerationResources(
+    return GenerationResources(
         matrix=TransitionMatrix.load(directory / MATRIX),
         templates=TemplateStore.load(directory / TEMPLATES),
         store=EmbeddingStore.load(directory / VECTORS),
@@ -62,8 +58,3 @@ def load_resources(
         forms=FormsLexicon.load(directory / FORMS),
         corpus_norms=frozenset(normalize_tokens(s.tokens) for s in sentences),
     )
-    if policy is not None:
-        res.policy = policy
-    if cap_m is not None:
-        res.cap_m = cap_m
-    return res

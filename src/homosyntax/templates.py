@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import FormatError, StoreError, TemplateError, read_jsonl
+from .errors import StoreError, TemplateError, load_rows, read_jsonl
 from .pos import PosTag, TaggedSentence, is_content
 
 
@@ -124,20 +124,19 @@ class TemplateStore:
     @classmethod
     def load(cls, path: str | Path) -> "TemplateStore":
         store = cls()
-        for i, obj in read_jsonl(path):
-            try:
-                items: list[Slot | Literal] = []
-                for pos, it in enumerate(obj["items"]):
-                    if it["t"] == "slot":
-                        items.append(Slot(pos, PosTag(it["tag"]), it["orig"]))
-                    elif it["t"] == "lit":
-                        items.append(Literal(pos, it["w"]))
-                    else:
-                        raise FormatError(f"unknown item type {it['t']!r}", i, path)
-                template = EgpSkeleton(tuple(items), obj["source_id"])
-                store.add(template, obj["id"])
-            except (KeyError, TypeError) as e:
-                raise FormatError(f"missing field: {e}", i, path) from e
+
+        def add(obj) -> None:
+            items: list[Slot | Literal] = []
+            for pos, it in enumerate(obj["items"]):
+                if it["t"] == "slot":
+                    items.append(Slot(pos, PosTag(it["tag"]), it["orig"]))
+                elif it["t"] == "lit":
+                    items.append(Literal(pos, it["w"]))
+                else:
+                    raise ValueError(f"unknown item type {it['t']!r}")
+            store.add(EgpSkeleton(tuple(items), obj["source_id"]), obj["id"])
+
+        load_rows(read_jsonl(path), path, "bad template row", add)
         return store
 
 

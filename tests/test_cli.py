@@ -90,6 +90,48 @@ class TestExitCodes:
         assert diagnostic["line"] == 600
         assert "templates.jsonl: line 600: invalid JSON" in diagnostic["message"]
 
+    def test_duplicated_template_id_names_file_and_line(self, resources_dir,
+                                                        tmp_path, capsys):
+        import shutil
+
+        broken = tmp_path / "duplicate_id"
+        shutil.copytree(resources_dir, broken)
+        path = broken / "templates.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        first, second = json.loads(lines[0]), json.loads(lines[1])
+        second["id"] = first["id"]
+        lines[1] = json.dumps(second, ensure_ascii=False)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = main(_gen(broken, "--model", "2", "--query", "sol",
+                         "--len", "6"))
+        diagnostic = json.loads(capsys.readouterr().err.splitlines()[0])
+        assert code == EXIT_RESOURCE
+        assert (diagnostic["path"], diagnostic["line"]) == (str(path), 2)
+        assert f"duplicate template id {first['id']!r}" in diagnostic["message"]
+
+    @pytest.mark.parametrize("where", ["existing", "missing", "unset"])
+    @pytest.mark.parametrize("flag", [
+        ("--neighbors", "0"), ("--max-hops", "-1"), ("--cap-m", "1"),
+        ("--count", "0"), ("--len", "2"), ("--policy", "topk:0"),
+    ], ids=lambda flag: " ".join(flag))
+    def test_bad_setting_is_usage_error_before_loading(
+        self, resources_dir, tmp_path, capsys, monkeypatch, flag, where
+    ):
+        monkeypatch.delenv(RESOURCES_ENV, raising=False)
+        directory = {
+            "existing": ["--resources", str(resources_dir)],
+            "missing": ["--resources", str(tmp_path / "nope")],
+            "unset": [],
+        }[where]
+        argv = ["generate", *directory, "--model", "1", "--query", "sol",
+                "--len", "6", *flag]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        diagnostic = json.loads(next(ln for ln in err if ln.startswith("{")))
+        assert diagnostic["error"] == "usage"
+
     def test_oov_query_is_generation_failure(self, resources_dir, capsys):
         code = main(_gen(resources_dir, "--model", "2", "--query", "zzzqx",
                          "--len", "6"))
@@ -225,7 +267,8 @@ class TestCheck:
         path = broken / "matrix.txt"
         lines = path.read_text(encoding="utf-8").splitlines()
         # negate one count in a row whose total stays positive, producing
-        # a negative probability that normalization cannot repair
+        # a negative probability that normalization cannot repair; the
+        # loader rejects the row before any check runs
         triples = {}
         for idx, line in enumerate(lines):
             parts = line.split()
@@ -246,9 +289,12 @@ class TestCheck:
         lines[idx] = f"{parts[0]} {parts[1]} -{c}"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         code = main(["check", "--resources", str(broken)])
-        out = capsys.readouterr().out
-        assert code == EXIT_CHECK_FAILED
-        assert "FAIL" in out
+        captured = capsys.readouterr()
+        diagnostic = json.loads(captured.err.splitlines()[0])
+        assert code == EXIT_RESOURCE
+        assert "PASS" not in captured.out
+        assert (diagnostic["path"], diagnostic["line"]) == (str(path), idx + 1)
+        assert f"negative count -{c}" in diagnostic["message"]
 
     def test_unattested_table_entry_fails(self, resources_dir, tmp_path,
                                           capsys):

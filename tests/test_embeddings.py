@@ -82,6 +82,16 @@ class TestBatchedProximity:
         ]
         assert got.tolist() == expected
 
+    def test_array_values_in_unit_interval(self, store):
+        w = store.words
+        u = sum((store.neighbors(a, 10).words() for a in w[:3]), ())
+        x = store.proximity(w[0], u)
+        assert x.shape == (30,)
+        assert np.all(x >= 0.0) and np.all(x <= 1.0)
+        everything = store.proximity(np.array(w, dtype=object)[:, None], w)
+        assert everything.shape == (len(w), len(w))
+        assert np.all(everything >= 0.0) and np.all(everything <= 1.0)
+
     def test_oov_anywhere_in_array(self, store):
         w = store.words
         with pytest.raises(OovError):
@@ -255,6 +265,18 @@ class TestSerialization:
                            ) as exc:
             EmbeddingStore.load(p)
         assert (exc.value.line, exc.value.path) == (4, str(p))
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_component_rejected_at_its_line(self, tmp_path, value):
+        p = tmp_path / "v.txt"
+        p.write_text(f"3 2\na 1.0 0.0\nb 0.0 1.0\nc 0.5 {value}\n")
+        with pytest.raises(FormatError, match="non-finite") as exc:
+            EmbeddingStore.load(p)
+        assert (exc.value.line, exc.value.path) == (4, str(p))
+
+    def test_non_finite_vectors_rejected_by_constructor(self):
+        with pytest.raises(FormatError, match="non-finite"):
+            EmbeddingStore(["a"], np.array([[np.nan, 1.0]]))
 
     def test_rows_beyond_header_count_rejected(self, tmp_path):
         p = tmp_path / "v.txt"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from homosyntax.corpus import SentenceRecord
-from homosyntax.errors import BuildError, ConfigError, GenerationError
+from homosyntax.errors import BuildError, ConfigError, FormatError, GenerationError
 from homosyntax.markov import (
     DecodePolicy,
     END,
@@ -130,6 +130,18 @@ class TestSerialization:
         matrix.save(path)
         first = path.read_text(encoding="utf-8").splitlines()[0]
         assert first == f"states {len(matrix.states)}"
+
+    def test_negative_count_rejected_at_its_line(self, tmp_path):
+        path = tmp_path / "matrix.txt"
+        path.write_text("states 2\nA\nB\n0 1 3\n\n1 0 -2\n", encoding="utf-8")
+        with pytest.raises(FormatError, match="negative count -2") as exc:
+            TransitionMatrix.load(path)
+        assert (exc.value.path, exc.value.line) == (str(path), 6)
+
+    def test_zero_count_accepted(self, tmp_path):
+        path = tmp_path / "matrix.txt"
+        path.write_text("states 2\nA\nB\n0 1 3\n1 0 0\n", encoding="utf-8")
+        assert TransitionMatrix.load(path).counts.tolist() == [[0, 3], [0, 0]]
 
 
 class TestPolicyParse:

@@ -5,14 +5,7 @@ import pytest
 
 from homosyntax.embeddings import EmbeddingStore
 from homosyntax.errors import EmptyRankError, OovError
-from homosyntax.model3 import (
-    SEGMENT,
-    UVector,
-    build_u,
-    distance_vector,
-    generate_model3,
-    score_candidates,
-)
+from homosyntax.model3 import SEGMENT, generate_model3, score_candidates
 
 
 def _raw_prox(store, a, b):
@@ -59,27 +52,6 @@ def _oracle_scores(o, q, vk, store, invert=False):
     return out
 
 
-class TestUVector:
-    def test_length_and_layout(self, store):
-        words = store.words
-        u = build_u(words[0], words[1], words[2], store)
-        assert len(u.words) == 3 * SEGMENT
-        assert u.words[:SEGMENT] == store.neighbors(words[0], SEGMENT).words()
-        assert u.words[SEGMENT:2 * SEGMENT] == \
-            store.neighbors(words[1], SEGMENT).words()
-
-    def test_wrong_size_rejected(self):
-        with pytest.raises(ValueError):
-            UVector(words=("a",) * 29)
-
-    def test_distance_vector_range(self, store):
-        words = store.words
-        u = build_u(words[0], words[1], words[2], store)
-        x = distance_vector(words[0], u, store)
-        assert x.shape == (30,)
-        assert np.all(x >= 0.0) and np.all(x <= 1.0)
-
-
 class TestScoring:
     def test_against_oracle(self, resources):
         store = resources.store
@@ -97,6 +69,24 @@ class TestScoring:
                 assert abs(c.s - s) <= 1e-9
                 assert abs(c.theta - theta) <= 1e-9
                 assert abs(c.beta - beta) <= 1e-9
+
+    @pytest.mark.parametrize("invert", [False, True])
+    @pytest.mark.parametrize("v", [4, 10])
+    def test_small_vocabulary_against_oracle(self, v, invert):
+        # with V <= 10 every neighbor list holds all V - 1 other words, so U
+        # has 3 * (V - 1) words
+        rng = np.random.default_rng(v)
+        store = EmbeddingStore([f"w{i}" for i in range(v)],
+                               rng.standard_normal((v, 8)))
+        o, q, vk = "w0", "w1", store.words[1:]
+        scored = score_candidates(o, q, vk, store, invert=invert)
+        oracle = _oracle_scores(o, q, vk, store, invert=invert)
+        assert sorted(c.w for c in scored) == sorted(vk)
+        for c in scored:
+            s, theta, beta = oracle[c.w]
+            assert abs(c.s - s) <= 1e-9
+            assert abs(c.theta - theta) <= 1e-9
+            assert abs(c.beta - beta) <= 1e-9
 
     def test_sorted_descending(self, resources):
         scored = score_candidates(
