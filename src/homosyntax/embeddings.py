@@ -117,6 +117,10 @@ class EmbeddingStore:
             count, dims = int(header[0]), int(header[1])
         except ValueError as e:
             raise FormatError("non-integer header", 1, path) from e
+        if count < 0 or dims < 1:
+            raise FormatError(
+                f"bad header {lines[0]!r}: need vocab_count >= 0, dims >= 1", 1, path
+            )
         if len(lines) - 1 < count:
             raise FormatError(f"expected {count} vector rows", path=path)
         row_of: dict[str, int] = {}  # word -> row index, in file order
@@ -161,7 +165,17 @@ def train_embeddings(
     seed: int = 0,
     min_count: int = 2,
 ) -> EmbeddingStore:
-    """Single-threaded skip-gram with negative sampling; fully deterministic."""
+    """Single-threaded skip-gram with negative sampling; fully deterministic.
+
+    Pairs are trained one at a time, in sentence order, by plain SGD. The
+    negatives of a sentence's pairs are drawn in one ``rng.choice`` call
+    before its first pair: the same numbers from the same seeded stream, in
+    the same order, as one call per pair, so the vectors do not depend on
+    how the draws are grouped. A pair whose targets (its context and its
+    negatives) are all distinct updates their output rows in one assignment;
+    a pair that drew a target twice goes through ``np.subtract.at``, which
+    applies both updates to that row one after the other.
+    """
     if len(corpus) < 100:
         raise TrainError(f"need >= 100 sentences, got {len(corpus)}")
     if dims < 8:
@@ -194,40 +208,71 @@ def train_embeddings(
     neg_probs = counts**0.75
     neg_probs /= neg_probs.sum()
 
+    # each sentence's (center, context) pairs in training order, with the
+    # position of each pair's center; the same in every epoch
+    pair_lists = []
+    for sent in encoded:
+        centers, contexts, positions = [], [], []
+        for ci, center in enumerate(sent):
+            for xi in range(max(0, ci - window), min(len(sent), ci + window + 1)):
+                if xi != ci:
+                    centers.append(center)
+                    contexts.append(sent[xi])
+                    positions.append(ci)
+        pair_lists.append((centers, contexts, positions))
+    pairs = max(1, sum(len(centers) for centers, _, _ in pair_lists))
+
+    labels = np.zeros(negatives + 1)
+    labels[0] = 1.0
+    eps = 1e-10
     total_steps = max(1, epochs * sum(len(s) for s in encoded))
     step = 0
     losses = []
     for _epoch in range(epochs):
         epoch_loss = 0.0
-        pairs = 0
-        for sent in encoded:
-            for ci, center in enumerate(sent):
-                alpha = LEARNING_RATE * max(1.0 - step / total_steps, 1e-4)
-                step += 1
-                lo = max(0, ci - window)
-                hi = min(len(sent), ci + window + 1)
-                for xi in range(lo, hi):
-                    if xi == ci:
-                        continue
-                    context = sent[xi]
-                    negs = rng.choice(v, size=negatives, p=neg_probs)
-                    targets = np.concatenate(([context], negs))
-                    labels = np.zeros(negatives + 1)
-                    labels[0] = 1.0
-                    h = w_in[center]
-                    z = w_out[targets] @ h
-                    p = 1.0 / (1.0 + np.exp(-z))
-                    g = (p - labels) * alpha
-                    grad_h = g @ w_out[targets]
-                    # subtract.at accumulates over duplicate sampled targets
-                    np.subtract.at(w_out, targets, np.outer(g, h))
-                    w_in[center] -= grad_h
-                    eps = 1e-10
-                    epoch_loss -= float(
-                        np.log(p[0] + eps) + np.log(1.0 - p[1:] + eps).sum()
-                    )
-                    pairs += 1
-        losses.append(epoch_loss / max(1, pairs))
+        for sent, (centers, contexts, positions) in zip(encoded, pair_lists):
+            alphas = [
+                LEARNING_RATE * max(1.0 - (step + ci) / total_steps, 1e-4)
+                for ci in range(len(sent))
+            ]
+            step += len(sent)
+            n = len(centers)
+            # row j: pair j's context, then its negatives
+            targets = np.empty((n, negatives + 1), dtype=np.int64)
+            targets[:, 0] = contexts
+            targets[:, 1:] = rng.choice(v, size=(n, negatives), p=neg_probs)
+            ordered = np.sort(targets, axis=1)
+            distinct = (ordered[:, 1:] != ordered[:, :-1]).all(axis=1).tolist()
+            probs = np.empty((n, negatives + 1))
+            for center, t, p, ci, unique in zip(
+                centers, targets, probs, positions, distinct
+            ):
+                h = w_in[center]  # a view: updating h updates w_in
+                wo = w_out.take(t, axis=0)
+                # p = 1 / (1 + exp(-z)), in place
+                np.negative(np.dot(wo, h), out=p)
+                np.exp(p, out=p)
+                p += 1.0
+                np.divide(1.0, p, out=p)
+                g = (p - labels) * alphas[ci]
+                grad_h = np.dot(g, wo)
+                update = g[:, None] * h
+                if unique:
+                    w_out[t] = wo - update
+                else:
+                    # a target drawn twice takes both updates, the second
+                    # on top of the first: subtract.at applies them in order,
+                    # bit for bit, where an assignment would keep only one
+                    np.subtract.at(w_out, t, update)
+                h -= grad_h
+            # each pair's loss, subtracted one at a time in pair order, the
+            # order that fixes the last bits of the sum
+            pair_losses = np.log(probs[:, 0] + eps) + np.log(
+                1.0 - probs[:, 1:] + eps
+            ).sum(axis=1)
+            for loss in pair_losses.tolist():
+                epoch_loss -= loss
+        losses.append(epoch_loss / pairs)
 
     store = EmbeddingStore(vocab, w_in)
     store.training_losses = losses

@@ -93,10 +93,13 @@ class TransitionMatrix:
             n = int(lines[0].split()[1])
         except (IndexError, ValueError) as e:
             raise FormatError("bad state count", 1, path) from e
+        if n < 0:
+            raise FormatError(f"negative state count {n}", 1, path)
         if len(lines) < 1 + n:
             raise FormatError(f"expected {n} state lines", path=path)
         states = tuple(lines[1 : 1 + n])
         counts = np.zeros((n, n), dtype=np.int64)
+        count_max = int(np.iinfo(counts.dtype).max)
 
         def add(parts: list[str]) -> None:
             if len(parts) != 3:
@@ -106,6 +109,8 @@ class TransitionMatrix:
                 raise ValueError("state index out of range")
             if c < 0:
                 raise ValueError(f"negative count {c}")
+            if c > count_max:
+                raise ValueError(f"count {c} above {count_max}")
             counts[i, j] = c
 
         body = enumerate(lines[1 + n :], start=2 + n)

@@ -109,6 +109,28 @@ class TestExitCodes:
         assert (diagnostic["path"], diagnostic["line"]) == (str(path), 2)
         assert f"duplicate template id {first['id']!r}" in diagnostic["message"]
 
+    @pytest.mark.parametrize("name, line, edit", [
+        ("vectors.txt", 1, lambda lines: ["-1 3"] + lines[1:]),
+        ("matrix.txt", 1, lambda lines: ["states -1"] + lines[1:]),
+        ("matrix.txt", None, lambda lines: lines + ["0 1 99999999999999999999"]),
+    ], ids=["negative-vector-count", "negative-state-count", "count-above-int64"])
+    def test_unloadable_header_or_count_exits_2(self, resources_dir, tmp_path,
+                                                capsys, name, line, edit):
+        import shutil
+
+        broken = tmp_path / "broken"
+        shutil.copytree(resources_dir, broken)
+        path = broken / name
+        lines = edit(path.read_text(encoding="utf-8").splitlines())
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = main(_gen(broken, "--model", "2", "--query", "sol",
+                         "--len", "6"))
+        diagnostic = json.loads(capsys.readouterr().err.splitlines()[0])
+        assert code == EXIT_RESOURCE
+        assert diagnostic["error"] == "FormatError"
+        expected_line = len(lines) if line is None else line  # None: last row
+        assert (diagnostic["path"], diagnostic["line"]) == (str(path), expected_line)
+
     @pytest.mark.parametrize("where", ["existing", "missing", "unset"])
     @pytest.mark.parametrize("flag", [
         ("--neighbors", "0"), ("--max-hops", "-1"), ("--cap-m", "1"),

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -193,6 +194,112 @@ class TestNeighborTies:
                 assert store.neighbors(q, m).words() == expected
 
 
+def _reference_train(corpus, dims, window, epochs, negatives, seed, min_count=2):
+    """The skip-gram trainer written one pair at a time, one draw per pair.
+
+    Oracle for train_embeddings: a separate copy of the straightforward loop,
+    returning (words, vectors, per-epoch losses).
+    """
+    sentences = [
+        [t.lower() for t in s.tokens if any(c.isalpha() for c in t)] for s in corpus
+    ]
+    freq = {}
+    for sent in sentences:
+        for t in sent:
+            freq[t] = freq.get(t, 0) + 1
+    vocab = sorted(
+        (w for w, c in freq.items() if c >= min_count), key=lambda w: (-freq[w], w)
+    )
+    index = {w: i for i, w in enumerate(vocab)}
+    encoded = [[index[t] for t in sent if t in index] for sent in sentences]
+    encoded = [s for s in encoded if len(s) >= 2]
+
+    rng = np.random.default_rng(seed)
+    v = len(vocab)
+    w_in = (rng.random((v, dims)) - 0.5) / dims
+    w_out = np.zeros((v, dims))
+    counts = np.array([freq[w] for w in vocab], dtype=np.float64)
+    neg_probs = counts**0.75
+    neg_probs /= neg_probs.sum()
+
+    total_steps = max(1, epochs * sum(len(s) for s in encoded))
+    step = 0
+    losses = []
+    for _epoch in range(epochs):
+        epoch_loss = 0.0
+        pairs = 0
+        for sent in encoded:
+            for ci, center in enumerate(sent):
+                alpha = 0.025 * max(1.0 - step / total_steps, 1e-4)
+                step += 1
+                lo = max(0, ci - window)
+                hi = min(len(sent), ci + window + 1)
+                for xi in range(lo, hi):
+                    if xi == ci:
+                        continue
+                    context = sent[xi]
+                    negs = rng.choice(v, size=negatives, p=neg_probs)
+                    targets = np.concatenate(([context], negs))
+                    labels = np.zeros(negatives + 1)
+                    labels[0] = 1.0
+                    h = w_in[center]
+                    z = w_out[targets] @ h
+                    p = 1.0 / (1.0 + np.exp(-z))
+                    g = (p - labels) * alpha
+                    grad_h = g @ w_out[targets]
+                    np.subtract.at(w_out, targets, np.outer(g, h))
+                    w_in[center] -= grad_h
+                    eps = 1e-10
+                    epoch_loss -= float(
+                        np.log(p[0] + eps) + np.log(1.0 - p[1:] + eps).sum()
+                    )
+                    pairs += 1
+        losses.append(epoch_loss / max(1, pairs))
+    return vocab, w_in, losses
+
+
+@st.composite
+def _training_runs(draw):
+    """A corpus of >= 100 short sentences over V words, and trainer settings.
+
+    The first two sentences hold the first two words, so at least two words
+    pass min_count. V <= 3 with three or more negatives forces a repeated
+    target in every pair; larger V mixes pairs with and without one.
+    """
+    v = draw(st.integers(min_value=2, max_value=40))
+    words = [f"w{chr(97 + i // 26)}{chr(97 + i % 26)}" for i in range(v)]
+    lengths = draw(st.lists(st.integers(1, 6), min_size=98, max_size=108))
+    picks = iter(draw(st.lists(
+        st.integers(0, v - 1), min_size=sum(lengths), max_size=sum(lengths)
+    )))
+    sentences = [words[:2], words[:2]] + [
+        [words[next(picks)] for _ in range(n)] for n in lengths
+    ]
+    corpus = [
+        SentenceRecord("h", i, tuple(s), len(s)) for i, s in enumerate(sentences)
+    ]
+    params = dict(
+        dims=8,
+        window=draw(st.sampled_from((0, 1, 2, 5))),  # 0: no pairs at all
+        negatives=draw(st.sampled_from((1, 3, 5))),
+        epochs=draw(st.sampled_from((1, 2))),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    return corpus, params
+
+
+class TestTrainingOracle:
+    @settings(max_examples=20, deadline=None)
+    @given(_training_runs())
+    def test_matches_per_pair_reference_exactly(self, run):
+        corpus, params = run
+        words, vectors, losses = _reference_train(corpus, **params)
+        store = train_embeddings(corpus, **params)
+        assert store.words == words
+        assert np.array_equal(store.vectors, vectors)
+        assert store.training_losses == losses
+
+
 class TestTraining:
     def test_below_floor(self):
         recs = [SentenceRecord("d", i, ("a", "b"), 3) for i in range(50)]
@@ -212,6 +319,24 @@ class TestTraining:
         b = train_embeddings(sentences, **params)
         assert a.words == b.words
         assert np.array_equal(a.vectors, b.vectors)
+
+    def test_fixture_vectors_and_losses_are_frozen(self, store, tmp_path):
+        # the fixture build at EMB_PARAMS, pinned to the last bit: any change
+        # to the trainer's arithmetic or to its draws from the seeded stream
+        # moves the digest or a loss
+        path = tmp_path / "vectors.txt"
+        store.save(path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == (
+            "0ee0a22e23a3c849afbfa98f5a7e79870c84f424982674c6e271efeebd259cf1"
+        )
+        assert [repr(x) for x in store.training_losses] == [
+            "3.267687393181743",
+            "2.6596670898023036",
+            "2.6367582212062595",
+            "2.6245677955668256",
+            "2.615015385373184",
+        ]
 
     def test_semantic_regression(self, store):
         # verified once on the fixture corpus, frozen: nouns sharing

@@ -1,10 +1,11 @@
-"""The line-oriented resource loaders report the file and line of a bad row."""
+"""The resource loaders report the file and line of a bad row or header."""
 
 import pytest
 
-from homosyntax.embeddings import AssociativeTable
+from homosyntax.embeddings import AssociativeTable, EmbeddingStore
 from homosyntax.errors import FormatError, load_rows
 from homosyntax.generation import FunctionWordDictionary
+from homosyntax.markov import TransitionMatrix
 from homosyntax.morphology import FormsLexicon
 from homosyntax.pos import TaggerLexicon
 from homosyntax.templates import TemplateStore
@@ -89,3 +90,37 @@ def test_located_format_error_passes_unchanged():
     with pytest.raises(FormatError) as exc:
         load_rows([(3, "row")], "f.tsv", "bad row", add)
     assert exc.value is inner
+
+
+# headers that no array can be shaped from, and a count no matrix can hold
+HEADERS = {
+    "vectors-negative-count": (EmbeddingStore.load, "-1 3\n"),
+    "vectors-zero-dims": (EmbeddingStore.load, "1 0\nsol\n"),
+    "vectors-negative-dims": (EmbeddingStore.load, "1 -2\nsol 1.0\n"),
+    "matrix-negative-states": (TransitionMatrix.load, "states -1\nA\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HEADERS))
+def test_bad_header_names_file_and_line_1(tmp_path, name):
+    load, text = HEADERS[name]
+    p = tmp_path / name
+    p.write_text(text, encoding="utf-8")
+    with pytest.raises(FormatError) as exc:
+        load(p)
+    assert (exc.value.path, exc.value.line) == (str(p), 1)
+
+
+@pytest.mark.parametrize("count", ["9223372036854775808", "99999999999999999999"])
+def test_count_above_int64_is_a_row_error(tmp_path, count):
+    p = tmp_path / "matrix.txt"
+    p.write_text(f"states 2\nA\nB\n0 1 3\n1 0 {count}\n", encoding="utf-8")
+    with pytest.raises(FormatError, match=f"bad count row: count {count} above") as exc:
+        TransitionMatrix.load(p)
+    assert (exc.value.path, exc.value.line) == (str(p), 5)
+
+
+def test_largest_int64_count_loads(tmp_path):
+    p = tmp_path / "matrix.txt"
+    p.write_text("states 2\nA\nB\n0 1 9223372036854775807\n", encoding="utf-8")
+    assert TransitionMatrix.load(p).counts[0, 1] == 2**63 - 1
