@@ -30,7 +30,6 @@ from .generation import (
 )
 from .markov import (
     DecodePolicy,
-    EgvSkeleton,
     TransitionMatrix,
     build_transition_matrix,
     generate_egv,
@@ -41,12 +40,9 @@ from .model3 import generate_model3
 from .morphology import FormsLexicon, inflect, matches_tag
 from .pos import (
     PosTag,
-    TagClass,
     TaggedSentence,
     TaggerLexicon,
-    classify_tag,
     tag_sentence,
-    truncate_tag,
 )
 from .resources import load_resources
 from .templates import EgpSkeleton, TemplateStore, extract_template, select_template

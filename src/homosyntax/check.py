@@ -130,8 +130,7 @@ def check_score_oracle(
             o = slot.original.lower()
             if o not in res.store:
                 continue
-            vocab = [w for w, _ in res.ta.words_for(slot.tag.truncated)
-                     if w in res.store][:10]
+            vocab = res.ta.candidates(slot.tag.truncated, res.store)[:10]
             if len(vocab) < 2:
                 continue
             q = rng.choice(res.store.words)

@@ -4,7 +4,7 @@ Exit codes are a stable contract:
 
     0   success
     1   invariant check failed
-    2   missing or unreadable resource
+    2   missing, unreadable or malformed resource or input file
     3   generation failed after retries
     64  bad flags or arguments
 
@@ -185,7 +185,17 @@ def _cmd_build_templates(args) -> int:
     return EXIT_OK
 
 
+def _check_least(*flags: tuple[str, int, int]) -> None:
+    """ConfigError (exit 64) for the first (flag, value, least) below least."""
+    for flag, value, least in flags:
+        if value < least:
+            raise ConfigError(f"{flag} must be >= {least}")
+
+
 def _cmd_train_emb(args) -> int:
+    # checked before the corpus is read: 0 trains nothing, below 0 cannot run
+    _check_least(("--window", args.window, 1), ("--epochs", args.epochs, 1),
+                 ("--negatives", args.negatives, 1))
     sentences = corpus_mod.read_sentences(args.infile)
     store = train_embeddings(
         sentences,
@@ -217,14 +227,12 @@ def _cmd_generate(args) -> int:
     # every flag is checked before anything is loaded
     if not (MIN_LEN <= args.length <= MAX_LEN):
         raise ConfigError(f"--len must be in [{MIN_LEN}, {MAX_LEN}]")
-    for flag, value, least in (
+    _check_least(
         ("--count", args.count, 1),
         ("--neighbors", args.neighbors, 1),
         ("--max-hops", args.max_hops, 0),
         ("--cap-m", args.cap_m, 2),  # model 3 scores at least two candidates
-    ):
-        if value < least:
-            raise ConfigError(f"{flag} must be >= {least}")
+    )
     policy = DecodePolicy.parse(args.policy)
     res = load_resources(_resource_dir(args.resources))
     res.policy = policy

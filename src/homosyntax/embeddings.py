@@ -12,7 +12,6 @@ proximity = (cosine + 1) / 2, so larger always means closer.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -20,17 +19,6 @@ import numpy as np
 from .corpus import SentenceRecord
 from .errors import FormatError, OovError, TableError, TrainError, load_rows, read_jsonl
 from .pos import TaggedSentence, is_content
-
-
-@dataclass(frozen=True)
-class Lexicon:
-    """Ordered neighbor list L(Q) for a query word."""
-
-    query: str
-    entries: tuple[tuple[str, float], ...]
-
-    def words(self) -> tuple[str, ...]:
-        return tuple(w for w, _ in self.entries)
 
 
 class EmbeddingStore:
@@ -56,48 +44,42 @@ class EmbeddingStore:
     def dims(self) -> int:
         return self.vectors.shape[1]
 
-    def _require(self, word: str) -> int:
+    def row(self, word: str) -> int:
+        """Store row of a word; OovError if the word has no vector."""
         i = self.index.get(word)
         if i is None:
             raise OovError(word)
         return i
 
-    def _indices(self, words) -> np.ndarray:
-        """Row indices shaped like words: one word (0-d) or an array of words."""
-        arr = np.asarray(words, dtype=object)
-        return np.array(
-            [self._require(w) for w in arr.flat], dtype=np.intp
-        ).reshape(arr.shape)
-
     def proximity(self, a, b) -> float | np.ndarray:
         """(cosine + 1) / 2, clipped to [0, 1].
 
-        a and b are each a word or a broadcastable array of words. Two words
+        a and b are each a row or a broadcastable array of rows. Two rows
         give a float; otherwise the result is an array of the broadcast
         shape. np.vecdot runs the same dot kernel as np.dot on one pair, so
         every element equals the one-pair value bit for bit.
         """
-        cos = np.vecdot(self._unit[self._indices(a)], self._unit[self._indices(b)])
+        cos = np.vecdot(self._unit[a], self._unit[b])
         prox = np.clip((cos + 1.0) / 2.0, 0.0, 1.0)
         return float(prox) if prox.ndim == 0 else prox
 
-    def neighbors(self, q: str, m: int) -> Lexicon:
-        """Top-m words by proximity to q, q excluded, ties lexicographic."""
+    def neighbors(self, q: str, m: int) -> np.ndarray:
+        """Rows of the top-m words by proximity to q, nearest first, q
+        excluded, ties by word; empty when q is the store's only word."""
         if m < 1:
             raise ValueError(f"m must be >= 1, got {m}")
-        iq = self._require(q)
+        iq = self.row(q)
         cos = self._unit @ self._unit[iq]
         prox = np.clip((cos + 1.0) / 2.0, 0.0, 1.0)
         prox[iq] = -1.0  # below every proximity: q is never its own neighbor
         k = min(m, len(self.words) - 1)
         if k == 0:
-            return Lexicon(query=q, entries=())
+            return np.empty(0, dtype=np.intp)
         kth = np.partition(prox, -k)[-k]
         # keep every word tied with the k-th value: the word order breaks the tie
         tied = np.flatnonzero(prox >= kth).tolist()
         order = sorted(tied, key=lambda i: (-prox[i], self.words[i]))[:k]
-        entries = tuple((self.words[i], float(prox[i])) for i in order)
-        return Lexicon(query=q, entries=entries)
+        return np.array(order, dtype=np.intp)
 
     def save(self, path: str | Path) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as f:
@@ -283,7 +265,11 @@ class AssociativeTable:
     """Truncated content tag -> distinct lowercased words with frequencies."""
 
     def __init__(self, table: dict[str, list[tuple[str, int]]]):
-        self.table = table
+        # each tag's words most frequent first, ties by word, in any input order
+        self.table = {
+            tag: sorted(words, key=lambda wc: (-wc[1], wc[0]))
+            for tag, words in table.items()
+        }
 
     def tags(self) -> list[str]:
         return sorted(self.table)
@@ -292,6 +278,10 @@ class AssociativeTable:
         if tag not in self.table:
             raise TableError(f"no associative-table entry for tag {tag!r}")
         return list(self.table[tag])
+
+    def candidates(self, tag: str, store: EmbeddingStore) -> list[str]:
+        """The tag's attested words that have a vector, in table order."""
+        return [w for w, _ in self.words_for(tag) if w in store]
 
     def save(self, path: str | Path) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as f:
@@ -325,8 +315,4 @@ def build_associative_table(corpus: list[TaggedSentence]) -> AssociativeTable:
             entry = counts.setdefault(tag.truncated, {})
             word = surface.lower()
             entry[word] = entry.get(word, 0) + 1
-    table = {
-        tag: sorted(words.items(), key=lambda wc: (-wc[1], wc[0]))
-        for tag, words in counts.items()
-    }
-    return AssociativeTable(table)
+    return AssociativeTable({tag: list(words.items()) for tag, words in counts.items()})

@@ -53,11 +53,6 @@ class DecodePolicy:
         raise ConfigError(f"unknown decode policy {text!r}")
 
 
-@dataclass(frozen=True)
-class EgvSkeleton:
-    slots: tuple[PosTag, ...]
-
-
 class TransitionMatrix:
     def __init__(self, states: tuple[str, ...], counts: np.ndarray):
         self.states = states
@@ -67,12 +62,6 @@ class TransitionMatrix:
         with np.errstate(invalid="ignore", divide="ignore"):
             probs = np.where(totals > 0, counts / np.maximum(totals, 1), 0.0)
         self.probs = probs
-
-    def prob(self, a: str, b: str) -> float:
-        i, j = self.index.get(a), self.index.get(b)
-        if i is None or j is None:
-            return 0.0
-        return float(self.probs[i, j])
 
     def save(self, path: str | Path) -> None:
         """Header, state list, then sparse ``i j count`` triples."""
@@ -100,6 +89,7 @@ class TransitionMatrix:
         states = tuple(lines[1 : 1 + n])
         counts = np.zeros((n, n), dtype=np.int64)
         count_max = int(np.iinfo(counts.dtype).max)
+        totals = [0] * n  # exact row sums: the int64 sum in __init__ would wrap
 
         def add(parts: list[str]) -> None:
             if len(parts) != 3:
@@ -111,6 +101,9 @@ class TransitionMatrix:
                 raise ValueError(f"negative count {c}")
             if c > count_max:
                 raise ValueError(f"count {c} above {count_max}")
+            totals[i] += c - int(counts[i, j])  # a repeated cell is replaced
+            if totals[i] > count_max:
+                raise ValueError(f"row {i} sums to {totals[i]}, above {count_max}")
             counts[i, j] = c
 
         body = enumerate(lines[1 + n :], start=2 + n)
@@ -163,41 +156,29 @@ def _step(
 
 def generate_egv(
     m: TransitionMatrix,
-    start: str | None,
     n: int,
     policy: DecodePolicy = DecodePolicy.topk(3),
     rng: random.Random | None = None,
-) -> EgvSkeleton:
-    """Generate an n-tag skeleton by walking the transition matrix.
-
-    `start` is a truncated tag used as the first slot, or None to sample
-    the first tag from the empirical sentence-initial distribution.
-    """
+) -> tuple[PosTag, ...]:
+    """Generate an n-tag skeleton by walking the transition matrix from
+    START: the first tag is drawn by its sentence-initial probability."""
     if not (MIN_LEN <= n <= MAX_LEN):
         raise ConfigError(f"length must be in [{MIN_LEN}, {MAX_LEN}], got {n}")
-    if start == START:
-        start = None
-    if start is not None and start not in m.index:
-        raise ConfigError(f"unknown start state {start!r}")
     rng = rng if rng is not None else random.Random()
 
     partial: list[str] = []
     for _ in range(RESTARTS):
-        if start is None:
-            succ = _successors(m, START)
-            if not succ:
-                raise GenerationError("START state has no successors")
-            first = rng.choices([s for s, _ in succ], weights=[p for _, p in succ])[0]
-        else:
-            first = start
-        seq = [first]
+        succ = _successors(m, START)
+        if not succ:
+            raise GenerationError("START state has no successors")
+        seq = [rng.choices([s for s, _ in succ], weights=[p for _, p in succ])[0]]
         while len(seq) < n:
             nxt = _step(m, seq[-1], policy, rng)
             if nxt is None:
                 break
             seq.append(nxt)
         if len(seq) == n:
-            return EgvSkeleton(slots=tuple(PosTag(t) for t in seq))
+            return tuple(PosTag(t) for t in seq)
         partial = seq
     raise GenerationError(
         f"dead-end before length {n} after {RESTARTS} restarts",

@@ -48,18 +48,16 @@ def fill_content_with_relaxation(
     visited = [q]
     current = q
     for hops in range(max_hops + 1):
-        lexicon = store.neighbors(current, m)
-        for word, _ in lexicon.entries:
+        lexicon = [store.words[i] for i in store.neighbors(current, m).tolist()]
+        for word in lexicon:
             if matches_tag(word, tag, forms):
                 return word, hops, visited
-        for word, _ in lexicon.entries:
+        for word in lexicon:
             inflected = inflect(word, tag, forms)
             if inflected is not None:
                 return inflected, hops, visited
         # relax: nearest neighbor of the current query not yet visited
-        next_q = next(
-            (w for w, _ in lexicon.entries if w not in visited), None
-        )
+        next_q = next((w for w in lexicon if w not in visited), None)
         if next_q is None:
             break
         visited.append(next_q)
@@ -91,6 +89,6 @@ def generate_model1(
         return word, {**record, **relaxation}
 
     def skeleton(rng: random.Random) -> tuple[str, tuple[PosTag, ...]]:
-        return "markov", generate_egv(res.matrix, None, n, res.policy, rng).slots
+        return "markov", generate_egv(res.matrix, n, res.policy, rng)
 
     return generate(1, q, res, seed, skeleton, fill_slot)

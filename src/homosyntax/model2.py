@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 
 from .embeddings import AssociativeTable, EmbeddingStore
-from .errors import EmptyRankError, OovError
+from .errors import EmptyRankError
 from .generation import GeneratedSentence, GenerationResources, generate
 from .pos import PosTag
 from .templates import Literal, Slot, select_template
@@ -25,15 +25,14 @@ def rank_vocabulary(
     store: EmbeddingStore,
 ) -> list[tuple[str, float]]:
     """Attested words for the tag, in-vocabulary, by descending proximity."""
-    if q not in store:
-        raise OovError(q)
-    vocab = ta.words_for(tag.truncated)  # TableError if the tag is absent
-    in_vocab = [w for w, _ in vocab if w in store]
-    if not in_vocab:
+    iq = store.row(q)
+    words = ta.candidates(tag.truncated, store)  # TableError if the tag is absent
+    if not words:
         raise EmptyRankError(
             f"no in-vocabulary candidate for tag {tag.truncated!r}"
         )
-    ranked = list(zip(in_vocab, store.proximity(q, in_vocab).tolist()))
+    prox = store.proximity(iq, [store.index[w] for w in words])
+    ranked = list(zip(words, prox.tolist()))
     ranked.sort(key=lambda wp: (-wp[1], wp[0]))
     return ranked
 

@@ -58,15 +58,13 @@ def score_candidates(
     """Score every candidate and return them sorted by descending s."""
     if len(vk) < 2:
         raise EmptyRankError(f"need >= 2 candidates, got {len(vk)}")
-    # one row of U per candidate; the o and q segments are shared. neighbors
-    # raises OovError for o, then q, then the first out-of-vocabulary w
-    oq = store.neighbors(o, SEGMENT).words() + store.neighbors(q, SEGMENT).words()
-    u = np.array(
-        [oq + store.neighbors(w, SEGMENT).words() for w in vk], dtype=object
-    )
-    x = store.proximity(o, u)
-    qv = store.proximity(q, u)
-    wv = store.proximity(np.array(vk, dtype=object)[:, None], u)
+    # one row of U per candidate, as store rows, sharing the o and q segments;
+    # neighbors raises OovError for o, then q, then the first OOV w
+    oq = [store.neighbors(o, SEGMENT), store.neighbors(q, SEGMENT)]
+    u = np.array([np.concatenate(oq + [store.neighbors(w, SEGMENT)]) for w in vk])
+    x = store.proximity(store.index[o], u)
+    qv = store.proximity(store.index[q], u)
+    wv = store.proximity(np.array([store.index[w] for w in vk])[:, None], u)
     thetas = _cos(qv, wv).tolist()
     betas = _cos(x, wv).tolist()
 
@@ -86,16 +84,6 @@ def score_candidates(
         scored.append(CandidateScore(w=w, theta=theta, beta=beta, s=s))
     scored.sort(key=lambda c: (-c.s, c.w))
     return scored
-
-
-def _candidate_vocab(
-    tag_truncated: str, res: GenerationResources
-) -> list[str]:
-    """In-vocabulary attested words, capped to the most frequent cap_m."""
-    vocab = res.ta.words_for(tag_truncated)
-    in_vocab = [(w, c) for w, c in vocab if w in res.store]
-    in_vocab.sort(key=lambda wc: (-wc[1], wc[0]))
-    return [w for w, _ in in_vocab[: res.cap_m]]
 
 
 def generate_model3(
@@ -119,7 +107,8 @@ def generate_model3(
                 "top3": [w for w, _ in ranked[:3]],
                 "chosen": word,
             }
-        vk = _candidate_vocab(slot.tag.truncated, res)
+        # the cap keeps the most frequent: the table lists them first
+        vk = res.ta.candidates(slot.tag.truncated, res.store)[: res.cap_m]
         if len(vk) < 2:
             raise EmptyRankError(
                 f"fewer than 2 in-vocabulary candidates for {slot.tag.truncated!r}"

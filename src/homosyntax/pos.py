@@ -11,7 +11,6 @@ hermetic use, and a reader for pre-tagged TSV produced by any external tool.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 
 from .corpus import SentenceRecord
@@ -35,26 +34,7 @@ class PosTag:
         return self.full[0]
 
 
-class TagClass(Enum):
-    FUNCTIONAL = "functional"
-    CONTENT_VERB = "content_verb"
-    CONTENT_NOUN = "content_noun"
-    CONTENT_ADJ = "content_adj"
-
-
-_CONTENT = {
-    "V": TagClass.CONTENT_VERB,
-    "N": TagClass.CONTENT_NOUN,
-    "A": TagClass.CONTENT_ADJ,
-}
-
-
-def truncate_tag(full: str) -> PosTag:
-    return PosTag(full)  # TagError if empty
-
-
-def classify_tag(tag: PosTag) -> TagClass:
-    return _CONTENT.get(tag.category, TagClass.FUNCTIONAL)
+_CONTENT = frozenset("VNA")  # verbs, nouns and adjectives; the rest is functional
 
 
 def is_content(tag: PosTag) -> bool:

@@ -113,7 +113,9 @@ class TestExitCodes:
         ("vectors.txt", 1, lambda lines: ["-1 3"] + lines[1:]),
         ("matrix.txt", 1, lambda lines: ["states -1"] + lines[1:]),
         ("matrix.txt", None, lambda lines: lines + ["0 1 99999999999999999999"]),
-    ], ids=["negative-vector-count", "negative-state-count", "count-above-int64"])
+        ("matrix.txt", None, lambda lines: lines + [f"0 1 {2**62}", f"0 2 {2**62}"]),
+    ], ids=["negative-vector-count", "negative-state-count", "count-above-int64",
+            "row-sum-above-int64"])
     def test_unloadable_header_or_count_exits_2(self, resources_dir, tmp_path,
                                                 capsys, name, line, edit):
         import shutil
@@ -153,6 +155,24 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         diagnostic = json.loads(next(ln for ln in err if ln.startswith("{")))
         assert diagnostic["error"] == "usage"
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize("flag", ["--window", "--epochs", "--negatives"])
+    def test_bad_training_setting_is_usage_error_before_reading(
+        self, resources_dir, tmp_path, capsys, flag, value
+    ):
+        out = tmp_path / "vectors.txt"
+        for corpus in (resources_dir / "sentences.txt", tmp_path / "missing.txt"):
+            argv = ["train-emb", "--in", str(corpus), "--out", str(out),
+                    flag, value]
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == EXIT_USAGE
+            err = capsys.readouterr().err.splitlines()
+            diagnostic = json.loads(next(ln for ln in err if ln.startswith("{")))
+            assert diagnostic == {"error": "usage",
+                                  "message": f"{flag} must be >= 1"}
+            assert not out.exists()
 
     def test_oov_query_is_generation_failure(self, resources_dir, capsys):
         code = main(_gen(resources_dir, "--model", "2", "--query", "zzzqx",

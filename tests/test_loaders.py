@@ -47,7 +47,13 @@ CASES = {
         "empty-tag": "luna\t\t1.0",
         "non-positive-weight": "luna\tNCFS000\t0",
     }),
+    "matrix": (TransitionMatrix.load, f"0 1 {2**62}", {
+        "row-sum-above-int64": f"0 0 {2**62}",
+    }),
 }
+
+# lines a loader reads before its rows
+PREAMBLE = {"matrix": "states 2\nA\nB\n"}
 
 BAD_ROWS = sorted(
     (name, bad) for name, (_, _, rows) in CASES.items() for bad in rows
@@ -58,19 +64,21 @@ BAD_ROWS = sorted(
 def test_good_rows_load_and_blank_lines_are_skipped(tmp_path, name):
     load, good, _ = CASES[name]
     p = tmp_path / name
-    p.write_text(f"\n{good}\n\n", encoding="utf-8")
+    p.write_text(f"{PREAMBLE.get(name, '')}\n{good}\n\n", encoding="utf-8")
     load(p)
 
 
 @pytest.mark.parametrize("name, bad", BAD_ROWS)
 def test_bad_row_names_file_and_line(tmp_path, name, bad):
     load, good, rows = CASES[name]
+    preamble = PREAMBLE.get(name, "")
+    line = preamble.count("\n") + 3
     p = tmp_path / name
-    p.write_text(f"{good}\n\n{rows[bad]}\n", encoding="utf-8")
+    p.write_text(f"{preamble}{good}\n\n{rows[bad]}\n", encoding="utf-8")
     with pytest.raises(FormatError) as exc:
         load(p)
-    assert (exc.value.path, exc.value.line) == (str(p), 3)
-    assert str(exc.value).startswith(f"{p}: line 3: ")
+    assert (exc.value.path, exc.value.line) == (str(p), line)
+    assert str(exc.value).startswith(f"{p}: line {line}: ")
 
 
 def test_row_error_gets_prefix_path_and_line():

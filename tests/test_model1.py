@@ -141,9 +141,8 @@ class TestGenerate:
                 continue
             candidates = set()
             for q in rec["queries"]:
-                candidates.update(
-                    resources.store.neighbors(q, resources.neighbors_m).words()
-                )
+                rows = resources.store.neighbors(q, resources.neighbors_m)
+                candidates.update(resources.store.words[i] for i in rows)
             chosen = rec["chosen"]
             direct = chosen in candidates
             via_inflection = any(

@@ -1,11 +1,16 @@
+import json
 import math
+import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from homosyntax.embeddings import EmbeddingStore
+from homosyntax.embeddings import AssociativeTable, EmbeddingStore
 from homosyntax.errors import EmptyRankError, OovError
+from homosyntax.model2 import rank_vocabulary
 from homosyntax.model3 import SEGMENT, generate_model3, score_candidates
+from homosyntax.pos import PosTag
 
 
 def _raw_prox(store, a, b):
@@ -215,3 +220,33 @@ class TestGenerate:
         for rec in sent.trace:
             if "candidates" in rec:
                 assert len(rec["candidates"]) <= 2
+
+
+class TestUnsortedTable:
+    def test_loads_and_generates_as_the_sorted_file(self, resources, tmp_path):
+        # the table orders each tag's words itself, so a hand-edited
+        # ta.jsonl in any order ranks and caps exactly like the built one
+        rng = random.Random(0)
+        path = tmp_path / "ta.jsonl"
+        moved = 0
+        with open(path, "w", encoding="utf-8") as f:
+            for tag in resources.ta.tags():
+                words = resources.ta.words_for(tag)
+                rng.shuffle(words)
+                moved += words != resources.ta.words_for(tag)
+                f.write(json.dumps({"tag": tag, "words": words}) + "\n")
+        assert moved  # some tag's words are out of order in the file
+        shuffled = AssociativeTable.load(path)
+        assert shuffled.table == resources.ta.table
+        store = resources.store
+        for tag in resources.ta.tags():
+            for q in ("sol", "guerra", "luna"):
+                assert rank_vocabulary(PosTag(tag), q, shuffled, store) == (
+                    rank_vocabulary(PosTag(tag), q, resources.ta, store)
+                )
+        built = replace(resources, cap_m=2)
+        edited = replace(built, ta=shuffled)
+        for seed in range(4):
+            a = generate_model3("sol", 7, built, seed=seed)
+            b = generate_model3("sol", 7, edited, seed=seed)
+            assert (a.tokens, a.trace) == (b.tokens, b.trace)

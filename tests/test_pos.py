@@ -5,11 +5,9 @@ from homosyntax.corpus import SentenceRecord
 from homosyntax.errors import TagError
 from homosyntax.pos import (
     PosTag,
-    TagClass,
-    classify_tag,
+    is_content,
     read_tagged_tsv,
     tag_sentence,
-    truncate_tag,
     write_tagged_tsv,
 )
 
@@ -20,53 +18,47 @@ tags = st.text(
 
 class TestTruncate:
     def test_noun_example(self):
-        assert truncate_tag("NCMS000").truncated == "NCMS"
+        assert PosTag("NCMS000").truncated == "NCMS"
 
     def test_short_tag(self):
-        assert truncate_tag("CC").truncated == "CC"
+        assert PosTag("CC").truncated == "CC"
 
     def test_verb_tag(self):
-        assert truncate_tag("VMIP3S0").truncated == "VMIP"
+        assert PosTag("VMIP3S0").truncated == "VMIP"
 
     def test_empty_rejected(self):
         with pytest.raises(TagError):
-            truncate_tag("")
+            PosTag("")
 
     @given(tags)
     def test_idempotent(self, full):
-        once = truncate_tag(full)
-        again = truncate_tag(once.truncated)
+        once = PosTag(full)
+        again = PosTag(once.truncated)
         assert again.truncated == once.truncated
 
     @given(tags)
     def test_prefix_and_category(self, full):
-        t = truncate_tag(full)
+        t = PosTag(full)
         assert t.truncated == full[:4]
         assert t.category == full[0]
 
 
 class TestClassify:
     def test_noun(self):
-        assert classify_tag(PosTag("NCMS")) is TagClass.CONTENT_NOUN
+        assert is_content(PosTag("NCMS"))
 
     def test_verb(self):
-        assert classify_tag(PosTag("VMIP")) is TagClass.CONTENT_VERB
+        assert is_content(PosTag("VMIP"))
 
     def test_article_functional(self):
-        assert classify_tag(PosTag("DA0M")) is TagClass.FUNCTIONAL
+        assert not is_content(PosTag("DA0M"))
 
     def test_preposition_functional(self):
-        assert classify_tag(PosTag("SPS00")) is TagClass.FUNCTIONAL
+        assert not is_content(PosTag("SPS00"))
 
     @given(tags)
     def test_depends_only_on_first_char(self, full):
-        t = classify_tag(PosTag(full))
-        expected = {
-            "N": TagClass.CONTENT_NOUN,
-            "V": TagClass.CONTENT_VERB,
-            "A": TagClass.CONTENT_ADJ,
-        }.get(full[0], TagClass.FUNCTIONAL)
-        assert t is expected
+        assert is_content(PosTag(full)) == (full[0] in ("N", "V", "A"))
 
 
 class TestTagger:
@@ -80,7 +72,7 @@ class TestTagger:
         ts = tag_sentence(s, tagger_lexicon)
         tag = ts.tokens[0][1]
         assert tag.category == "S"
-        assert classify_tag(tag) is TagClass.FUNCTIONAL
+        assert not is_content(tag)
 
     def test_unknown_token_total(self, tagger_lexicon):
         s = SentenceRecord("d", 0, ("zzzqx", "Zzzqx", "el"), 14)

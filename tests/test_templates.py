@@ -5,7 +5,7 @@ import pytest
 
 from homosyntax.corpus import SentenceRecord
 from homosyntax.errors import StoreError, TemplateError
-from homosyntax.pos import PosTag, TaggedSentence, classify_tag, TagClass
+from homosyntax.pos import PosTag, TaggedSentence, is_content
 from homosyntax.templates import (
     Literal,
     Slot,
@@ -42,10 +42,7 @@ class TestExtract:
     def test_slot_count_matches_classifier(self, tagged):
         for ts in tagged[:100]:
             t = extract_template(ts)
-            content = sum(
-                classify_tag(tag) is not TagClass.FUNCTIONAL
-                for _, tag in ts.tokens
-            )
+            content = sum(is_content(tag) for _, tag in ts.tokens)
             assert len(t.slots) == content
 
     def test_punctuation_is_literal(self):
