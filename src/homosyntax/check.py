@@ -1,8 +1,9 @@
 """Invariant-check harness over a prebuilt resource directory.
 
 Runs structural checks (row-stochasticity, associative-table soundness,
-template round-trips, a straight-line recomputation of the geometric score,
-novelty of freshly generated sentences) and reports pass/fail per check.
+resources that fit one another, template round-trips, a straight-line
+recomputation of the geometric score, novelty of freshly generated
+sentences) and reports pass/fail per check.
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ import numpy as np
 from . import model1, model2, model3
 from .errors import HomosyntaxError, ResourceError, TemplateError
 from .generation import GenerationResources
+from .markov import END, START
 from .model3 import score_candidates
-from .pos import TaggedSentence, read_tagged_tsv
+from .pos import PosTag, TaggedSentence, is_content, read_tagged_tsv
 from .resources import TAGGED, load_resources
 from .templates import extract_template
 
@@ -62,6 +64,35 @@ def check_ta_soundness(
         "ta-soundness",
         not violations,
         f"{len(violations)} unattested entries" if violations else "all attested",
+    )
+
+
+def check_resource_fit(res: GenerationResources) -> CheckResult:
+    """Every functional matrix state has function words and every template
+    slot tag has a table entry; count the out-of-vocabulary originals."""
+    offenders = [
+        f"functional state {state!r} has no funcdict entry"
+        for state in res.matrix.states
+        if state not in (START, END)
+        and not is_content(PosTag(state))
+        and not res.funcdict.table.get(state)
+    ]
+    slots = [
+        (tid, slot)
+        for tid in res.templates.ids()
+        for slot in res.templates.get(tid).slots
+    ]
+    offenders += [
+        f"template {tid} slot tag {slot.tag.truncated!r} has no table entry"
+        for tid, slot in slots
+        if slot.tag.truncated not in res.ta.table
+    ]
+    oov = sum(slot.original.lower() not in res.store for _, slot in slots)
+    found = f"{offenders[0]} (1 of {len(offenders)})" if offenders else "all fit"
+    return CheckResult(
+        "resource-fit",
+        not offenders,
+        f"{found}; {oov}/{len(slots)} template originals out of vocabulary",
     )
 
 
@@ -128,7 +159,8 @@ def check_score_oracle(
             if checked >= slots:
                 break
             o = slot.original.lower()
-            if o not in res.store:
+            # a tag without a table entry fails resource-fit instead
+            if o not in res.store or slot.tag.truncated not in res.ta.table:
                 continue
             vocab = res.ta.candidates(slot.tag.truncated, res.store)[:10]
             if len(vocab) < 2:
@@ -181,6 +213,7 @@ def run_check(directory: str | Path) -> list[CheckResult]:
         check_row_stochastic(res),
         check_template_roundtrip(res, corpus),
         check_ta_soundness(res, corpus),
+        check_resource_fit(res),
         check_score_oracle(res),
         check_novelty(res),
     ]

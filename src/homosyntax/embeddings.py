@@ -12,6 +12,7 @@ proximity = (cosine + 1) / 2, so larger always means closer.
 from __future__ import annotations
 
 import json
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +33,7 @@ class EmbeddingStore:
         self.vectors = np.asarray(vectors, dtype=np.float64)
         norms = np.linalg.norm(self.vectors, axis=1, keepdims=True)
         self._unit = self.vectors / np.maximum(norms, 1e-12)
+        self._neighbors: dict[tuple[str, int], np.ndarray] = {}
         self.training_losses: list[float] = []
 
     def __len__(self) -> int:
@@ -65,10 +67,22 @@ class EmbeddingStore:
 
     def neighbors(self, q: str, m: int) -> np.ndarray:
         """Rows of the top-m words by proximity to q, nearest first, q
-        excluded, ties by word; empty when q is the store's only word."""
+        excluded, ties by word; empty when q is the store's only word.
+
+        The store never changes after it is built, so the result is
+        memoized per (q, m) on first use; the returned array is shared
+        between calls and read-only.
+        """
         if m < 1:
             raise ValueError(f"m must be >= 1, got {m}")
-        iq = self.row(q)
+        rows = self._neighbors.get((q, m))
+        if rows is None:
+            rows = self._top(self.row(q), m)
+            rows.flags.writeable = False
+            self._neighbors[q, m] = rows
+        return rows
+
+    def _top(self, iq: int, m: int) -> np.ndarray:
         cos = self._unit @ self._unit[iq]
         prox = np.clip((cos + 1.0) / 2.0, 0.0, 1.0)
         prox[iq] = -1.0  # below every proximity: q is never its own neighbor
@@ -270,6 +284,9 @@ class AssociativeTable:
             tag: sorted(words, key=lambda wc: (-wc[1], wc[0]))
             for tag, words in table.items()
         }
+        # store -> tag -> that tag's rows in the store; keyed by the store
+        # itself, so rows resolved against one store never serve another
+        self._rows: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
     def tags(self) -> list[str]:
         return sorted(self.table)
@@ -279,9 +296,34 @@ class AssociativeTable:
             raise TableError(f"no associative-table entry for tag {tag!r}")
         return list(self.table[tag])
 
+    def rows(
+        self, tag: str, store: EmbeddingStore
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Store rows of the tag's attested words that have a vector: in
+        word order, and in table order (most frequent first).
+
+        Resolved against each store once, on first use; both arrays are
+        shared between calls and read-only.
+        """
+        by_tag = self._rows.setdefault(store, {})
+        rows = by_tag.get(tag)
+        if rows is None:
+            in_store = [
+                (w, store.index[w]) for w, _ in self.words_for(tag) if w in store
+            ]
+            by_word = sorted(in_store, key=lambda wr: wr[0])
+            rows = tuple(
+                np.array([r for _, r in order], dtype=np.intp)
+                for order in (by_word, in_store)
+            )
+            for a in rows:
+                a.flags.writeable = False
+            by_tag[tag] = rows
+        return rows
+
     def candidates(self, tag: str, store: EmbeddingStore) -> list[str]:
         """The tag's attested words that have a vector, in table order."""
-        return [w for w, _ in self.words_for(tag) if w in store]
+        return [store.words[i] for i in self.rows(tag, store)[1].tolist()]
 
     def save(self, path: str | Path) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as f:

@@ -157,14 +157,13 @@ def _step(
 def generate_egv(
     m: TransitionMatrix,
     n: int,
-    policy: DecodePolicy = DecodePolicy.topk(3),
-    rng: random.Random | None = None,
+    policy: DecodePolicy,
+    rng: random.Random,
 ) -> tuple[PosTag, ...]:
     """Generate an n-tag skeleton by walking the transition matrix from
     START: the first tag is drawn by its sentence-initial probability."""
     if not (MIN_LEN <= n <= MAX_LEN):
         raise ConfigError(f"length must be in [{MIN_LEN}, {MAX_LEN}], got {n}")
-    rng = rng if rng is not None else random.Random()
 
     partial: list[str] = []
     for _ in range(RESTARTS):

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
+
 from .embeddings import AssociativeTable, EmbeddingStore
 from .errors import EmptyRankError
 from .generation import GeneratedSentence, GenerationResources, generate
@@ -26,15 +28,16 @@ def rank_vocabulary(
 ) -> list[tuple[str, float]]:
     """Attested words for the tag, in-vocabulary, by descending proximity."""
     iq = store.row(q)
-    words = ta.candidates(tag.truncated, store)  # TableError if the tag is absent
-    if not words:
+    rows, _ = ta.rows(tag.truncated, store)  # TableError if the tag is absent
+    if not rows.size:
         raise EmptyRankError(
             f"no in-vocabulary candidate for tag {tag.truncated!r}"
         )
-    prox = store.proximity(iq, [store.index[w] for w in words])
-    ranked = list(zip(words, prox.tolist()))
-    ranked.sort(key=lambda wp: (-wp[1], wp[0]))
-    return ranked
+    prox = store.proximity(iq, rows)
+    # rows are in word order, so a stable sort by -prox breaks ties by word
+    order = np.argsort(-prox, kind="stable")
+    ranked = zip(rows[order].tolist(), prox[order].tolist())
+    return [(store.words[i], p) for i, p in ranked]
 
 
 def choose_top3(ranked: list[tuple[str, float]], rng: random.Random) -> str:

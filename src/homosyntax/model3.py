@@ -108,7 +108,8 @@ def generate_model3(
                 "chosen": word,
             }
         # the cap keeps the most frequent: the table lists them first
-        vk = res.ta.candidates(slot.tag.truncated, res.store)[: res.cap_m]
+        _, by_count = res.ta.rows(slot.tag.truncated, res.store)
+        vk = [res.store.words[i] for i in by_count[: res.cap_m].tolist()]
         if len(vk) < 2:
             raise EmptyRankError(
                 f"fewer than 2 in-vocabulary candidates for {slot.tag.truncated!r}"

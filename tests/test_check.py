@@ -1,9 +1,14 @@
+import json
+import shutil
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from homosyntax import check
+from homosyntax.cli import main
 from homosyntax.markov import TransitionMatrix
+from homosyntax.resources import load_resources
 
 
 def test_novelty_check_leaves_caller_resources_alone(resources):
@@ -34,3 +39,40 @@ def test_row_stochastic_check_fails_on_a_negative_count(resources):
     matrix = TransitionMatrix(("A", "B"), np.array([[-1, 3], [2, 0]]))
     result = check.check_row_stochastic(replace(resources, matrix=matrix))
     assert not result.passed
+
+
+def _drop_tag(path, tag):
+    """Rewrite a tag-keyed .jsonl resource without the given tag's line."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    kept = [line for line in lines if json.loads(line)["tag"] != tag]
+    assert len(kept) == len(lines) - 1
+    path.write_text("".join(line + "\n" for line in kept), encoding="utf-8")
+
+
+def test_resource_fit_passes_and_counts_oov_originals(resources_dir):
+    result = check.check_resource_fit(load_resources(resources_dir))
+    assert result.passed
+    assert result.detail.startswith("all fit; 0/")
+    assert result.detail.endswith(" template originals out of vocabulary")
+
+
+@pytest.mark.parametrize(
+    "name, tag, offender",
+    [
+        ("funcdict.jsonl", "CC", "functional state 'CC' has no funcdict entry"),
+        ("ta.jsonl", "NCMS", "template t000000 slot tag 'NCMS' has no table entry"),
+    ],
+)
+def test_resource_fit_names_the_first_offender(
+    resources_dir, tmp_path, capsys, name, tag, offender
+):
+    broken = tmp_path / "broken"
+    shutil.copytree(resources_dir, broken)
+    _drop_tag(broken / name, tag)
+    results = {r.name: r for r in check.run_check(broken)}
+    fit = results["resource-fit"]
+    assert not fit.passed
+    assert fit.detail.startswith(offender + " (1 of ")
+    capsys.readouterr()
+    assert main(["check", "--resources", str(broken)]) == 1
+    assert f"FAIL resource-fit: {offender}" in capsys.readouterr().out

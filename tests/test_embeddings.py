@@ -160,6 +160,41 @@ class TestNeighbors:
             assert _words(s, s.neighbors("b", m)) == ("a",)
 
 
+class TestNeighborMemo:
+    def test_warm_cold_and_brute_force_agree(self, store, tmp_path):
+        path = tmp_path / "vectors.txt"
+        store.save(path)
+        warm, cold = EmbeddingStore.load(path), EmbeddingStore.load(path)
+        ms = (1, 10, 60)
+        for q in warm.words:
+            for m in ms:
+                warm.neighbors(q, m)
+        for q in warm.words:
+            expected = _brute_force_neighbors(warm, q, max(ms))
+            for m in ms:
+                got = warm.neighbors(q, m)
+                assert got is warm.neighbors(q, m)  # served from the memo
+                assert np.array_equal(got, cold.neighbors(q, m))
+                assert list(_words(warm, got)) == expected[:m]
+
+    def test_memoized_rows_are_read_only(self, store):
+        rows = store.neighbors(store.words[0], 10)
+        with pytest.raises(ValueError):
+            rows[0] = rows[1]
+        assert np.array_equal(rows, store.neighbors(store.words[0], 10))
+
+    def test_errors_survive_a_full_memo(self, store):
+        q = store.words[0]
+        for m in (1, 10, 60):
+            store.neighbors(q, m)
+        with pytest.raises(ValueError):
+            store.neighbors(q, 0)
+        with pytest.raises(OovError):
+            store.neighbors("zzzqx", 10)
+        with pytest.raises(OovError):
+            store.neighbors("zzzqx", 10)
+
+
 # Rows whose unit vectors, dot products and norms are exact in binary
 # floating point in any summation order: every entry +-1 (norm 2) or one
 # nonzero entry, scaled by a power of two. Equal cosines are therefore equal
@@ -486,3 +521,20 @@ class TestAssociativeTable:
         assert ta.candidates("NCMS", store) == ["norte", "sur"]
         with pytest.raises(TableError):
             ta.candidates("XXXX", store)
+
+    def test_rows_in_word_and_table_order_per_store(self):
+        ta = AssociativeTable(
+            {"NCMS": [("sur", 5), ("oeste", 9), ("norte", 2), ("este", 3)]}
+        )
+        toy = _toy_store()  # este, norte, sur
+        other = EmbeddingStore(["sur", "oeste"], np.eye(2))
+        for _ in range(2):  # the second round is served from the memo
+            by_word, by_table = ta.rows("NCMS", toy)
+            assert _words(toy, by_word) == ("este", "norte", "sur")
+            assert _words(toy, by_table) == ("sur", "este", "norte")
+            by_word, by_table = ta.rows("NCMS", other)
+            assert _words(other, by_word) == ("oeste", "sur")
+            assert _words(other, by_table) == ("oeste", "sur")
+            assert by_word.dtype == np.intp and not by_word.flags.writeable
+        with pytest.raises(TableError):
+            ta.rows("XXXX", toy)

@@ -6,12 +6,20 @@ from dataclasses import replace
 import pytest
 
 from homosyntax.embeddings import EmbeddingStore
-from homosyntax.errors import EmptyRankError, GenerationError, OovError
+from homosyntax.errors import (
+    EmptyRankError,
+    GenerationError,
+    HomosyntaxError,
+    OovError,
+)
 from homosyntax.generation import NOVELTY_RETRIES, generate
 from homosyntax.markov import DecodePolicy
 from homosyntax.model1 import generate_model1
 from homosyntax.model2 import generate_model2
 from homosyntax.model3 import generate_model3
+from homosyntax.resources import load_resources
+
+from conftest import FIXTURE_NEIGHBORS_M
 from homosyntax.templates import Literal
 
 MODELS = {1: generate_model1, 2: generate_model2, 3: generate_model3}
@@ -125,3 +133,37 @@ class TestDriver:
         assert str(exc.value) == (
             "empty 2 (after template reselection; first failure: empty 1)"
         )
+
+
+def _run_grid(res, grid):
+    """Each request's tokens, source and trace, or its error type and message."""
+    out = []
+    for model, q, n, seed, cap_m in grid:
+        res.cap_m = cap_m
+        try:
+            s = MODELS[model](q, n, res, seed)
+            out.append((s.tokens, s.source, s.trace))
+        except HomosyntaxError as e:
+            out.append((type(e).__name__, str(e)))
+    return out
+
+
+def test_warm_memos_give_the_cold_results(resources_dir):
+    # the neighbor and tag-row memos fill as requests run; a request must
+    # not depend on which requests ran before it on the same resources
+    grid = [
+        (model, q, n, seed, cap_m)
+        for model in MODELS
+        for q in ("sol", "guerra", "amor", "zzzqx")
+        for n in range(5, 13)
+        for seed in range(4)
+        for cap_m in ((2, 200) if model == 3 else (200,))
+    ]
+    warm = load_resources(resources_dir)
+    warm.neighbors_m = FIXTURE_NEIGHBORS_M
+    _run_grid(warm, grid[::-1])
+    cold = load_resources(resources_dir)
+    cold.neighbors_m = FIXTURE_NEIGHBORS_M
+    expected = _run_grid(cold, grid)
+    assert _run_grid(warm, grid) == expected
+    assert sum(len(r) == 3 for r in expected) > len(grid) // 2

@@ -79,7 +79,7 @@ class TestGenerate:
     def test_length_bounds(self, matrix):
         for n in (2, 16):
             with pytest.raises(ConfigError):
-                generate_egv(matrix, n)
+                generate_egv(matrix, n, DecodePolicy.topk(3), random.Random(0))
 
     def test_dead_end_carries_partial(self):
         m = _chain_matrix([["DA0M", "NCMS"]])  # NCMS only leads to END

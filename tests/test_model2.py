@@ -3,6 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from homosyntax.embeddings import AssociativeTable, EmbeddingStore
 from homosyntax.errors import EmptyRankError, OovError, TableError
@@ -71,6 +72,72 @@ class TestRank:
                                  resources.store)
         attested = {w for w, _ in resources.ta.words_for("NCMS")}
         assert all(w in attested for w, _ in ranked)
+
+
+def _reference_rank(tag, q, ta, store):
+    """The ranking written out word by word: filter the tag's words by
+    membership in the store, then sort (word, prox) tuples by (-prox, word)."""
+    iq = store.row(q)
+    words = [w for w, _ in ta.words_for(tag.truncated) if w in store]
+    if not words:
+        raise EmptyRankError(f"no in-vocabulary candidate for tag {tag.truncated!r}")
+    prox = store.proximity(iq, [store.index[w] for w in words])
+    ranked = list(zip(words, prox.tolist()))
+    ranked.sort(key=lambda wp: (-wp[1], wp[0]))
+    return ranked
+
+
+def _outcome(rank, *args):
+    try:
+        return rank(*args)
+    except (EmptyRankError, OovError, TableError) as e:
+        return type(e), str(e)
+
+
+_WORDS = st.text(alphabet="abc", min_size=1, max_size=3)
+
+
+@st.composite
+def _tied_store(draw, pool):
+    """A store over part of pool with entries in {-1, 0, 1}: many vectors
+    coincide or are parallel, so proximity ties are common and exact."""
+    words = draw(st.lists(st.sampled_from(pool), min_size=1, unique=True))
+    vectors = draw(st.lists(
+        st.lists(st.sampled_from((-1.0, 0.0, 1.0)), min_size=3, max_size=3),
+        min_size=len(words), max_size=len(words),
+    ))
+    return EmbeddingStore(words, np.array(vectors))
+
+
+@st.composite
+def _shared_table_cases(draw):
+    pool = draw(st.lists(_WORDS, min_size=2, max_size=12, unique=True))
+    tagged = draw(st.lists(st.sampled_from(pool), unique=True))
+    ta = AssociativeTable(
+        {"NCMS": [(w, draw(st.integers(1, 3))) for w in tagged]}
+    )
+    stores = [draw(_tied_store(pool)), draw(_tied_store(pool))]
+    requests = draw(st.lists(
+        st.tuples(
+            st.sampled_from((0, 1)),
+            st.sampled_from(("NCMS", "NCMS", "VMIP")),
+            st.one_of(st.sampled_from(pool), st.just("zzzz")),
+        ),
+        min_size=1, max_size=8,
+    ))
+    return ta, stores, requests
+
+
+class TestRankOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(_shared_table_cases())
+    def test_matches_word_by_word_reference(self, case):
+        # one table serves two stores with different vocabularies, in any
+        # order: each store must get the rows resolved against itself
+        ta, stores, requests = case
+        for i, tag, q in requests:
+            args = (PosTag(tag), q, ta, stores[i])
+            assert _outcome(rank_vocabulary, *args) == _outcome(_reference_rank, *args)
 
 
 class TestChooseTop3:
