@@ -15,13 +15,12 @@ from pathlib import Path
 import numpy as np
 
 from . import model1, model2, model3
-from .errors import HomosyntaxError, ResourceError, TemplateError
+from .errors import HomosyntaxError, ResourceError
 from .generation import GenerationResources
 from .markov import END, START
 from .model3 import score_candidates
 from .pos import PosTag, TaggedSentence, is_content, read_tagged_tsv
 from .resources import TAGGED, load_resources
-from .templates import extract_template
 
 
 @dataclass
@@ -99,20 +98,14 @@ def check_resource_fit(res: GenerationResources) -> CheckResult:
 def check_template_roundtrip(
     res: GenerationResources, corpus: list[TaggedSentence]
 ) -> CheckResult:
-    bad = 0
-    total = 0
-    for ts in corpus:
-        try:
-            template = extract_template(ts)
-        except TemplateError:
-            continue
-        total += 1
-        if template.identity_fill() != ts.surfaces:
-            bad += 1
+    """Each loaded template's identity fill is some corpus sentence."""
+    sentences = {ts.surfaces for ts in corpus}
+    ids = res.templates.ids()
+    bad = sum(res.templates.get(tid).identity_fill() not in sentences for tid in ids)
     return CheckResult(
         "template-roundtrip",
-        bad == 0 and total > 0,
-        f"{bad}/{total} round-trip failures",
+        bad == 0 and len(ids) > 0,
+        f"{bad}/{len(ids)} round-trip failures",
     )
 
 

@@ -32,6 +32,7 @@ from .errors import (
     HomosyntaxError,
     IngestError,
     ResourceError,
+    write_jsonl,
 )
 from .markov import DecodePolicy, MAX_LEN, MIN_LEN, build_transition_matrix
 from .pos import TaggerLexicon, read_tagged_tsv, tag_sentence, write_tagged_tsv
@@ -253,12 +254,9 @@ def _cmd_generate(args) -> int:
         sentence = generate(args.seed + i)
         print(sentence.text)
         if args.trace:
-            for record in sentence.trace:
-                traces.append({"sentence": i, **record})
+            traces += ({"sentence": i, **record} for record in sentence.trace)
     if args.trace:
-        with open(args.trace, "w", encoding="utf-8", newline="\n") as f:
-            for record in traces:
-                f.write(json.dumps(record, ensure_ascii=False) + "\n")
+        write_jsonl(args.trace, traces)
     return EXIT_OK
 
 
@@ -293,7 +291,7 @@ def main(argv: list[str] | None = None) -> int:
         return COMMANDS[args.command](args)
     except ConfigError as e:
         parser.error(str(e))
-    except (ResourceError, FileNotFoundError) as e:
+    except (ResourceError, OSError) as e:
         _diagnostic("resource", str(e))
         return EXIT_RESOURCE
     except (FormatError, IngestError) as e:

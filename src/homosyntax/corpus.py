@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from importlib import resources as importlib_resources
 from pathlib import Path
 
-from .errors import ConfigError, IngestError
+from .errors import ConfigError, IngestError, read_lines, write_lines
 
 
 @dataclass(frozen=True)
@@ -164,16 +164,14 @@ def read_documents(directory: str | Path) -> list[RawDocument]:
 
 def write_sentences(sentences: list[SentenceRecord], path: str | Path) -> None:
     """One sentence per line, tokens space separated."""
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        for s in sentences:
-            f.write(" ".join(s.tokens) + "\n")
+    write_lines(path, (" ".join(s.tokens) for s in sentences))
 
 
 def read_sentences(path: str | Path) -> list[SentenceRecord]:
     """Inverse of write_sentences; one document per file."""
     path = Path(path)
     records = []
-    for i, line in enumerate(path.read_text(encoding="utf-8").splitlines()):
+    for i, line in enumerate(read_lines(path)):
         tokens = tuple(line.split())
         if tokens:
             records.append(SentenceRecord(path.stem, i, tokens, len(line)))

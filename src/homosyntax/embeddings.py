@@ -11,14 +11,14 @@ proximity = (cosine + 1) / 2, so larger always means closer.
 
 from __future__ import annotations
 
-import json
 import weakref
 from pathlib import Path
 
 import numpy as np
 
 from .corpus import SentenceRecord
-from .errors import FormatError, OovError, TableError, TrainError, load_rows, read_jsonl
+from .errors import (FormatError, OovError, TableError, TrainError, load_rows,
+                     read_jsonl, read_lines, write_jsonl, write_lines)
 from .pos import TaggedSentence, is_content
 
 
@@ -96,14 +96,15 @@ class EmbeddingStore:
         return np.array(order, dtype=np.intp)
 
     def save(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as f:
-            f.write(f"{len(self.words)} {self.dims}\n")
-            for w, vec in zip(self.words, self.vectors):
-                f.write(w + " " + " ".join(f"{v:.6f}" for v in vec) + "\n")
+        rows = (
+            w + " " + " ".join(f"{v:.6f}" for v in vec)
+            for w, vec in zip(self.words, self.vectors)
+        )
+        write_lines(path, [f"{len(self.words)} {self.dims}", *rows])
 
     @classmethod
     def load(cls, path: str | Path) -> "EmbeddingStore":
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        lines = read_lines(path)
         if not lines:
             raise FormatError("empty embedding file", 1, path)
         header = lines[0].split()
@@ -326,22 +327,23 @@ class AssociativeTable:
         return [store.words[i] for i in self.rows(tag, store)[1].tolist()]
 
     def save(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as f:
-            for tag in sorted(self.table):
-                f.write(
-                    json.dumps(
-                        {"tag": tag, "words": [[w, c] for w, c in self.table[tag]]},
-                        ensure_ascii=False,
-                    )
-                    + "\n"
-                )
+        write_jsonl(path, (
+            {"tag": tag, "words": [[w, c] for w, c in self.table[tag]]}
+            for tag in sorted(self.table)
+        ))
 
     @classmethod
     def load(cls, path: str | Path) -> "AssociativeTable":
         table: dict[str, list[tuple[str, int]]] = {}
 
         def add(obj) -> None:
-            table[obj["tag"]] = [(w, int(c)) for w, c in obj["words"]]
+            tag, words = obj["tag"], [(w, c) for w, c in obj["words"]]
+            if not isinstance(tag, str) or tag in table:
+                raise ValueError(f"tag {tag!r} is not a string or is repeated")
+            if not all(isinstance(w, str) and type(c) is int and c >= 0
+                       for w, c in words):
+                raise ValueError("words must be strings, counts integers >= 0")
+            table[tag] = words
 
         load_rows(read_jsonl(path), path, "bad table row", add)
         return cls(table)

@@ -1,4 +1,5 @@
-"""Exception hierarchy and resource-file row readers shared by all modules."""
+"""Exception hierarchy, and the text-file readers and writers that every
+resource file goes through."""
 
 from __future__ import annotations
 
@@ -56,9 +57,30 @@ class FormatError(HomosyntaxError):
         self.path = None if path is None else str(path)
 
 
+def read_lines(path: str | Path) -> list[str]:
+    """The lines of a UTF-8 text file, without line ends; a byte that is not
+    UTF-8 is a FormatError at its line."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as e:
+        line = len(data[: e.start + 1].decode("utf-8", "replace").splitlines())
+        raise FormatError(f"not valid UTF-8: {e.reason}", line, path) from e
+
+
+def write_lines(path: str | Path, lines: Iterable[str]) -> None:
+    """Write a UTF-8 text file, each line ended by a newline."""
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.writelines(line + "\n" for line in lines)
+
+
+def write_jsonl(path: str | Path, objects: Iterable[Any]) -> None:
+    """One JSON object per line, non-ASCII characters kept as they are."""
+    write_lines(path, (json.dumps(obj, ensure_ascii=False) for obj in objects))
+
+
 def _rows(path: str | Path) -> Iterator[tuple[int, str]]:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    return ((i, line) for i, line in enumerate(lines, start=1) if line.strip())
+    return ((i, ln) for i, ln in enumerate(read_lines(path), start=1) if ln.strip())
 
 
 def read_jsonl(path: str | Path) -> Iterator[tuple[int, Any]]:

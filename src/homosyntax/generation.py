@@ -11,7 +11,6 @@ bundle of prebuilt resources the models consume.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -25,6 +24,7 @@ from .errors import (
     OovError,
     load_rows,
     read_jsonl,
+    write_jsonl,
 )
 from .markov import DecodePolicy, TransitionMatrix
 from .morphology import FormsLexicon
@@ -90,21 +90,21 @@ class FunctionWordDictionary:
         return forms
 
     def save(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as f:
-            for tag in sorted(self.table):
-                f.write(
-                    json.dumps(
-                        {"tag": tag, "words": self.table[tag]}, ensure_ascii=False
-                    )
-                    + "\n"
-                )
+        write_jsonl(path, (
+            {"tag": tag, "words": self.table[tag]} for tag in sorted(self.table)
+        ))
 
     @classmethod
     def load(cls, path: str | Path) -> "FunctionWordDictionary":
         table: dict[str, list[str]] = {}
 
         def add(obj) -> None:
-            table[obj["tag"]] = list(obj["words"])
+            tag, words = obj["tag"], obj["words"]
+            if not isinstance(tag, str) or tag in table:
+                raise ValueError(f"tag {tag!r} is not a string or is repeated")
+            if type(words) is not list or not all(isinstance(w, str) for w in words):
+                raise ValueError("words must be a list of strings")
+            table[tag] = words
 
         load_rows(read_jsonl(path), path, "bad dictionary row", add)
         return cls(table)

@@ -13,7 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BuildError, ConfigError, FormatError, GenerationError, load_rows
+from .errors import (BuildError, ConfigError, FormatError, GenerationError,
+                     load_rows, read_lines, write_lines)
 from .pos import PosTag, TaggedSentence
 
 START = "<s>"
@@ -65,17 +66,14 @@ class TransitionMatrix:
 
     def save(self, path: str | Path) -> None:
         """Header, state list, then sparse ``i j count`` triples."""
-        with open(path, "w", encoding="utf-8", newline="\n") as f:
-            f.write(f"states {len(self.states)}\n")
-            for s in self.states:
-                f.write(s + "\n")
-            rows, cols = np.nonzero(self.counts)
-            for i, j in zip(rows.tolist(), cols.tolist()):
-                f.write(f"{i} {j} {int(self.counts[i, j])}\n")
+        rows, cols = np.nonzero(self.counts)
+        triples = zip(rows.tolist(), cols.tolist(), self.counts[rows, cols].tolist())
+        write_lines(path, [f"states {len(self.states)}", *self.states,
+                           *(f"{i} {j} {c}" for i, j, c in triples)])
 
     @classmethod
     def load(cls, path: str | Path) -> "TransitionMatrix":
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        lines = read_lines(path)
         if not lines or not lines[0].startswith("states "):
             raise FormatError("missing 'states <n>' header", 1, path)
         try:

@@ -62,9 +62,10 @@ def score_candidates(
     # neighbors raises OovError for o, then q, then the first OOV w
     oq = [store.neighbors(o, SEGMENT), store.neighbors(q, SEGMENT)]
     u = np.array([np.concatenate(oq + [store.neighbors(w, SEGMENT)]) for w in vk])
-    x = store.proximity(store.index[o], u)
-    qv = store.proximity(store.index[q], u)
-    wv = store.proximity(np.array([store.index[w] for w in vk])[:, None], u)
+    # the o, q and candidate profiles against U in one gather
+    anchors = [[store.index[o]] * len(vk), [store.index[q]] * len(vk),
+               [store.index[w] for w in vk]]
+    x, qv, wv = store.proximity(np.array(anchors)[:, :, None], u)
     thetas = _cos(qv, wv).tolist()
     betas = _cos(x, wv).tolist()
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .corpus import SentenceRecord
-from .errors import FormatError, TagError, load_rows, read_tsv
+from .errors import FormatError, TagError, load_rows, read_lines, read_tsv, write_lines
 
 
 @dataclass(frozen=True)
@@ -129,12 +129,12 @@ def tag_sentence(s: SentenceRecord, lex: TaggerLexicon) -> TaggedSentence:
 
 def write_tagged_tsv(sentences: list[TaggedSentence], path: str | Path) -> None:
     """One ``surface<TAB>fulltag`` line per token, blank line between sentences."""
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        for i, ts in enumerate(sentences):
-            if i:
-                f.write("\n")
-            for surface, tag in ts.tokens:
-                f.write(f"{surface}\t{tag.full}\n")
+    lines: list[str] = []
+    for i, ts in enumerate(sentences):
+        if i:
+            lines.append("")
+        lines += [f"{surface}\t{tag.full}" for surface, tag in ts.tokens]
+    write_lines(path, lines)
 
 
 def read_tagged_tsv(path: str | Path) -> list[TaggedSentence]:
@@ -154,7 +154,7 @@ def read_tagged_tsv(path: str | Path) -> list[TaggedSentence]:
             sentences.append(TaggedSentence(tokens=tokens, source=record))
             current.clear()
 
-    for i, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for i, line in enumerate(read_lines(path), start=1):
         if not line.strip():
             flush()
             continue

@@ -18,13 +18,13 @@ from pathlib import Path
 
 from .corpus import read_sentences
 from .embeddings import AssociativeTable, EmbeddingStore
-from .errors import ResourceError
+from .errors import FormatError, ResourceError
 from .generation import (
     FunctionWordDictionary,
     GenerationResources,
     normalize_tokens,
 )
-from .markov import TransitionMatrix
+from .markov import END, START, TransitionMatrix
 from .morphology import FormsLexicon
 from .templates import TemplateStore
 
@@ -49,8 +49,12 @@ def load_resources(directory: str | Path) -> GenerationResources:
             f"missing resource files in {directory}: {', '.join(missing)}"
         )
     sentences = read_sentences(directory / SENTENCES)
+    matrix = TransitionMatrix.load(directory / MATRIX)
+    for state in (START, END):
+        if state not in matrix.index:  # every walk starts and ends at these
+            raise FormatError(f"no boundary state {state!r}", path=directory / MATRIX)
     return GenerationResources(
-        matrix=TransitionMatrix.load(directory / MATRIX),
+        matrix=matrix,
         templates=TemplateStore.load(directory / TEMPLATES),
         store=EmbeddingStore.load(directory / VECTORS),
         ta=AssociativeTable.load(directory / TA),

@@ -8,12 +8,11 @@ reconstructs the source sentence exactly.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import StoreError, TemplateError, load_rows, read_jsonl
+from .errors import StoreError, TemplateError, load_rows, read_jsonl, write_jsonl
 from .pos import PosTag, TaggedSentence, is_content
 
 
@@ -105,36 +104,36 @@ class TemplateStore:
         return store
 
     def save(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as f:
-            for tid, t in self._by_id.items():
-                items = [
-                    {"t": "slot", "tag": it.tag.full, "orig": it.original}
-                    if isinstance(it, Slot)
-                    else {"t": "lit", "w": it.surface}
-                    for it in t.items
-                ]
-                f.write(
-                    json.dumps(
-                        {"id": tid, "source_id": t.source_id, "items": items},
-                        ensure_ascii=False,
-                    )
-                    + "\n"
-                )
+        write_jsonl(path, (
+            {"id": tid, "source_id": t.source_id, "items": [
+                {"t": "slot", "tag": it.tag.full, "orig": it.original}
+                if isinstance(it, Slot)
+                else {"t": "lit", "w": it.surface}
+                for it in t.items
+            ]}
+            for tid, t in self._by_id.items()
+        ))
 
     @classmethod
     def load(cls, path: str | Path) -> "TemplateStore":
         store = cls()
 
+        def text(obj, key: str) -> str:
+            if not isinstance(obj[key], str):
+                raise ValueError(f"{key} {obj[key]!r} is not a string")
+            return obj[key]
+
         def add(obj) -> None:
             items: list[Slot | Literal] = []
             for pos, it in enumerate(obj["items"]):
                 if it["t"] == "slot":
-                    items.append(Slot(pos, PosTag(it["tag"]), it["orig"]))
+                    items.append(Slot(pos, PosTag(text(it, "tag")), text(it, "orig")))
                 elif it["t"] == "lit":
-                    items.append(Literal(pos, it["w"]))
+                    items.append(Literal(pos, text(it, "w")))
                 else:
                     raise ValueError(f"unknown item type {it['t']!r}")
-            store.add(EgpSkeleton(tuple(items), obj["source_id"]), obj["id"])
+            template = EgpSkeleton(tuple(items), text(obj, "source_id"))
+            store.add(template, text(obj, "id"))
 
         load_rows(read_jsonl(path), path, "bad template row", add)
         return store

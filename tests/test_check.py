@@ -41,6 +41,24 @@ def test_row_stochastic_check_fails_on_a_negative_count(resources):
     assert not result.passed
 
 
+def test_template_roundtrip_checks_the_loaded_templates(resources_dir, tmp_path):
+    passing = {r.name: r for r in check.run_check(resources_dir)}
+    assert passing["template-roundtrip"].passed
+    broken = tmp_path / "broken"
+    shutil.copytree(resources_dir, broken)
+    path = broken / "templates.jsonl"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    row = json.loads(lines[0])
+    slot = next(it for it in row["items"] if it["t"] == "slot")
+    slot["orig"] = "zzz"
+    lines[0] = json.dumps(row, ensure_ascii=False)
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    result = {r.name: r for r in check.run_check(broken)}["template-roundtrip"]
+    total = passing["template-roundtrip"].detail.split("/")[1]
+    assert not result.passed
+    assert result.detail == f"1/{total}"
+
+
 def _drop_tag(path, tag):
     """Rewrite a tag-keyed .jsonl resource without the given tag's line."""
     lines = path.read_text(encoding="utf-8").splitlines()

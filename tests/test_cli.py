@@ -133,6 +133,67 @@ class TestExitCodes:
         expected_line = len(lines) if line is None else line  # None: last row
         assert (diagnostic["path"], diagnostic["line"]) == (str(path), expected_line)
 
+    @pytest.mark.parametrize("state", ["<s>", "</s>"])
+    @pytest.mark.parametrize("command", ["generate", "check"])
+    def test_matrix_without_a_boundary_state_exits_2(self, resources_dir,
+                                                     tmp_path, capsys,
+                                                     state, command):
+        import shutil
+
+        broken = tmp_path / "broken"
+        shutil.copytree(resources_dir, broken)
+        path = broken / "matrix.txt"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines.remove(state)  # the first count row now loads as a state
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        argv = {
+            "generate": _gen(broken, "--model", "1", "--query", "sol",
+                             "--len", "6"),
+            "check": ["check", "--resources", str(broken)],
+        }[command]
+        code = main(argv)
+        diagnostic = json.loads(capsys.readouterr().err.splitlines()[0])
+        assert code == EXIT_RESOURCE
+        assert diagnostic["path"] == str(path)
+        assert f"no boundary state {state!r}" in diagnostic["message"]
+
+    @pytest.mark.parametrize("command", [
+        "tag", "import-tagged", "build-matrix", "build-templates", "train-emb",
+        "build-ta",
+    ])
+    def test_input_not_utf8_exits_2_at_its_line(self, resources_dir, fixdir,
+                                                tmp_path, capsys, command):
+        name = {"tag": "sentences.txt", "train-emb": "sentences.txt"}.get(
+            command, "tagged.tsv")
+        lines = (resources_dir / name).read_bytes().splitlines(keepends=True)
+        lines[6] = b"\xff" + lines[6]
+        infile = tmp_path / name
+        infile.write_bytes(b"".join(lines))
+        argv = [command, "--in", str(infile), "--out", str(tmp_path / "out")]
+        if command == "tag":
+            argv += ["--lexicon", str(fixdir / "lexicon.tsv")]
+        code = main(argv)
+        diagnostic = json.loads(capsys.readouterr().err.splitlines()[0])
+        assert code == EXIT_RESOURCE
+        assert diagnostic["error"] == "FormatError"
+        assert (diagnostic["path"], diagnostic["line"]) == (str(infile), 7)
+        assert "not valid UTF-8" in diagnostic["message"]
+
+    @pytest.mark.parametrize("command", ["train-emb", "generate"])
+    def test_directory_for_a_file_exits_2(self, resources_dir, tmp_path,
+                                          capsys, command):
+        argv = {
+            "train-emb": ["train-emb", "--in", str(tmp_path),
+                          "--out", str(tmp_path / "vectors.txt")],
+            "generate": _gen(resources_dir, "--model", "2", "--query", "sol",
+                             "--len", "6", "--trace", str(tmp_path)),
+        }[command]
+        code = main(argv)
+        diagnostic = json.loads(capsys.readouterr().err.splitlines()[0])
+        assert code == EXIT_RESOURCE
+        assert diagnostic["error"] == "resource"
+        assert str(tmp_path) in diagnostic["message"]
+
     @pytest.mark.parametrize("where", ["existing", "missing", "unset"])
     @pytest.mark.parametrize("flag", [
         ("--neighbors", "0"), ("--max-hops", "-1"), ("--cap-m", "1"),

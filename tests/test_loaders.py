@@ -1,13 +1,15 @@
 """The resource loaders report the file and line of a bad row or header."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from homosyntax.corpus import read_sentences
 from homosyntax.embeddings import AssociativeTable, EmbeddingStore
-from homosyntax.errors import FormatError, load_rows
+from homosyntax.errors import FormatError, load_rows, read_lines
 from homosyntax.generation import FunctionWordDictionary
 from homosyntax.markov import TransitionMatrix
 from homosyntax.morphology import FormsLexicon
-from homosyntax.pos import TaggerLexicon
+from homosyntax.pos import TaggerLexicon, read_tagged_tsv
 from homosyntax.templates import TemplateStore
 
 GOOD_TEMPLATE = (
@@ -27,14 +29,29 @@ CASES = {
                           '[{"t": "slot", "tag": "", "orig": "luna"}]}',
         "unknown-item": '{"id": "t1", "source_id": "d:1", "items": '
                         '[{"t": "word", "w": "luna"}]}',
+        "non-string-slot-tag": '{"id": "t1", "source_id": "d:1", "items": '
+                               '[{"t": "slot", "tag": 1.5, "orig": "luna"}]}',
+        "non-string-literal": '{"id": "t1", "source_id": "d:1", "items": '
+                              '[{"t": "lit", "w": null}]}',
     }),
     "ta": (AssociativeTable.load, '{"tag": "NCMS", "words": [["sol", 2]]}', {
         "bad-row": '{"tag": "NCFS", "words": [["luna", "x"]]}',
         "unreadable-row": "[1,",
+        "repeated-tag": '{"tag": "NCMS", "words": [["mar", 1]]}',
+        "non-string-tag": '{"tag": 7, "words": [["luna", 1]]}',
+        "fractional-count": '{"tag": "NCFS", "words": [["luna", 1.5]]}',
+        "string-count": '{"tag": "NCFS", "words": [["luna", "3"]]}',
+        "boolean-count": '{"tag": "NCFS", "words": [["luna", true]]}',
+        "negative-count": '{"tag": "NCFS", "words": [["luna", -1]]}',
+        "non-string-word": '{"tag": "NCFS", "words": [[3, 1]]}',
     }),
     "funcdict": (FunctionWordDictionary.load, '{"tag": "DA0M", "words": ["el"]}', {
         "bad-row": '{"words": ["la"]}',
         "unreadable-row": "}",
+        "repeated-tag": '{"tag": "DA0M", "words": ["los"]}',
+        "non-string-tag": '{"tag": null, "words": ["la"]}',
+        "non-string-word": '{"tag": "DA0F", "words": ["la", 1]}',
+        "words-not-a-list": '{"tag": "DA0F", "words": "la"}',
     }),
     "forms": (FormsLexicon.load, "sol\tsol\tNCMS000\t3", {
         "bad-row": "luna\tluna\tNCFS000\tmany",
@@ -79,6 +96,52 @@ def test_bad_row_names_file_and_line(tmp_path, name, bad):
         load(p)
     assert (exc.value.path, exc.value.line) == (str(p), line)
     assert str(exc.value).startswith(f"{p}: line {line}: ")
+
+
+# every text-file reader, with a valid file that it reads
+READERS = {
+    **{name: (load, f"{PREAMBLE.get(name, '')}{good}\n")
+       for name, (load, good, _) in CASES.items()},
+    "vectors": (EmbeddingStore.load, "1 2\nsol 1.0 2.0\n"),
+    "sentences": (read_sentences, "El sol brilla .\nLa luna canta .\n"),
+    "tagged": (read_tagged_tsv, "El\tDA0MS0\nsol\tNCMS000\n\nLa\tDA0FS0\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(READERS))
+@pytest.mark.parametrize("where", ["start", "end"])
+def test_byte_not_utf8_names_file_and_line(tmp_path, name, where):
+    load, text = READERS[name]
+    p = tmp_path / name
+    p.write_text(text, encoding="utf-8")
+    load(p)
+    # 0xff never occurs in UTF-8; put it at the start or end of the last line
+    data = text.encode("utf-8")
+    cut = data.rfind(b"\n", 0, -1) + 1 if where == "start" else len(data) - 1
+    p.write_bytes(data[:cut] + b"\xff" + data[cut:])
+    with pytest.raises(FormatError, match="not valid UTF-8") as exc:
+        load(p)
+    assert (exc.value.path, exc.value.line) == (str(p), text.count("\n"))
+
+
+@settings(max_examples=200)
+@given(text=st.text(), cut=st.integers(min_value=0))
+def test_read_lines_reads_as_text_mode_and_finds_the_bad_line(
+    tmp_path_factory, text, cut
+):
+    p = tmp_path_factory.getbasetemp() / "lines.txt"
+    p.write_bytes(text.encode("utf-8"))
+    assert read_lines(p) == p.read_text(encoding="utf-8").splitlines()
+    # a 0xff byte between two characters: text mode, told to replace what it
+    # cannot decode, shows the line that holds it
+    cut %= len(text) + 1
+    p.write_bytes(text[:cut].encode("utf-8") + b"\xff" + text[cut:].encode("utf-8"))
+    shown = p.read_text(encoding="utf-8", errors="replace").splitlines()
+    line = next(i for i, ln in enumerate(shown, 1) if "\ufffd" in ln)
+    with pytest.raises(FormatError) as exc:
+        read_lines(p)
+    if "\ufffd" not in text[:cut]:
+        assert exc.value.line == line
 
 
 def test_row_error_gets_prefix_path_and_line():
