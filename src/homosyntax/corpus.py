@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from importlib import resources as importlib_resources
 from pathlib import Path
 
-from .errors import ConfigError, IngestError, read_lines, write_lines
+from .errors import (ConfigError, FormatError, IngestError, read_lines,
+                     read_text, write_lines)
 
 
 @dataclass(frozen=True)
@@ -144,11 +145,11 @@ def compute_stats(sentences: list[SentenceRecord]) -> CorpusStats:
 def read_document(path: str | Path) -> RawDocument:
     path = Path(path)
     try:
-        text = path.read_bytes().decode("utf-8")
-    except UnicodeDecodeError as e:
-        raise IngestError(f"{path}: not valid UTF-8 ({e})") from e
+        text = read_text(path)
+    except FormatError as e:  # a byte that is not UTF-8, at its line
+        raise IngestError(str(e), e.line, e.path) from e
     except OSError as e:
-        raise IngestError(f"{path}: {e}") from e
+        raise IngestError(f"{path}: {e}", path=path) from e
     return RawDocument(id=path.stem, text=text)
 
 

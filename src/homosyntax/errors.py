@@ -15,6 +15,11 @@ class HomosyntaxError(Exception):
 class IngestError(HomosyntaxError):
     """Raw document could not be read or decoded."""
 
+    def __init__(self, message, line=None, path=None):
+        super().__init__(message)
+        self.line = line
+        self.path = None if path is None else str(path)
+
 
 class ConfigError(HomosyntaxError):
     """Invalid configuration or parameter combination."""
@@ -57,15 +62,20 @@ class FormatError(HomosyntaxError):
         self.path = None if path is None else str(path)
 
 
-def read_lines(path: str | Path) -> list[str]:
-    """The lines of a UTF-8 text file, without line ends; a byte that is not
-    UTF-8 is a FormatError at its line."""
+def read_text(path: str | Path) -> str:
+    """The text of a UTF-8 file; a byte that is not UTF-8 is a FormatError
+    at its line."""
     data = Path(path).read_bytes()
     try:
-        return data.decode("utf-8").splitlines()
+        return data.decode("utf-8")
     except UnicodeDecodeError as e:
         line = len(data[: e.start + 1].decode("utf-8", "replace").splitlines())
         raise FormatError(f"not valid UTF-8: {e.reason}", line, path) from e
+
+
+def read_lines(path: str | Path) -> list[str]:
+    """The lines of a UTF-8 text file (``read_text``), without line ends."""
+    return read_text(path).splitlines()
 
 
 def write_lines(path: str | Path, lines: Iterable[str]) -> None:

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,8 +55,32 @@ class DecodePolicy:
             return cls.topk()
         raise ConfigError(f"unknown decode policy {text!r}")
 
+    def __str__(self) -> str:
+        return self.kind if self.kind == "argmax" else f"topk:{self.k}"
+
+
+# a state's draw: the words it may pick, and their cumulative weights for
+# rng.choices, or None for a uniform rng.choice (argmax ties)
+Draw = tuple[list[str], list[float] | None]
+
+
+class Draws(NamedTuple):
+    """One decode policy's successor table over a matrix."""
+
+    first: Draw  # START's every non-END successor, in state order
+    steps: dict[str, Draw]  # state -> its draw; a state without one dead-ends
+    longest: int  # the longest walk from a first tag, at most MAX_LEN
+
 
 class TransitionMatrix:
+    """MLE bigram probabilities over the states, and per-policy draw tables.
+
+    ``draws(policy)`` builds a policy's table for every state on the
+    policy's first use and keeps it: the sets and weights ``generate_egv``
+    draws from depend only on the counts, which never change after
+    construction, so a kept table gives exactly the draws a fresh one would.
+    """
+
     def __init__(self, states: tuple[str, ...], counts: np.ndarray):
         self.states = states
         self.index = {s: i for i, s in enumerate(states)}
@@ -63,6 +89,13 @@ class TransitionMatrix:
         with np.errstate(invalid="ignore", divide="ignore"):
             probs = np.where(totals > 0, counts / np.maximum(totals, 1), 0.0)
         self.probs = probs
+        self._draws: dict[DecodePolicy, Draws] = {}
+
+    def draws(self, policy: DecodePolicy) -> Draws:
+        table = self._draws.get(policy)
+        if table is None:
+            table = self._draws[policy] = _build_draws(self, policy)
+        return table
 
     def save(self, path: str | Path) -> None:
         """Header, state list, then sparse ``i j count`` triples."""
@@ -85,6 +118,18 @@ class TransitionMatrix:
         if len(lines) < 1 + n:
             raise FormatError(f"expected {n} state lines", path=path)
         states = tuple(lines[1 : 1 + n])
+        seen: set[str] = set()
+
+        def add_state(state: str) -> None:
+            if not state:
+                raise ValueError("empty")
+            if state.split() != [state]:
+                raise ValueError(f"{state!r} holds whitespace")
+            if state in seen:
+                raise ValueError(f"{state!r} repeats an earlier state")
+            seen.add(state)
+
+        load_rows(enumerate(states, start=2), path, "bad state line", add_state)
         counts = np.zeros((n, n), dtype=np.int64)
         count_max = int(np.iinfo(counts.dtype).max)
         totals = [0] * n  # exact row sums: the int64 sum in __init__ would wrap
@@ -136,20 +181,40 @@ def _successors(m: TransitionMatrix, state: str) -> list[tuple[str, float]]:
     ]
 
 
-def _step(
-    m: TransitionMatrix, state: str, policy: DecodePolicy, rng: random.Random
-) -> str | None:
-    succ = _successors(m, state)
-    if not succ:
-        return None
-    if policy.kind == "argmax":
-        best = max(p for _, p in succ)
-        tied = [s for s, p in succ if p >= best - 1e-12]
-        return rng.choice(tied)
-    top = sorted(succ, key=lambda sp: (-sp[1], sp[0]))[: policy.k]
-    words = [s for s, _ in top]
-    weights = [p for _, p in top]
-    return rng.choices(words, weights=weights)[0]
+def _build_draws(m: TransitionMatrix, policy: DecodePolicy) -> Draws:
+    """Each state keeps its top-k successors by (-p, state), with cumulative
+    weights, or under argmax its successors tied at the highest p."""
+    steps: dict[str, Draw] = {}
+    for state in m.states:
+        succ = _successors(m, state)
+        if not succ:
+            continue
+        if policy.kind == "argmax":
+            best = max(p for _, p in succ)
+            steps[state] = ([s for s, p in succ if p >= best - 1e-12], None)
+        else:
+            top = sorted(succ, key=lambda sp: (-sp[1], sp[0]))[: policy.k]
+            steps[state] = ([s for s, _ in top], list(accumulate(p for _, p in top)))
+    # longest[s]: the longest walk from s, capped at MAX_LEN tags
+    longest = dict.fromkeys(m.states, 1)
+    for _ in range(MAX_LEN - 1):
+        longest = {
+            s: 1 + max(longest[t] for t in steps[s][0]) if s in steps else 1
+            for s in m.states
+        }
+    first = _successors(m, START)
+    return Draws(
+        ([s for s, _ in first], list(accumulate(p for _, p in first))),
+        steps,
+        max((longest[s] for s, _ in first), default=0),
+    )
+
+
+def _step(draw: Draw, rng: random.Random) -> str:
+    words, cum_weights = draw
+    if cum_weights is None:
+        return rng.choice(words)
+    return rng.choices(words, cum_weights=cum_weights)[0]
 
 
 def generate_egv(
@@ -159,21 +224,33 @@ def generate_egv(
     rng: random.Random,
 ) -> tuple[PosTag, ...]:
     """Generate an n-tag skeleton by walking the transition matrix from
-    START: the first tag is drawn by its sentence-initial probability."""
+    START: the first tag is drawn by its sentence-initial probability.
+
+    The walk draws from ``m.draws(policy)``, the policy's kept successor
+    table, which takes the same numbers from ``rng`` as drawing from each
+    state's successors afresh. A length longer than any walk the policy
+    allows fails before anything is drawn.
+    """
     if not (MIN_LEN <= n <= MAX_LEN):
         raise ConfigError(f"length must be in [{MIN_LEN}, {MAX_LEN}], got {n}")
+    draws = m.draws(policy)
+    if not draws.first[0]:
+        raise GenerationError("START state has no successors")
+    if n > draws.longest:
+        raise GenerationError(
+            f"no walk of length {n} under policy {policy}: "
+            f"the longest is {draws.longest}"
+        )
 
+    steps = draws.steps
     partial: list[str] = []
     for _ in range(RESTARTS):
-        succ = _successors(m, START)
-        if not succ:
-            raise GenerationError("START state has no successors")
-        seq = [rng.choices([s for s, _ in succ], weights=[p for _, p in succ])[0]]
+        seq = [_step(draws.first, rng)]
         while len(seq) < n:
-            nxt = _step(m, seq[-1], policy, rng)
-            if nxt is None:
+            draw = steps.get(seq[-1])
+            if draw is None:
                 break
-            seq.append(nxt)
+            seq.append(_step(draw, rng))
         if len(seq) == n:
             return tuple(PosTag(t) for t in seq)
         partial = seq

@@ -44,7 +44,37 @@ def fill_content_with_relaxation(
     Returns (word, hops, visited queries). A word fits either directly
     (attested under the tag) or through inflection. An out-of-vocabulary q
     raises OovError from the first neighbor query.
+
+    The outcome depends only on (q, tag.truncated, m, max_hops), the store
+    and the lexicon, and neither changes once loaded, so it is kept per
+    (q, tag.truncated, m, max_hops) in ``forms.memo(store)``: the word and
+    hops, or the RelaxationError. Each call gets its own visited list, or
+    its own error with the same message and visited queries.
     """
+    memo = forms.memo(store)
+    key = (q, tag.truncated, m, max_hops)
+    outcome = memo.get(key)
+    if outcome is None:
+        try:
+            word, hops, visited = _relax(tag, q, store, forms, m, max_hops)
+            outcome = (word, hops, tuple(visited))
+        except RelaxationError as e:
+            outcome = e
+        memo[key] = outcome
+    if isinstance(outcome, RelaxationError):
+        raise RelaxationError(str(outcome), visited=outcome.visited)
+    word, hops, visited = outcome
+    return word, hops, list(visited)
+
+
+def _relax(
+    tag: PosTag,
+    q: str,
+    store: EmbeddingStore,
+    forms: FormsLexicon,
+    m: int,
+    max_hops: int,
+) -> tuple[str, int, list[str]]:
     visited = [q]
     current = q
     for hops in range(max_hops + 1):

@@ -7,6 +7,7 @@ exist for each lemma; inflection is an exact lookup over it.
 
 from __future__ import annotations
 
+import weakref
 from pathlib import Path
 
 from .errors import TagError, load_rows, read_tsv
@@ -22,11 +23,15 @@ class FormsLexicon:
         # surface -> truncated tags it is attested under
         self.attested: dict[str, set[str]] = {}
         self._seen: set[tuple[str, str, str]] = set()
+        # store -> results computed from this lexicon and that store; keyed
+        # by the store itself, so a result never serves another store
+        self._memos: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
         for entry in entries:
-            self.add(*entry)
+            self._add(*entry)
 
-    def add(self, lemma: str, surface: str, fulltag: str, freq: int) -> None:
-        """Record one form; a repeated (lemma, surface, fulltag) is ignored."""
+    def _add(self, lemma: str, surface: str, fulltag: str, freq: int) -> None:
+        """Record one form while the lexicon is built; a repeated (lemma,
+        surface, fulltag) is ignored."""
         if not fulltag:
             raise TagError(f"empty tag for form {surface!r}")
         key = (lemma, surface, fulltag)
@@ -37,11 +42,17 @@ class FormsLexicon:
         self.lemmas_of.setdefault(surface, set()).add(lemma)
         self.attested.setdefault(surface, set()).add(fulltag[:4])
 
+    def memo(self, store) -> dict:
+        """A dict for results that depend only on this lexicon, which gains
+        no form once built, and one embedding store; kept while the store
+        lives (model 1 keeps its content fills here)."""
+        return self._memos.setdefault(store, {})
+
     @classmethod
     def load(cls, path: str | Path) -> "FormsLexicon":
         lex = cls([])
         rows = read_tsv(path, 4)
-        load_rows(rows, path, "bad forms row", lambda r: lex.add(*r[:3], int(r[3])))
+        load_rows(rows, path, "bad forms row", lambda r: lex._add(*r[:3], int(r[3])))
         return lex
 
 

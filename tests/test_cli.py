@@ -144,7 +144,8 @@ class TestExitCodes:
         shutil.copytree(resources_dir, broken)
         path = broken / "matrix.txt"
         lines = path.read_text(encoding="utf-8").splitlines()
-        lines.remove(state)  # the first count row now loads as a state
+        # renamed, not deleted: a deleted state line is a bad state line
+        lines[lines.index(state)] = state.upper()
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         argv = {
             "generate": _gen(broken, "--model", "1", "--query", "sol",
@@ -156,6 +157,33 @@ class TestExitCodes:
         assert code == EXIT_RESOURCE
         assert diagnostic["path"] == str(path)
         assert f"no boundary state {state!r}" in diagnostic["message"]
+
+    @pytest.mark.parametrize("command", ["generate", "check"])
+    def test_deleted_state_line_exits_2_at_the_row_read_as_a_state(
+        self, resources_dir, tmp_path, capsys, command
+    ):
+        import shutil
+
+        broken = tmp_path / "broken"
+        shutil.copytree(resources_dir, broken)
+        path = broken / "matrix.txt"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        del lines[5]  # a middle state: the first count row ends the state list
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        argv = {
+            "generate": _gen(broken, "--model", "1", "--query", "sol",
+                             "--len", "6"),
+            "check": ["check", "--resources", str(broken)],
+        }[command]
+        code = main(argv)
+        diagnostic = json.loads(capsys.readouterr().err.splitlines()[0])
+        states = int(lines[0].split()[1])
+        assert code == EXIT_RESOURCE
+        assert diagnostic["error"] == "FormatError"
+        assert (diagnostic["path"], diagnostic["line"]) == (str(path), states + 1)
+        assert f"bad state line: {lines[states]!r} holds whitespace" in (
+            diagnostic["message"]
+        )
 
     @pytest.mark.parametrize("command", [
         "tag", "import-tagged", "build-matrix", "build-templates", "train-emb",
@@ -327,7 +355,7 @@ GOLDEN_RUNS = {
         "9d730835033e717b7d20703596a28d21b15d7de8f6fad51b66f3d82f3c518307",
         "e907778c14debceed0e6604bae2d243975860837576e3a281eaee37d80b78ad0",
     ),
-    # every argmax skeleton of length 8 dead-ends: nothing is printed
+    # no argmax walk on the fixture matrix reaches length 8: nothing is printed
     ("--model", "1", "--policy", "argmax"): (
         EXIT_GENERATION,
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
@@ -447,6 +475,20 @@ class TestPipelineCommands:
                      "--funcdict", str(fdict)]) == 0
         for p in (sents, tagged, matrix, templates, ta, fdict):
             assert p.exists() and p.stat().st_size > 0
+
+    def test_ingest_names_the_document_and_line_of_a_bad_byte(self, tmp_path,
+                                                             capsys):
+        raw = tmp_path / "raw"
+        raw.mkdir()
+        doc = raw / "doc.txt"
+        doc.write_bytes(b"El sol brilla.\nLa luna \xff canta.\n")
+        code = main(["ingest", "--in", str(raw), "--out",
+                     str(tmp_path / "sentences.txt")])
+        diagnostic = json.loads(capsys.readouterr().err.splitlines()[0])
+        assert code == EXIT_RESOURCE
+        assert diagnostic["error"] == "IngestError"
+        assert (diagnostic["path"], diagnostic["line"]) == (str(doc), 2)
+        assert "not valid UTF-8" in diagnostic["message"]
 
     def test_import_tagged_round_trip(self, resources_dir, tmp_path, capsys):
         out = tmp_path / "copy.tsv"

@@ -70,13 +70,15 @@ def test_template_reselection_without_adjectives(resources, model):
 
 
 def test_model1_argmax_reports_dead_end(resources):
+    # no argmax walk on the fixture matrix is longer than 5 tags
     res = replace(resources, policy=DecodePolicy.argmax())
     with pytest.raises(GenerationError) as exc:
         generate_model1("sol", 8, res, 0)
     assert str(exc.value) == (
         "model 1 failed after 20 attempts: "
-        "dead-end before length 8 after 10 restarts"
+        "no walk of length 8 under policy argmax: the longest is 5"
     )
+    assert len(generate_model1("sol", 5, res, 0).tokens) == 5
 
 
 class TestDriver:
@@ -138,8 +140,9 @@ class TestDriver:
 def _run_grid(res, grid):
     """Each request's tokens, source and trace, or its error type and message."""
     out = []
-    for model, q, n, seed, cap_m in grid:
-        res.cap_m = cap_m
+    for model, q, n, seed, cap_m, policy, (neighbors_m, max_hops) in grid:
+        res.cap_m, res.policy = cap_m, DecodePolicy.parse(policy)
+        res.neighbors_m, res.max_hops = neighbors_m, max_hops
         try:
             s = MODELS[model](q, n, res, seed)
             out.append((s.tokens, s.source, s.trace))
@@ -149,21 +152,30 @@ def _run_grid(res, grid):
 
 
 def test_warm_memos_give_the_cold_results(resources_dir):
-    # the neighbor and tag-row memos fill as requests run; a request must
-    # not depend on which requests ran before it on the same resources
+    # the neighbor, tag-row, content-fill and successor-table memos fill as
+    # requests run; a request must not depend on which requests ran before
+    # it on the same resources, whatever settings those requests used
     grid = [
-        (model, q, n, seed, cap_m)
+        (model, q, n, seed, cap_m, policy, setting)
         for model in MODELS
         for q in ("sol", "guerra", "amor", "zzzqx")
         for n in range(5, 13)
         for seed in range(4)
         for cap_m in ((2, 200) if model == 3 else (200,))
+        for policy in (("topk:3", "topk:1", "argmax") if model == 1 else ("topk:3",))
+        for setting in (
+            ((FIXTURE_NEIGHBORS_M, 5), (20, 5), (20, 1)) if model == 1
+            else ((FIXTURE_NEIGHBORS_M, 5),)
+        )
     ]
     warm = load_resources(resources_dir)
-    warm.neighbors_m = FIXTURE_NEIGHBORS_M
     _run_grid(warm, grid[::-1])
-    cold = load_resources(resources_dir)
-    cold.neighbors_m = FIXTURE_NEIGHBORS_M
-    expected = _run_grid(cold, grid)
+    expected = _run_grid(load_resources(resources_dir), grid)
     assert _run_grid(warm, grid) == expected
-    assert sum(len(r) == 3 for r in expected) > len(grid) // 2
+    # most default-setting requests yield a sentence, and every setting some
+    made: dict[tuple, list[bool]] = {}
+    for request, r in zip(grid, expected):
+        made.setdefault(request[5:], []).append(len(r) == 3)
+    default = made[("topk:3", (FIXTURE_NEIGHBORS_M, 5))]
+    assert sum(default) > len(default) // 2
+    assert all(any(ok) for ok in made.values())

@@ -67,10 +67,26 @@ CASES = {
     "matrix": (TransitionMatrix.load, f"0 1 {2**62}", {
         "row-sum-above-int64": f"0 0 {2**62}",
     }),
+    "matrix-states": (TransitionMatrix.load, "B", {
+        "empty-state": "",
+        "state-with-whitespace": "0 5 205",
+        "repeated-state": "A",
+    }),
 }
 
-# lines a loader reads before its rows
-PREAMBLE = {"matrix": "states 2\nA\nB\n"}
+# lines a loader reads before its rows, given how many rows follow: the
+# header of a state list counts its lines
+PREAMBLE = {
+    "matrix": lambda rows: "states 2\nA\nB\n",
+    "matrix-states": lambda rows: f"states {rows + 1}\nA\n",
+}
+# what stands between two rows: a blank line, which every loader skips,
+# except between state lines, where it would be an empty state
+GAP = {"matrix-states": ""}
+
+
+def _preamble(name, rows):
+    return PREAMBLE.get(name, lambda rows: "")(rows)
 
 BAD_ROWS = sorted(
     (name, bad) for name, (_, _, rows) in CASES.items() for bad in rows
@@ -80,18 +96,20 @@ BAD_ROWS = sorted(
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_good_rows_load_and_blank_lines_are_skipped(tmp_path, name):
     load, good, _ = CASES[name]
+    gap = GAP.get(name, "\n")
     p = tmp_path / name
-    p.write_text(f"{PREAMBLE.get(name, '')}\n{good}\n\n", encoding="utf-8")
+    p.write_text(f"{_preamble(name, 1)}{gap}{good}\n{gap}", encoding="utf-8")
     load(p)
 
 
 @pytest.mark.parametrize("name, bad", BAD_ROWS)
 def test_bad_row_names_file_and_line(tmp_path, name, bad):
     load, good, rows = CASES[name]
-    preamble = PREAMBLE.get(name, "")
-    line = preamble.count("\n") + 3
+    gap = GAP.get(name, "\n")
+    before = f"{_preamble(name, 2)}{good}\n{gap}"
+    line = before.count("\n") + 1
     p = tmp_path / name
-    p.write_text(f"{preamble}{good}\n\n{rows[bad]}\n", encoding="utf-8")
+    p.write_text(f"{before}{rows[bad]}\n", encoding="utf-8")
     with pytest.raises(FormatError) as exc:
         load(p)
     assert (exc.value.path, exc.value.line) == (str(p), line)
@@ -100,7 +118,7 @@ def test_bad_row_names_file_and_line(tmp_path, name, bad):
 
 # every text-file reader, with a valid file that it reads
 READERS = {
-    **{name: (load, f"{PREAMBLE.get(name, '')}{good}\n")
+    **{name: (load, f"{_preamble(name, 1)}{good}\n")
        for name, (load, good, _) in CASES.items()},
     "vectors": (EmbeddingStore.load, "1 2\nsol 1.0 2.0\n"),
     "sentences": (read_sentences, "El sol brilla .\nLa luna canta .\n"),

@@ -2,7 +2,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from homosyntax.corpus import SentenceRecord
 from homosyntax.errors import BuildError, ConfigError, FormatError, GenerationError
@@ -82,10 +82,32 @@ class TestGenerate:
                 generate_egv(matrix, n, DecodePolicy.topk(3), random.Random(0))
 
     def test_dead_end_carries_partial(self):
-        m = _chain_matrix([["DA0M", "NCMS"]])  # NCMS only leads to END
+        # NCMS only leads to END; the rare AQ0M loops, so length 5 is
+        # reachable, but seed 0 takes NCMS in all ten restarts
+        m = _chain_matrix([["DA0M", "NCMS"]] * 99 + [["DA0M", "AQ0M", "AQ0M"]])
+        policy = DecodePolicy.topk(2)
         with pytest.raises(GenerationError) as exc:
-            generate_egv(m, 5, DecodePolicy.argmax(), random.Random(0))
+            generate_egv(m, 5, policy, random.Random(0))
+        assert str(exc.value) == "dead-end before length 5 after 10 restarts"
         assert exc.value.partial == ("DA0M", "NCMS")
+        walks = [_walk(m, 5, policy, seed) for seed in range(100)]
+        assert ("DA0M", "AQ0M", "AQ0M", "AQ0M", "AQ0M") in walks
+
+    def test_unreachable_length_fails_before_drawing(self, matrix):
+        # on the fixture matrix no argmax or top-1 walk is longer than 5 tags
+        for policy in (DecodePolicy.argmax(), DecodePolicy.topk(1)):
+            rng = random.Random(0)
+            state = rng.getstate()
+            with pytest.raises(GenerationError) as exc:
+                generate_egv(matrix, 6, policy, rng)
+            assert str(exc.value) == (
+                f"no walk of length 6 under policy {policy}: the longest is 5"
+            )
+            assert exc.value.partial is None
+            assert rng.getstate() == state
+            assert len(generate_egv(matrix, 5, policy, rng)) == 5
+        for k in (2, 3):
+            assert matrix.draws(DecodePolicy.topk(k)).longest == 15
 
     def test_support_soundness(self, matrix):
         # dead-ends may abort a draw; every completed skeleton must only use
@@ -115,6 +137,137 @@ class TestGenerate:
         scaled = TransitionMatrix(base.states, base.counts * c)
         i = base.index["DA0M"]
         assert np.argmax(base.probs[i]) == np.argmax(scaled.probs[i])
+
+
+def _reference_successors(m, state):
+    row = m.probs[m.index[state]]
+    end_i = m.index[END]
+    return [
+        (m.states[j], float(row[j]))
+        for j in np.nonzero(row)[0].tolist()
+        if j != end_i
+    ]
+
+
+def _reference_step(m, state, policy, rng):
+    succ = _reference_successors(m, state)
+    if not succ:
+        return None
+    if policy.kind == "argmax":
+        best = max(p for _, p in succ)
+        tied = [s for s, p in succ if p >= best - 1e-12]
+        return rng.choice(tied)
+    top = sorted(succ, key=lambda sp: (-sp[1], sp[0]))[: policy.k]
+    words = [s for s, _ in top]
+    weights = [p for _, p in top]
+    return rng.choices(words, weights=weights)[0]
+
+
+def _reference_egv(m, n, policy, rng):
+    """The walk as it was before the successor tables: every step rebuilds
+    and re-sorts the state's successors."""
+    partial = []
+    for _ in range(10):
+        succ = _reference_successors(m, START)
+        if not succ:
+            raise GenerationError("START state has no successors")
+        seq = [rng.choices([s for s, _ in succ], weights=[p for _, p in succ])[0]]
+        while len(seq) < n:
+            nxt = _reference_step(m, seq[-1], policy, rng)
+            if nxt is None:
+                break
+            seq.append(nxt)
+        if len(seq) == n:
+            return tuple(PosTag(t) for t in seq)
+        partial = seq
+    raise GenerationError(
+        f"dead-end before length {n} after 10 restarts", partial=tuple(partial)
+    )
+
+
+def _walk(m, n, policy, seed):
+    """The skeleton's tags, or the error's message and partial walk."""
+    rng = random.Random(seed)
+    try:
+        return tuple(t.truncated for t in generate_egv(m, n, policy, rng))
+    except GenerationError as e:
+        return str(e), e.partial
+
+
+def _reachable(m, policy, n):
+    """Whether some walk of n tags exists, level by level over the sets the
+    reference's steps pick from."""
+    def succ(state):
+        options = _reference_successors(m, state)
+        if not options:
+            return []
+        if policy.kind == "argmax":
+            best = max(p for _, p in options)
+            return [s for s, p in options if p >= best - 1e-12]
+        top = sorted(options, key=lambda sp: (-sp[1], sp[0]))[: policy.k]
+        return [s for s, _ in top]
+
+    level = {s for s, _ in _reference_successors(m, START)}
+    for _ in range(n - 1):
+        level = {t for s in level for t in succ(s)}
+    return bool(level)
+
+
+POLICIES = [DecodePolicy.argmax(), *(DecodePolicy.topk(k) for k in (1, 2, 3, 5))]
+
+
+def _compare_with_reference(m, policy, n, seed):
+    """generate_egv equals the reference walk: the same skeleton or error,
+    and the same rng state after; an unreachable n fails before any draw."""
+    new_rng, ref_rng = random.Random(seed), random.Random(seed)
+    try:
+        got = tuple(generate_egv(m, n, policy, new_rng))
+    except GenerationError as e:
+        got = (str(e), e.partial)
+    try:
+        want = _reference_egv(m, n, policy, ref_rng)
+    except GenerationError as e:
+        want = (str(e), e.partial)
+    if _reachable(m, policy, n) or want == ("START state has no successors", None):
+        assert got == want
+        assert new_rng.getstate() == ref_rng.getstate()
+    else:
+        assert want[0].startswith("dead-end")  # the reference never gets there
+        longest = max(k for k in range(1, n) if _reachable(m, policy, k))
+        assert got == (
+            f"no walk of length {n} under policy {policy}: the longest is {longest}",
+            None,
+        )
+        assert new_rng.getstate() == random.Random(seed).getstate()
+
+
+class TestSuccessorTable:
+    @pytest.mark.parametrize("policy", POLICIES, ids=str)
+    def test_fixture_walks_equal_the_reference(self, matrix, policy):
+        for n in range(3, 16):
+            for seed in range(8):
+                _compare_with_reference(matrix, policy, n, seed)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        counts=st.integers(min_value=3, max_value=5).flatmap(
+            lambda size: st.lists(
+                st.lists(st.sampled_from((0, 0, 1, 3)),  # sparse rows
+                         min_size=size, max_size=size),
+                min_size=size, max_size=size,
+            )
+        ),
+        policy=st.sampled_from(POLICIES),
+        n=st.integers(min_value=3, max_value=15),
+        seed=st.integers(min_value=0, max_value=2**32),
+    )
+    def test_random_matrices_walk_as_the_reference(self, counts, policy, n, seed):
+        # any cell may be counted, START and END included as successors; the
+        # states are not in name order, which breaks top-k ties
+        tags = tuple("CAB"[: len(counts) - 2])
+        m = TransitionMatrix((START, *tags, END), np.array(counts, dtype=np.int64))
+        _compare_with_reference(m, policy, n, seed)
+        _compare_with_reference(m, policy, n, seed)  # the kept table
 
 
 class TestSerialization:

@@ -2,6 +2,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from homosyntax.embeddings import EmbeddingStore
 from homosyntax.errors import DictError, OovError, RelaxationError
@@ -11,7 +12,7 @@ from homosyntax.model1 import (
     fill_functional,
     generate_model1,
 )
-from homosyntax.morphology import FormsLexicon
+from homosyntax.morphology import FormsLexicon, inflect, matches_tag
 from homosyntax.pos import PosTag
 
 
@@ -109,6 +110,96 @@ class TestRelaxation:
             fill_content_with_relaxation(
                 PosTag("NCFS"), "zzzqx", resources.store, resources.forms
             )
+
+
+def _reference_fill(tag, q, store, forms, m=20, max_hops=5):
+    """The relaxation loop as it was before its outcomes were kept."""
+    visited = [q]
+    current = q
+    for hops in range(max_hops + 1):
+        lexicon = [store.words[i] for i in store.neighbors(current, m).tolist()]
+        for word in lexicon:
+            if matches_tag(word, tag, forms):
+                return word, hops, visited
+        for word in lexicon:
+            inflected = inflect(word, tag, forms)
+            if inflected is not None:
+                return inflected, hops, visited
+        next_q = next((w for w in lexicon if w not in visited), None)
+        if next_q is None:
+            break
+        visited.append(next_q)
+        current = next_q
+    raise RelaxationError(
+        f"no word fitting tag {tag.truncated!r} within {max_hops} relaxations "
+        f"of query {q!r}",
+        visited=visited,
+    )
+
+
+def _outcome(fill, *args):
+    try:
+        return fill(*args)
+    except (RelaxationError, OovError) as e:
+        return type(e).__name__, str(e), getattr(e, "visited", None)
+
+
+WORDS = ("sol", "luna", "mar", "profesor", "profesora", "canta", "cantan", "Rojo")
+TAGS = ("NCMS000", "NCFS000", "NCMP000", "VMIP3S0", "VMIP3P0", "AQ0MS00")
+
+
+class TestKeptFills:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        words=st.lists(st.sampled_from(WORDS), min_size=1, max_size=8, unique=True),
+        coords=st.lists(st.integers(min_value=-3, max_value=3), min_size=16,
+                        max_size=16),
+        rows=st.lists(
+            st.tuples(st.sampled_from(WORDS), st.sampled_from(WORDS),
+                      st.sampled_from(TAGS), st.integers(min_value=1, max_value=3)),
+            max_size=12,
+        ),
+        slots=st.lists(
+            st.tuples(st.sampled_from(TAGS), st.integers(min_value=0, max_value=8)),
+            min_size=1, max_size=4,
+        ),
+    )
+    def test_repeated_fills_equal_the_reference(self, words, coords, rows, slots):
+        vectors = np.array(coords[: 2 * len(words)], dtype=float).reshape(-1, 2)
+        store = EmbeddingStore(words, vectors)
+        forms = _forms(rows)
+        # each slot under several settings; one query index in len(words) + 1
+        # stands for an unknown word
+        calls = [
+            (tag, (*words, "zzzqx")[i % (len(words) + 1)], m, max_hops)
+            for tag, i in slots for m in (1, 2, 4) for max_hops in (0, 1, 3)
+        ]
+        for _ in range(2):
+            for tag, q, m, max_hops in calls:
+                args = (PosTag(tag), q, store, forms, m, max_hops)
+                got = _outcome(fill_content_with_relaxation, *args)
+                assert got == _outcome(_reference_fill, *args)
+                if isinstance(got[-1], list):
+                    got[-1].append("mutated")  # must not reach the next call
+        # a second store of the same words keeps its own fills
+        other = EmbeddingStore(words, vectors[::-1].copy())
+        for tag, q, m, max_hops in calls:
+            args = (PosTag(tag), q, other, forms, m, max_hops)
+            assert _outcome(fill_content_with_relaxation, *args) == _outcome(
+                _reference_fill, *args
+            )
+
+    def test_kept_error_is_raised_afresh(self):
+        store = _line_store(["q", "a", "b"])
+        forms = _forms([("a", "a", "NCMS000", 1)])
+        errors = []
+        for _ in range(2):
+            with pytest.raises(RelaxationError) as exc:
+                fill_content_with_relaxation(PosTag("VMIP"), "q", store, forms, 2, 3)
+            errors.append(exc.value)
+        assert errors[0] is not errors[1]
+        assert str(errors[0]) == str(errors[1])
+        assert errors[0].visited == errors[1].visited == ("q", "a", "b")
 
 
 class TestGenerate:
