@@ -22,6 +22,9 @@ from .model3 import score_candidates
 from .pos import PosTag, TaggedSentence, is_content, read_tagged_tsv
 from .resources import TAGGED, load_resources
 
+TOL = 1e-9  # largest |delta| a row sum or an oracle score may show
+ORACLE_SLOTS = 5  # template slots the score oracle recomputes
+
 
 @dataclass
 class CheckResult:
@@ -30,13 +33,13 @@ class CheckResult:
     detail: str = ""
 
 
-def check_row_stochastic(res: GenerationResources, tol: float = 1e-9) -> CheckResult:
+def check_row_stochastic(res: GenerationResources) -> CheckResult:
     counts = res.matrix.counts
     probs = res.matrix.probs
     bad = 0
     for i in range(counts.shape[0]):
         if counts[i].sum() > 0 and (
-            abs(probs[i].sum() - 1.0) > tol or np.any(probs[i] < 0)
+            abs(probs[i].sum() - 1.0) > TOL or np.any(probs[i] < 0)
         ):
             bad += 1
     return CheckResult(
@@ -138,18 +141,16 @@ def _oracle_scores(o, q, vk, store):
     return [(mt / t) * (b / mb) for t, b in zip(thetas, betas)]
 
 
-def check_score_oracle(
-    res: GenerationResources, slots: int = 5, tol: float = 1e-9
-) -> CheckResult:
+def check_score_oracle(res: GenerationResources) -> CheckResult:
     rng = random.Random(12345)
     checked = 0
     worst = 0.0
     for tid in res.templates.ids():
-        if checked >= slots:
+        if checked >= ORACLE_SLOTS:
             break
         template = res.templates.get(tid)
         for slot in template.slots:
-            if checked >= slots:
+            if checked >= ORACLE_SLOTS:
                 break
             o = slot.original.lower()
             # a tag without a table entry fails resource-fit instead
@@ -166,7 +167,7 @@ def check_score_oracle(
             checked += 1
     return CheckResult(
         "score-oracle",
-        checked > 0 and worst <= tol,
+        checked > 0 and worst <= TOL,
         f"{checked} slots checked, max |delta| = {worst:.3g}",
     )
 

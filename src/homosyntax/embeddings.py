@@ -148,7 +148,7 @@ class EmbeddingStore:
 LEARNING_RATE = 0.025  # initial SGD step, decayed linearly to 1e-4 of it
 
 
-def _normalize_tokens(tokens: tuple[str, ...]) -> list[str]:
+def lowercase_words(tokens: list[str] | tuple[str, ...]) -> list[str]:
     """Lowercase and drop tokens without letters (punctuation, numbers)."""
     return [t.lower() for t in tokens if any(c.isalpha() for c in t)]
 
@@ -178,7 +178,7 @@ def train_embeddings(
     if dims < 8:
         raise TrainError(f"need dims >= 8, got {dims}")
 
-    sentences = [_normalize_tokens(s.tokens) for s in corpus]
+    sentences = [lowercase_words(s.tokens) for s in corpus]
     freq: dict[str, int] = {}
     for sent in sentences:
         for t in sent:

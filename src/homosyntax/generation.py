@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
-from .embeddings import AssociativeTable, EmbeddingStore
+from .embeddings import AssociativeTable, EmbeddingStore, lowercase_words
 from .errors import (
     DictError,
     EmptyRankError,
@@ -61,7 +61,7 @@ def detokenize(tokens: list[str] | tuple[str, ...]) -> str:
 
 def normalize_tokens(tokens: list[str] | tuple[str, ...]) -> str:
     """Lowercased alphabetic tokens joined by single spaces (novelty key)."""
-    return " ".join(t.lower() for t in tokens if any(c.isalpha() for c in t))
+    return " ".join(lowercase_words(tokens))
 
 
 @dataclass

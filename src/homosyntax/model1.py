@@ -15,7 +15,6 @@ import random
 from .embeddings import EmbeddingStore
 from .errors import RelaxationError
 from .generation import (
-    FunctionWordDictionary,
     GeneratedSentence,
     GenerationResources,
     generate,
@@ -25,19 +24,13 @@ from .morphology import FormsLexicon, inflect, matches_tag
 from .pos import PosTag, is_content
 
 
-def fill_functional(
-    tag: PosTag, fdict: FunctionWordDictionary, rng: random.Random
-) -> str:
-    return rng.choice(fdict.forms_for(tag))
-
-
 def fill_content_with_relaxation(
     tag: PosTag,
     q: str,
     store: EmbeddingStore,
     forms: FormsLexicon,
-    m: int = 20,
-    max_hops: int = 5,
+    m: int,
+    max_hops: int,
 ) -> tuple[str, int, list[str]]:
     """Find a tag-fitting word in L(Q), relaxing Q to Q* when needed.
 
@@ -113,7 +106,7 @@ def generate_model1(
             # a skeleton-final punctuation slot always realizes as a period
             word = "."
         else:
-            word = fill_functional(tag, res.funcdict, rng)
+            word = rng.choice(res.funcdict.forms_for(tag))
         kind = "content" if relaxation else "functional"
         record = {"position": pos, "tag": tag.truncated, "kind": kind, "chosen": word}
         return word, {**record, **relaxation}

@@ -10,7 +10,7 @@ from __future__ import annotations
 import weakref
 from pathlib import Path
 
-from .errors import TagError, load_rows, read_tsv
+from .errors import FormatError, TagError, load_rows, read_tsv
 from .pos import PosTag
 
 
@@ -34,6 +34,8 @@ class FormsLexicon:
         surface, fulltag) is ignored."""
         if not fulltag:
             raise TagError(f"empty tag for form {surface!r}")
+        if freq < 0:
+            raise FormatError(f"negative frequency for form {surface!r}")
         key = (lemma, surface, fulltag)
         if key in self._seen:
             return
@@ -72,13 +74,9 @@ def inflect(word: str, target: PosTag, lex: FormsLexicon) -> str | None:
     if matches_tag(low, target, lex):
         return low
     candidates = []
-    for lemma in lex.lemmas_of.get(low, ()):
-        for surface, fulltag, freq in lex.forms[lemma]:
-            if fulltag[:4] == target.truncated:
-                candidates.append((surface, freq))
     # the lemma itself may also head an entry without appearing as a surface
-    if low in lex.forms and low not in lex.lemmas_of:
-        for surface, fulltag, freq in lex.forms[low]:
+    for lemma in lex.lemmas_of.get(low) or ((low,) if low in lex.forms else ()):
+        for surface, fulltag, freq in lex.forms[lemma]:
             if fulltag[:4] == target.truncated:
                 candidates.append((surface, freq))
     if not candidates:

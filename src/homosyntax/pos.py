@@ -10,6 +10,7 @@ hermetic use, and a reader for pre-tagged TSV produced by any external tool.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -82,11 +83,8 @@ SUFFIX_RULES: tuple[tuple[str, str], ...] = (
 class TaggerLexicon:
     """surface -> weighted full tags, with SUFFIX_RULES as fallback."""
 
-    def __init__(self, entries: dict[str, list[tuple[str, float]]]):
+    def __init__(self):
         self.entries: dict[str, list[tuple[str, float]]] = {}
-        for surface, tags in entries.items():
-            for full, weight in tags:
-                self.add(surface, full, weight)
 
     def add(self, surface: str, full: str, weight: float) -> None:
         """Record one weighted full tag for a surface form."""
@@ -94,12 +92,14 @@ class TaggerLexicon:
             raise TagError(f"empty tag for {surface!r}")
         if weight <= 0:
             raise FormatError(f"non-positive weight for {surface!r}")
+        if not math.isfinite(weight):
+            raise FormatError(f"non-finite weight for {surface!r}")
         self.entries.setdefault(surface, []).append((full, weight))
 
     @classmethod
     def load(cls, path: str | Path) -> "TaggerLexicon":
         """Read ``surface<TAB>fulltag<TAB>weight`` lines."""
-        lex = cls({})
+        lex = cls()
         rows = read_tsv(path, 3)
         load_rows(rows, path, "bad lexicon row", lambda r: lex.add(*r[:2], float(r[2])))
         return lex
@@ -161,6 +161,8 @@ def read_tagged_tsv(path: str | Path) -> list[TaggedSentence]:
         parts = line.split("\t")
         if len(parts) != 2 or not parts[0] or not parts[1]:
             raise FormatError("expected 'surface<TAB>fulltag'", i, path)
+        if parts[1].split() != [parts[1]]:
+            raise FormatError(f"tag {parts[1]!r} holds whitespace", i, path)
         current.append((parts[0], PosTag(parts[1])))
     flush()
     return sentences

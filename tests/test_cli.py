@@ -207,6 +207,22 @@ class TestExitCodes:
         assert (diagnostic["path"], diagnostic["line"]) == (str(infile), 7)
         assert "not valid UTF-8" in diagnostic["message"]
 
+    @pytest.mark.parametrize("command", [
+        "import-tagged", "build-matrix", "build-templates", "build-ta",
+    ])
+    def test_tag_holding_whitespace_exits_2_at_its_line(self, tmp_path, capsys,
+                                                        command):
+        # a matrix built from it would hold a state line its loader rejects
+        infile = tmp_path / "tagged.tsv"
+        infile.write_text("El\tDA0MS0\nsol\tNC MS000\n", encoding="utf-8")
+        code = main([command, "--in", str(infile), "--out", str(tmp_path / "out")])
+        diagnostic = json.loads(capsys.readouterr().err.splitlines()[0])
+        assert code == EXIT_RESOURCE
+        assert diagnostic["error"] == "FormatError"
+        assert (diagnostic["path"], diagnostic["line"]) == (str(infile), 2)
+        assert "'NC MS000' holds whitespace" in diagnostic["message"]
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["train-emb", "generate"])
     def test_directory_for_a_file_exits_2(self, resources_dir, tmp_path,
                                           capsys, command):

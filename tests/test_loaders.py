@@ -57,12 +57,15 @@ CASES = {
         "bad-row": "luna\tluna\tNCFS000\tmany",
         "unreadable-row": "luna\tluna\tNCFS000",
         "empty-tag": "luna\tluna\t\t3",
+        "negative-freq": "luna\tluna\tNCFS000\t-7",
     }),
     "lexicon": (TaggerLexicon.load, "sol\tNCMS000\t1.0", {
         "bad-row": "luna\tNCFS000\theavy",
         "unreadable-row": "luna\tNCFS000",
         "empty-tag": "luna\t\t1.0",
         "non-positive-weight": "luna\tNCFS000\t0",
+        "nan-weight": "luna\tNCFS000\tnan",
+        "infinite-weight": "luna\tNCFS000\tinf",
     }),
     "matrix": (TransitionMatrix.load, f"0 1 {2**62}", {
         "row-sum-above-int64": f"0 0 {2**62}",

@@ -6,36 +6,36 @@ from hypothesis import given, settings, strategies as st
 
 from homosyntax.embeddings import EmbeddingStore
 from homosyntax.errors import DictError, OovError, RelaxationError
-from homosyntax.generation import FunctionWordDictionary
-from homosyntax.model1 import (
-    fill_content_with_relaxation,
-    fill_functional,
-    generate_model1,
+from homosyntax.generation import (
+    DEFAULT_MAX_HOPS,
+    DEFAULT_NEIGHBORS,
+    FunctionWordDictionary,
 )
+from homosyntax.model1 import fill_content_with_relaxation, generate_model1
 from homosyntax.morphology import FormsLexicon, inflect, matches_tag
 from homosyntax.pos import PosTag
 
 
 class TestFillFunctional:
+    """Model 1 fills a functional slot with rng.choice(fdict.forms_for(tag))."""
+
     def test_two_element_support(self):
         fdict = FunctionWordDictionary({"DA0M": ["el", "los"]})
         rng = random.Random(0)
-        seen = {fill_functional(PosTag("DA0M"), fdict, rng) for _ in range(50)}
+        seen = {rng.choice(fdict.forms_for(PosTag("DA0M"))) for _ in range(50)}
         assert seen == {"el", "los"}
 
     def test_singleton(self):
         fdict = FunctionWordDictionary({"CC": ["y"]})
-        assert fill_functional(PosTag("CC"), fdict, random.Random(1)) == "y"
+        assert fdict.forms_for(PosTag("CC")) == ["y"]
 
     def test_missing_tag(self):
         with pytest.raises(DictError):
-            fill_functional(
-                PosTag("XX"), FunctionWordDictionary({}), random.Random(0)
-            )
+            FunctionWordDictionary({}).forms_for(PosTag("XX"))
 
     def test_seeded_draw_frozen(self):
         fdict = FunctionWordDictionary({"DA0M": ["el", "los", "un"]})
-        got = fill_functional(PosTag("DA0M"), fdict, random.Random(42))
+        got = random.Random(42).choice(fdict.forms_for(PosTag("DA0M")))
         assert got == "un"  # golden: random.Random(42).choice over 3 items
 
 
@@ -54,7 +54,7 @@ class TestRelaxation:
         store = _line_store(["q", "luna", "sol"])
         forms = _forms([("luna", "luna", "NCFS000", 5)])
         word, hops, visited = fill_content_with_relaxation(
-            PosTag("NCFS"), "q", store, forms
+            PosTag("NCFS"), "q", store, forms, DEFAULT_NEIGHBORS, DEFAULT_MAX_HOPS
         )
         assert (word, hops) == ("luna", 0)
         assert visited == ["q"]
@@ -69,7 +69,7 @@ class TestRelaxation:
             ]
         )
         word, hops, _ = fill_content_with_relaxation(
-            PosTag("NCFS"), "q", store, forms
+            PosTag("NCFS"), "q", store, forms, DEFAULT_NEIGHBORS, DEFAULT_MAX_HOPS
         )
         assert (word, hops) == ("profesora", 0)
 
@@ -82,7 +82,9 @@ class TestRelaxation:
                 ("luna", "luna", "NCFS000", 5),
             ]
         )
-        word, _, _ = fill_content_with_relaxation(PosTag("NCFS"), "q", store, forms)
+        word, _, _ = fill_content_with_relaxation(
+            PosTag("NCFS"), "q", store, forms, DEFAULT_NEIGHBORS, DEFAULT_MAX_HOPS
+        )
         assert word == "luna"
 
     def test_exhaustion(self):
@@ -108,11 +110,16 @@ class TestRelaxation:
     def test_oov_query(self, resources):
         with pytest.raises(OovError):
             fill_content_with_relaxation(
-                PosTag("NCFS"), "zzzqx", resources.store, resources.forms
+                PosTag("NCFS"),
+                "zzzqx",
+                resources.store,
+                resources.forms,
+                resources.neighbors_m,
+                resources.max_hops,
             )
 
 
-def _reference_fill(tag, q, store, forms, m=20, max_hops=5):
+def _reference_fill(tag, q, store, forms, m, max_hops):
     """The relaxation loop as it was before its outcomes were kept."""
     visited = [q]
     current = q
