@@ -34,14 +34,9 @@ class CheckResult:
 
 
 def check_row_stochastic(res: GenerationResources) -> CheckResult:
-    counts = res.matrix.counts
-    probs = res.matrix.probs
-    bad = 0
-    for i in range(counts.shape[0]):
-        if counts[i].sum() > 0 and (
-            abs(probs[i].sum() - 1.0) > TOL or np.any(probs[i] < 0)
-        ):
-            bad += 1
+    probs = res.matrix.probs[res.matrix.counts.sum(axis=1) > 0]
+    off = (np.abs(probs.sum(axis=1) - 1.0) > TOL) | np.any(probs < 0, axis=1)
+    bad = int(np.count_nonzero(off))
     return CheckResult(
         "row-stochastic",
         bad == 0,

@@ -21,7 +21,6 @@ import os
 import sys
 from pathlib import Path
 
-from . import check as check_mod
 from . import corpus as corpus_mod
 from . import generation, model1, model2, model3
 from .embeddings import build_associative_table, train_embeddings
@@ -261,7 +260,9 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    results = check_mod.run_check(_resource_dir(args.resources))
+    from .check import run_check  # only this command needs the check harness
+
+    results = run_check(_resource_dir(args.resources))
     failed = 0
     for r in results:
         status = "PASS" if r.passed else "FAIL"

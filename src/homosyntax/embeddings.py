@@ -285,8 +285,9 @@ class AssociativeTable:
             tag: sorted(words, key=lambda wc: (-wc[1], wc[0]))
             for tag, words in table.items()
         }
-        # store -> tag -> that tag's rows in the store; keyed by the store
-        # itself, so rows resolved against one store never serve another
+        # store -> tag -> that tag's rows in the store, and (tag, q) -> model
+        # 2's top three; keyed by the store itself, so nothing resolved
+        # against one store ever serves another
         self._rows: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
     def tags(self) -> list[str]:
@@ -306,7 +307,7 @@ class AssociativeTable:
         Resolved against each store once, on first use; both arrays are
         shared between calls and read-only.
         """
-        by_tag = self._rows.setdefault(store, {})
+        by_tag = self.memo(store)
         rows = by_tag.get(tag)
         if rows is None:
             in_store = [
@@ -321,6 +322,10 @@ class AssociativeTable:
                 a.flags.writeable = False
             by_tag[tag] = rows
         return rows
+
+    def memo(self, store: EmbeddingStore) -> dict:
+        """This table's memo for one store, created empty on first use."""
+        return self._rows.setdefault(store, {})
 
     def candidates(self, tag: str, store: EmbeddingStore) -> list[str]:
         """The tag's attested words that have a vector, in table order."""

@@ -10,6 +10,7 @@ from the top three.
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -25,22 +26,30 @@ def rank_vocabulary(
     q: str,
     ta: AssociativeTable,
     store: EmbeddingStore,
-) -> list[tuple[str, float]]:
-    """Attested words for the tag, in-vocabulary, by descending proximity."""
+) -> tuple[tuple[str, float], ...]:
+    """The first min(3, n) of the tag's n attested, in-vocabulary words by
+    descending proximity to q, ties by word, as (word, proximity) pairs.
+
+    Only the top three are ever drawn from, so nothing past them is ranked.
+    The table and the store never change after load, so each result is
+    memoized per (tag, q) for each store on first success, and shared.
+    """
+    memo, key = ta.memo(store), (tag.truncated, q)
+    if key in memo:
+        return memo[key]
     iq = store.row(q)
     rows, _ = ta.rows(tag.truncated, store)  # TableError if the tag is absent
     if not rows.size:
-        raise EmptyRankError(
-            f"no in-vocabulary candidate for tag {tag.truncated!r}"
-        )
+        raise EmptyRankError(f"no in-vocabulary candidate for tag {key[0]!r}")
     prox = store.proximity(iq, rows)
     # rows are in word order, so a stable sort by -prox breaks ties by word
-    order = np.argsort(-prox, kind="stable")
-    ranked = zip(rows[order].tolist(), prox[order].tolist())
-    return [(store.words[i], p) for i, p in ranked]
+    order = np.argsort(-prox, kind="stable")[:3]
+    words = [store.words[i] for i in rows[order].tolist()]
+    memo[key] = tuple(zip(words, prox[order].tolist()))
+    return memo[key]
 
 
-def choose_top3(ranked: list[tuple[str, float]], rng: random.Random) -> str:
+def choose_top3(ranked: Sequence[tuple[str, float]], rng: random.Random) -> str:
     """Word of a uniform choice among the first min(3, len) (word, score)s."""
     if not ranked:
         raise EmptyRankError("cannot choose from an empty ranking")
@@ -67,7 +76,7 @@ def generate_model2(
             "position": pos,
             "tag": slot.tag.truncated,
             "original": slot.original,
-            "top3": [w for w, _ in ranked[:3]],
+            "top3": [w for w, _ in ranked],
             "chosen": word,
         }
 

@@ -105,7 +105,7 @@ def generate_model3(
                 "tag": slot.tag.truncated,
                 "o": o,
                 "fallback": "model2",
-                "top3": [w for w, _ in ranked[:3]],
+                "top3": [w for w, _ in ranked],
                 "chosen": word,
             }
         # the cap keeps the most frequent: the table lists them first

@@ -1,7 +1,8 @@
 """Each module of the package imports on its own.
 
 The package root imports nothing, so no import order is fixed by it: a
-module that needs another must import it itself.
+module that needs another must import it itself. The CLI imports the check
+harness only for the check command.
 """
 
 import os
@@ -27,15 +28,29 @@ for name in sys.argv[1:]:
 """
 
 
-def test_every_module_imports_on_its_own():
+def _python(*args: str) -> subprocess.CompletedProcess:
+    """Run a child interpreter that imports the package from SRC."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-c", SCRIPT, *MODULES],
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
         timeout=120,
     )
+
+
+def test_every_module_imports_on_its_own():
+    done = _python("-c", SCRIPT, *MODULES)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == MODULES
     assert "check" in MODULES and "cli" in MODULES
+
+
+def test_cli_leaves_the_check_harness_unimported():
+    # only the check command needs it; every other CLI call skips its imports
+    done = _python(
+        "-c", "import sys, homosyntax.cli; print('homosyntax.check' in sys.modules)"
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"]

@@ -128,16 +128,24 @@ def _shared_table_cases(draw):
     return ta, stores, requests
 
 
+def _reference_top3(*args):
+    return tuple(_reference_rank(*args)[:3])
+
+
 class TestRankOracle:
     @settings(max_examples=200, deadline=None)
     @given(_shared_table_cases())
     def test_matches_word_by_word_reference(self, case):
         # one table serves two stores with different vocabularies, in any
-        # order: each store must get the rows resolved against itself
+        # order, and each (tag, q) is asked twice of each store: a memo hit
+        # must repeat the first answer, and never be another store's entry
         ta, stores, requests = case
         for i, tag, q in requests:
-            args = (PosTag(tag), q, ta, stores[i])
-            assert _outcome(rank_vocabulary, *args) == _outcome(_reference_rank, *args)
+            for store in (stores[i], stores[1 - i]) * 2:
+                args = (PosTag(tag), q, ta, store)
+                assert _outcome(rank_vocabulary, *args) == _outcome(
+                    _reference_top3, *args
+                )
 
 
 class TestChooseTop3:

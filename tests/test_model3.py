@@ -11,6 +11,7 @@ from homosyntax.errors import EmptyRankError, OovError
 from homosyntax.model2 import rank_vocabulary
 from homosyntax.model3 import SEGMENT, generate_model3, score_candidates
 from homosyntax.pos import PosTag
+from homosyntax.templates import TemplateStore
 
 
 def _raw_prox(store, a, b):
@@ -250,3 +251,40 @@ class TestUnsortedTable:
             a = generate_model3("sol", 7, built, seed=seed)
             b = generate_model3("sol", 7, edited, seed=seed)
             assert (a.tokens, a.trace) == (b.tokens, b.trace)
+
+
+def _reference_top3(tag, q, store, ta):
+    """Model 2's first three, word by word: one-pair proximities, sorted."""
+    words = [w for w, _ in ta.words_for(tag) if w in store]
+    ranked = sorted(
+        words, key=lambda w: (-store.proximity(store.index[q], store.index[w]), w)
+    )
+    return ranked[:3]
+
+
+class TestOovFallback:
+    def test_top3_matches_reference_on_cold_and_warm_table(self, resources):
+        # every length-7 template's first slot gets an original with no
+        # vector, so that slot always falls back to model 2's ranking
+        templates = TemplateStore()
+        for tid in resources.templates.ids_of_length(7):
+            t = resources.templates.get(tid)
+            first = t.slots[0]
+            items = tuple(replace(it, original="zzzqx") if it == first else it
+                          for it in t.items)
+            templates.add(replace(t, items=items))
+        # a fresh table: the first pass ranks cold, the second from its memo
+        ta = AssociativeTable(resources.ta.table)
+        res = replace(resources, templates=templates, ta=ta)
+        for _ in ("cold", "warm"):
+            fallbacks = 0
+            for seed in range(4):
+                for rec in generate_model3("sol", 7, res, seed=seed).trace:
+                    if "fallback" not in rec:
+                        continue
+                    fallbacks += 1
+                    assert rec["o"] == "zzzqx"
+                    assert rec["top3"] == _reference_top3(
+                        rec["tag"], "sol", res.store, ta
+                    )
+            assert fallbacks == 4  # one per sentence
