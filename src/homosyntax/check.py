@@ -53,8 +53,8 @@ def check_ta_soundness(
             attested.add((tag.truncated, surface.lower()))
     violations = [
         (tag, w)
-        for tag in res.ta.tags()
-        for w, _ in res.ta.words_for(tag)
+        for tag, words in res.ta.table.items()
+        for w, _ in words
         if (tag, w) not in attested
     ]
     return CheckResult(
@@ -76,8 +76,8 @@ def check_resource_fit(res: GenerationResources) -> CheckResult:
     ]
     slots = [
         (tid, slot)
-        for tid in res.templates.ids()
-        for slot in res.templates.get(tid).slots
+        for tid, template in res.templates.templates.items()
+        for slot in template.slots
     ]
     offenders += [
         f"template {tid} slot tag {slot.tag.truncated!r} has no table entry"
@@ -98,12 +98,12 @@ def check_template_roundtrip(
 ) -> CheckResult:
     """Each loaded template's identity fill is some corpus sentence."""
     sentences = {ts.surfaces for ts in corpus}
-    ids = res.templates.ids()
-    bad = sum(res.templates.get(tid).identity_fill() not in sentences for tid in ids)
+    templates = res.templates.templates.values()
+    bad = sum(t.identity_fill() not in sentences for t in templates)
     return CheckResult(
         "template-roundtrip",
-        bad == 0 and len(ids) > 0,
-        f"{bad}/{len(ids)} round-trip failures",
+        bad == 0 and len(templates) > 0,
+        f"{bad}/{len(templates)} round-trip failures",
     )
 
 
@@ -140,26 +140,23 @@ def check_score_oracle(res: GenerationResources) -> CheckResult:
     rng = random.Random(12345)
     checked = 0
     worst = 0.0
-    for tid in res.templates.ids():
+    for slot in (s for t in res.templates.templates.values() for s in t.slots):
         if checked >= ORACLE_SLOTS:
             break
-        template = res.templates.get(tid)
-        for slot in template.slots:
-            if checked >= ORACLE_SLOTS:
-                break
-            o = slot.original.lower()
-            # a tag without a table entry fails resource-fit instead
-            if o not in res.store or slot.tag.truncated not in res.ta.table:
-                continue
-            vocab = res.ta.candidates(slot.tag.truncated, res.store)[:10]
-            if len(vocab) < 2:
-                continue
-            q = rng.choice(res.store.words)
-            scored = score_candidates(o, q, vocab, res.store)
-            expected = dict(zip(vocab, _oracle_scores(o, q, vocab, res.store)))
-            for c in scored:
-                worst = max(worst, abs(c.s - expected[c.w]))
-            checked += 1
+        o = slot.original.lower()
+        # a tag without a table entry fails resource-fit instead
+        if o not in res.store or slot.tag.truncated not in res.ta.table:
+            continue
+        _, by_count = res.ta.rows(slot.tag.truncated, res.store)
+        vocab = [res.store.words[i] for i in by_count[:10].tolist()]
+        if len(vocab) < 2:
+            continue
+        q = rng.choice(res.store.words)
+        scored = score_candidates(o, q, vocab, res.store)
+        expected = dict(zip(vocab, _oracle_scores(o, q, vocab, res.store)))
+        for c in scored:
+            worst = max(worst, abs(c["s"] - expected[c["w"]]))
+        checked += 1
     return CheckResult(
         "score-oracle",
         checked > 0 and worst <= TOL,
@@ -168,6 +165,8 @@ def check_score_oracle(res: GenerationResources) -> CheckResult:
 
 
 def check_novelty(res: GenerationResources) -> CheckResult:
+    if not len(res.store):
+        return CheckResult("novelty", False, "no query word: the vocabulary is empty")
     query = res.store.words[0]
     # small vocabularies need a wider neighbor lexicon for model 1
     res = replace(

@@ -215,7 +215,7 @@ def _cmd_build_ta(args) -> int:
     corpus = read_tagged_tsv(args.infile)
     ta = build_associative_table(corpus)
     ta.save(args.out)
-    print(f"associative table with {len(ta.tags())} tags")
+    print(f"associative table with {len(ta.table)} tags")
     if args.funcdict:
         fdict = generation.FunctionWordDictionary.from_sentences(corpus)
         fdict.save(args.funcdict)

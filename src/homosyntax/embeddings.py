@@ -280,23 +280,16 @@ class AssociativeTable:
     """Truncated content tag -> distinct lowercased words with frequencies."""
 
     def __init__(self, table: dict[str, list[tuple[str, int]]]):
-        # each tag's words most frequent first, ties by word, in any input order
+        # each tag's words most frequent first, ties by word, in any input order;
+        # a tuple, since the memos below take the table as fixed
         self.table = {
-            tag: sorted(words, key=lambda wc: (-wc[1], wc[0]))
+            tag: tuple(sorted(words, key=lambda wc: (-wc[1], wc[0])))
             for tag, words in table.items()
         }
         # store -> tag -> that tag's rows in the store, and (tag, q) -> model
         # 2's top three; keyed by the store itself, so nothing resolved
         # against one store ever serves another
         self._rows: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-    def tags(self) -> list[str]:
-        return sorted(self.table)
-
-    def words_for(self, tag: str) -> list[tuple[str, int]]:
-        if tag not in self.table:
-            raise TableError(f"no associative-table entry for tag {tag!r}")
-        return list(self.table[tag])
 
     def rows(
         self, tag: str, store: EmbeddingStore
@@ -305,13 +298,15 @@ class AssociativeTable:
         word order, and in table order (most frequent first).
 
         Resolved against each store once, on first use; both arrays are
-        shared between calls and read-only.
+        shared between calls and read-only. TableError if the tag is absent.
         """
         by_tag = self.memo(store)
         rows = by_tag.get(tag)
         if rows is None:
+            if tag not in self.table:
+                raise TableError(f"no associative-table entry for tag {tag!r}")
             in_store = [
-                (w, store.index[w]) for w, _ in self.words_for(tag) if w in store
+                (w, store.index[w]) for w, _ in self.table[tag] if w in store
             ]
             by_word = sorted(in_store, key=lambda wr: wr[0])
             rows = tuple(
@@ -326,10 +321,6 @@ class AssociativeTable:
     def memo(self, store: EmbeddingStore) -> dict:
         """This table's memo for one store, created empty on first use."""
         return self._rows.setdefault(store, {})
-
-    def candidates(self, tag: str, store: EmbeddingStore) -> list[str]:
-        """The tag's attested words that have a vector, in table order."""
-        return [store.words[i] for i in self.rows(tag, store)[1].tolist()]
 
     def save(self, path: str | Path) -> None:
         write_jsonl(path, (
@@ -348,6 +339,8 @@ class AssociativeTable:
             if not all(isinstance(w, str) and type(c) is int and c >= 0
                        for w, c in words):
                 raise ValueError("words must be strings, counts integers >= 0")
+            if len({w for w, _ in words}) < len(words):
+                raise ValueError(f"a word is repeated under tag {tag!r}")
             table[tag] = words
 
         load_rows(read_jsonl(path), path, "bad table row", add)

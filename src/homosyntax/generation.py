@@ -104,6 +104,8 @@ class FunctionWordDictionary:
                 raise ValueError(f"tag {tag!r} is not a string or is repeated")
             if type(words) is not list or not all(isinstance(w, str) for w in words):
                 raise ValueError("words must be a list of strings")
+            if len(set(words)) < len(words):
+                raise ValueError(f"a word is repeated under tag {tag!r}")
             table[tag] = words
 
         load_rows(read_jsonl(path), path, "bad dictionary row", add)

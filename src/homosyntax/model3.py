@@ -19,7 +19,6 @@ out of vocabulary falls back to model 2's ranking.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,14 +29,6 @@ from .model2 import choose_top3, rank_vocabulary, template_skeleton
 from .templates import Slot
 
 SEGMENT = 10  # neighbors per anchor word; |U| = 3 * SEGMENT
-
-
-@dataclass(frozen=True)
-class CandidateScore:
-    w: str
-    theta: float
-    beta: float
-    s: float
 
 
 def _cos(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -54,8 +45,9 @@ def score_candidates(
     vk: list[str],
     store: EmbeddingStore,
     invert: bool = False,
-) -> list[CandidateScore]:
-    """Score every candidate and return them sorted by descending s."""
+) -> list[dict]:
+    """Score every candidate: a ``{"w", "theta", "beta", "s"}`` record each,
+    the form model 3's trace prints, sorted by descending s, ties by w."""
     if len(vk) < 2:
         raise EmptyRankError(f"need >= 2 candidates, got {len(vk)}")
     # one row of U per candidate, as store rows, sharing the o and q segments;
@@ -82,8 +74,8 @@ def score_candidates(
             s = (theta / mean_theta) * (mean_beta / beta)
         else:
             s = (mean_theta / theta) * (beta / mean_beta)
-        scored.append(CandidateScore(w=w, theta=theta, beta=beta, s=s))
-    scored.sort(key=lambda c: (-c.s, c.w))
+        scored.append({"w": w, "theta": theta, "beta": beta, "s": s})
+    scored.sort(key=lambda c: (-c["s"], c["w"]))
     return scored
 
 
@@ -116,15 +108,12 @@ def generate_model3(
                 f"fewer than 2 in-vocabulary candidates for {slot.tag.truncated!r}"
             )
         scored = score_candidates(o, q, vk, res.store, invert=invert)
-        word = choose_top3([(c.w, c.s) for c in scored], rng)
+        word = choose_top3([(c["w"], c["s"]) for c in scored], rng)
         return word, {
             "position": pos,
             "tag": slot.tag.truncated,
             "o": o,
-            "candidates": [
-                {"w": c.w, "theta": c.theta, "beta": c.beta, "s": c.s}
-                for c in scored
-            ],
+            "candidates": scored,
             "chosen": word,
         }
 

@@ -4,6 +4,9 @@ A template keeps function words and punctuation verbatim and replaces each
 content word (verb/noun/adjective) with a slot that remembers the truncated
 tag and the original word. Filling every slot with its own original word
 reconstructs the source sentence exactly.
+
+A ``TemplateStore`` is its ``templates`` dict (id -> skeleton, in build
+order) and a ``by_length`` view (length -> ids, in that order) built with it.
 """
 
 from __future__ import annotations
@@ -64,44 +67,26 @@ def extract_template(ts: TaggedSentence) -> EgpSkeleton:
 
 
 class TemplateStore:
-    def __init__(self):
-        self._by_id: dict[str, EgpSkeleton] = {}
-        self._by_length: dict[int, list[str]] = {}
+    def __init__(self, templates: dict[str, EgpSkeleton]):
+        self.templates = templates
+        self.by_length: dict[int, list[str]] = {}
+        for tid, template in templates.items():
+            self.by_length.setdefault(len(template), []).append(tid)
 
     def __len__(self) -> int:
-        return len(self._by_id)
-
-    def add(self, template: EgpSkeleton, template_id: str | None = None) -> str:
-        tid = template_id if template_id is not None else f"t{len(self._by_id):06d}"
-        if tid in self._by_id:
-            raise StoreError(f"duplicate template id {tid!r}")
-        self._by_id[tid] = template
-        self._by_length.setdefault(len(template), []).append(tid)
-        return tid
-
-    def get(self, template_id: str) -> EgpSkeleton:
-        return self._by_id[template_id]
-
-    def ids(self) -> list[str]:
-        return list(self._by_id)
-
-    def lengths(self) -> list[int]:
-        return sorted(self._by_length)
-
-    def ids_of_length(self, n: int) -> list[str]:
-        """Template ids of length n, in insertion order (empty if none)."""
-        return self._by_length.get(n, [])
+        return len(self.templates)
 
     @classmethod
     def from_sentences(cls, corpus: list[TaggedSentence]) -> "TemplateStore":
         """Build a store, silently skipping untemplatable sentences."""
-        store = cls()
+        templates: dict[str, EgpSkeleton] = {}
         for ts in corpus:
             try:
-                store.add(extract_template(ts))
+                template = extract_template(ts)
             except TemplateError:
                 continue
-        return store
+            templates[f"t{len(templates):06d}"] = template
+        return cls(templates)
 
     def save(self, path: str | Path) -> None:
         write_jsonl(path, (
@@ -111,12 +96,12 @@ class TemplateStore:
                 else {"t": "lit", "w": it.surface}
                 for it in t.items
             ]}
-            for tid, t in self._by_id.items()
+            for tid, t in self.templates.items()
         ))
 
     @classmethod
     def load(cls, path: str | Path) -> "TemplateStore":
-        store = cls()
+        templates: dict[str, EgpSkeleton] = {}
 
         def text(obj, key: str) -> str:
             if not isinstance(obj[key], str):
@@ -132,11 +117,13 @@ class TemplateStore:
                     items.append(Literal(pos, text(it, "w")))
                 else:
                     raise ValueError(f"unknown item type {it['t']!r}")
-            template = EgpSkeleton(tuple(items), text(obj, "source_id"))
-            store.add(template, text(obj, "id"))
+            tid = text(obj, "id")
+            if tid in templates:
+                raise StoreError(f"duplicate template id {tid!r}")
+            templates[tid] = EgpSkeleton(tuple(items), text(obj, "source_id"))
 
         load_rows(read_jsonl(path), path, "bad template row", add)
-        return store
+        return cls(templates)
 
 
 def select_template(
@@ -145,9 +132,9 @@ def select_template(
     """Uniform pick among length-n templates, nearest length as fallback."""
     if not len(store):
         raise StoreError("template store is empty")
-    ids = store.ids_of_length(n)
+    ids = store.by_length.get(n)
     if not ids:
         # nearest available length; ties resolve to the smaller one
-        n = min(store.lengths(), key=lambda ln: (abs(ln - n), ln))
-        ids = store.ids_of_length(n)
-    return store.get(rng.choice(ids))
+        n = min(store.by_length, key=lambda ln: (abs(ln - n), ln))
+        ids = store.by_length[n]
+    return store.templates[rng.choice(ids)]

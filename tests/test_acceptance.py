@@ -170,10 +170,9 @@ class TestCriterion05ScoreEquivalence:
     def _slot_cases(self, resources, limit):
         rng = random.Random(5)
         cases = []
-        for tid in resources.templates.ids():
+        for template in resources.templates.templates.values():
             if len(cases) >= limit:
                 break
-            template = resources.templates.get(tid)
             for slot in template.slots:
                 if len(cases) >= limit:
                     break
@@ -182,7 +181,7 @@ class TestCriterion05ScoreEquivalence:
                     continue
                 vk = [
                     w
-                    for w, _ in resources.ta.words_for(slot.tag.truncated)
+                    for w, _ in resources.ta.table[slot.tag.truncated]
                     if w in resources.store
                 ][:50]
                 if len(vk) < 2:
@@ -202,9 +201,9 @@ class TestCriterion05ScoreEquivalence:
                 w: (t, b, s) for w, t, b, s in zip(vk, ot, ob, os_)
             }
             for c in scored:
-                t, b, s = oracle[c.w]
+                t, b, s = oracle[c["w"]]
                 worst = max(
-                    worst, abs(c.theta - t), abs(c.beta - b), abs(c.s - s)
+                    worst, abs(c["theta"] - t), abs(c["beta"] - b), abs(c["s"] - s)
                 )
         _report(
             "criterion-5a score-dual-implementation",
@@ -216,8 +215,8 @@ class TestCriterion05ScoreEquivalence:
         worst = 0.0
         for o, q, vk in self._slot_cases(resources, 10):
             scored = score_candidates(o, q, vk, resources.store)
-            mt = sum(c.theta for c in scored) / len(scored)
-            mb = sum(c.beta for c in scored) / len(scored)
+            mt = sum(c["theta"] for c in scored) / len(scored)
+            mb = sum(c["beta"] for c in scored) / len(scored)
             s_mean = (mt / mt) * (mb / mb)
             worst = max(worst, abs(s_mean - 1.0))
         _report(
@@ -231,9 +230,9 @@ class TestCriterion05ScoreEquivalence:
         stable = True
         for o, q, vk in self._slot_cases(resources, 10):
             scored = score_candidates(o, q, vk, resources.store)
-            thetas = [c.theta for c in scored]
-            betas = [c.beta for c in scored]
-            words = [c.w for c in scored]
+            thetas = [c["theta"] for c in scored]
+            betas = [c["beta"] for c in scored]
+            words = [c["w"] for c in scored]
 
             def rank(ts, bs):
                 mt = sum(ts) / len(ts)
@@ -275,15 +274,14 @@ class TestCriterion06Attestation:
     def test_slots_attested_and_literals_verbatim(self, resources,
                                                   generated_300):
         by_source = {
-            resources.templates.get(tid).source_id: resources.templates.get(tid)
-            for tid in resources.templates.ids()
+            t.source_id: t for t in resources.templates.templates.values()
         }
         violations = 0
         for sent in generated_300:
             template = by_source[sent.source]
             slot_positions = {rec["position"] for rec in sent.trace}
             for rec in sent.trace:
-                attested = {w for w, _ in resources.ta.words_for(rec["tag"])}
+                attested = {w for w, _ in resources.ta.table[rec["tag"]]}
                 if rec["chosen"] not in attested:
                     violations += 1
             for item, token in zip(template.items, sent.tokens):

@@ -460,6 +460,19 @@ class TestCheck:
         assert code == EXIT_CHECK_FAILED
         assert "FAIL ta-soundness" in out
 
+    def test_empty_vocabulary_fails_novelty(self, resources_dir, tmp_path,
+                                            capsys):
+        import shutil
+
+        broken = tmp_path / "no_words"
+        shutil.copytree(resources_dir, broken)
+        (broken / "vectors.txt").write_text("0 64\n", encoding="utf-8")
+        code = main(["check", "--resources", str(broken)])
+        captured = capsys.readouterr()
+        assert code == EXIT_CHECK_FAILED
+        assert "FAIL novelty" in captured.out
+        assert "Traceback" not in captured.err
+
     def test_missing_directory(self, tmp_path, capsys):
         code = main(["check", "--resources", str(tmp_path / "absent")])
         assert code == EXIT_RESOURCE

@@ -468,18 +468,18 @@ class TestAssociativeTable:
         ta = build_associative_table(
             [_ts([("sol", "NCMS000"), ("sol", "NCMS000")])]
         )
-        assert ta.words_for("NCMS") == [("sol", 2)]
+        assert ta.table["NCMS"] == (("sol", 2),)
 
     def test_word_under_two_tags(self):
         ta = build_associative_table(
             [_ts([("mar", "NCMS000"), ("mar", "NCFS000")])]
         )
-        assert ("mar", 1) in ta.words_for("NCMS")
-        assert ("mar", 1) in ta.words_for("NCFS")
+        assert ("mar", 1) in ta.table["NCMS"]
+        assert ("mar", 1) in ta.table["NCFS"]
 
-    def test_missing_tag(self, ta):
-        with pytest.raises(TableError):
-            ta.words_for("XXXX")
+    def test_missing_tag(self, ta, store):
+        with pytest.raises(TableError, match="no associative-table entry"):
+            ta.rows("XXXX", store)
 
     def test_against_groupby_oracle(self, ta, tagged):
         # independent group-by of the same corpus
@@ -491,9 +491,9 @@ class TestAssociativeTable:
                 expected.setdefault(tag.truncated, {})
                 w = surface.lower()
                 expected[tag.truncated][w] = expected[tag.truncated].get(w, 0) + 1
-        assert set(ta.tags()) == set(expected)
-        for tag in ta.tags():
-            assert dict(ta.words_for(tag)) == expected[tag]
+        assert set(ta.table) == set(expected)
+        for tag, words in ta.table.items():
+            assert dict(words) == expected[tag]
 
     def test_soundness(self, ta, tagged):
         attested = {
@@ -501,8 +501,8 @@ class TestAssociativeTable:
             for ts in tagged
             for surface, tag in ts.tokens
         }
-        for tag in ta.tags():
-            for w, _ in ta.words_for(tag):
+        for tag, words in ta.table.items():
+            for w, _ in words:
                 assert (tag, w) in attested
 
     def test_jsonl_round_trip(self, ta, tmp_path):
@@ -513,14 +513,14 @@ class TestAssociativeTable:
 
     def test_words_most_frequent_first_ties_by_word(self):
         ta = AssociativeTable({"NCMS": [("mar", 1), ("sol", 5), ("cielo", 1)]})
-        assert ta.words_for("NCMS") == [("sol", 5), ("cielo", 1), ("mar", 1)]
+        # a tuple: the memos take the table as fixed
+        assert ta.table["NCMS"] == (("sol", 5), ("cielo", 1), ("mar", 1))
 
     def test_candidates_have_vectors_in_table_order(self):
         store = _toy_store()
         ta = AssociativeTable({"NCMS": [("sur", 1), ("oeste", 9), ("norte", 2)]})
-        assert ta.candidates("NCMS", store) == ["norte", "sur"]
-        with pytest.raises(TableError):
-            ta.candidates("XXXX", store)
+        _, by_count = ta.rows("NCMS", store)
+        assert [store.words[i] for i in by_count] == ["norte", "sur"]
 
     def test_rows_in_word_and_table_order_per_store(self):
         ta = AssociativeTable(

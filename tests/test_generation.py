@@ -34,8 +34,8 @@ class _EveryNorm:
 
 def _without_adjectives(resources):
     adjectives = {
-        w for tag in resources.ta.tags() if tag.startswith("A")
-        for w, _ in resources.ta.words_for(tag)
+        w for tag, words in resources.ta.table.items() if tag.startswith("A")
+        for w, _ in words
     }
     store = resources.store
     keep = [i for i, w in enumerate(store.words) if w not in adjectives]

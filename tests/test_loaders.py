@@ -44,6 +44,7 @@ CASES = {
         "boolean-count": '{"tag": "NCFS", "words": [["luna", true]]}',
         "negative-count": '{"tag": "NCFS", "words": [["luna", -1]]}',
         "non-string-word": '{"tag": "NCFS", "words": [[3, 1]]}',
+        "repeated-word": '{"tag": "NCFS", "words": [["luna", 2], ["luna", 1]]}',
     }),
     "funcdict": (FunctionWordDictionary.load, '{"tag": "DA0M", "words": ["el"]}', {
         "bad-row": '{"words": ["la"]}',
@@ -52,6 +53,7 @@ CASES = {
         "non-string-tag": '{"tag": null, "words": ["la"]}',
         "non-string-word": '{"tag": "DA0F", "words": ["la", 1]}',
         "words-not-a-list": '{"tag": "DA0F", "words": "la"}',
+        "repeated-word": '{"tag": "DA0F", "words": ["la", "una", "la"]}',
     }),
     "forms": (FormsLexicon.load, "sol\tsol\tNCMS000\t3", {
         "bad-row": "luna\tluna\tNCFS000\tmany",

@@ -70,7 +70,7 @@ class TestRank:
     def test_corpus_soundness(self, resources):
         ranked = rank_vocabulary(PosTag("NCMS"), "sol", resources.ta,
                                  resources.store)
-        attested = {w for w, _ in resources.ta.words_for("NCMS")}
+        attested = {w for w, _ in resources.ta.table["NCMS"]}
         assert all(w in attested for w, _ in ranked)
 
 
@@ -78,7 +78,9 @@ def _reference_rank(tag, q, ta, store):
     """The ranking written out word by word: filter the tag's words by
     membership in the store, then sort (word, prox) tuples by (-prox, word)."""
     iq = store.row(q)
-    words = [w for w, _ in ta.words_for(tag.truncated) if w in store]
+    if tag.truncated not in ta.table:
+        raise TableError(f"no associative-table entry for tag {tag.truncated!r}")
+    words = [w for w, _ in ta.table[tag.truncated] if w in store]
     if not words:
         raise EmptyRankError(f"no in-vocabulary candidate for tag {tag.truncated!r}")
     prox = store.proximity(iq, [store.index[w] for w in words])
@@ -181,9 +183,9 @@ class TestGenerate:
         sent = generate_model2("amor", 8, resources, seed=2)
         assert len(sent.tokens) == 8
         template = None
-        for tid in resources.templates.ids():
-            if resources.templates.get(tid).source_id == sent.source:
-                template = resources.templates.get(tid)
+        for t in resources.templates.templates.values():
+            if t.source_id == sent.source:
+                template = t
                 break
         assert template is not None
         for item, token in zip(template.items, sent.tokens):
@@ -194,7 +196,7 @@ class TestGenerate:
         for seed in range(10):
             sent = generate_model2("guerra", 7, resources, seed=seed)
             for rec in sent.trace:
-                attested = {w for w, _ in resources.ta.words_for(rec["tag"])}
+                attested = {w for w, _ in resources.ta.table[rec["tag"]]}
                 assert rec["chosen"] in attested
 
     def test_chosen_within_top3(self, resources):

@@ -71,10 +71,10 @@ class TestScoring:
             scored = score_candidates(o, q, vk, store)
             oracle = _oracle_scores(o, q, vk, store)
             for c in scored:
-                s, theta, beta = oracle[c.w]
-                assert abs(c.s - s) <= 1e-9
-                assert abs(c.theta - theta) <= 1e-9
-                assert abs(c.beta - beta) <= 1e-9
+                s, theta, beta = oracle[c["w"]]
+                assert abs(c["s"] - s) <= 1e-9
+                assert abs(c["theta"] - theta) <= 1e-9
+                assert abs(c["beta"] - beta) <= 1e-9
 
     @pytest.mark.parametrize("invert", [False, True])
     @pytest.mark.parametrize("v", [4, 10])
@@ -87,18 +87,18 @@ class TestScoring:
         o, q, vk = "w0", "w1", store.words[1:]
         scored = score_candidates(o, q, vk, store, invert=invert)
         oracle = _oracle_scores(o, q, vk, store, invert=invert)
-        assert sorted(c.w for c in scored) == sorted(vk)
+        assert sorted(c["w"] for c in scored) == sorted(vk)
         for c in scored:
-            s, theta, beta = oracle[c.w]
-            assert abs(c.s - s) <= 1e-9
-            assert abs(c.theta - theta) <= 1e-9
-            assert abs(c.beta - beta) <= 1e-9
+            s, theta, beta = oracle[c["w"]]
+            assert abs(c["s"] - s) <= 1e-9
+            assert abs(c["theta"] - theta) <= 1e-9
+            assert abs(c["beta"] - beta) <= 1e-9
 
     def test_sorted_descending(self, resources):
         scored = score_candidates(
             "sol", "luna", ["mar", "cielo", "noche", "amor"], resources.store
         )
-        ss = [c.s for c in scored]
+        ss = [c["s"] for c in scored]
         assert ss == sorted(ss, reverse=True)
 
     def test_scale_invariance(self, resources):
@@ -110,14 +110,14 @@ class TestScoring:
             scaled = EmbeddingStore(store.words, store.vectors * c)
             got = score_candidates("sol", "luna", vk, scaled)
             for x, y in zip(base, got):
-                assert x.w == y.w
-                assert abs(x.s - y.s) <= 1e-9
+                assert x["w"] == y["w"]
+                assert abs(x["s"] - y["s"]) <= 1e-9
 
     def test_invert_is_reciprocal(self, resources):
         vk = ["mar", "cielo", "noche"]
-        plain = {c.w: c.s for c in
+        plain = {c["w"]: c["s"] for c in
                  score_candidates("sol", "luna", vk, resources.store)}
-        inv = {c.w: c.s for c in
+        inv = {c["w"]: c["s"] for c in
                score_candidates("sol", "luna", vk, resources.store,
                                 invert=True)}
         for w in vk:
@@ -129,20 +129,20 @@ class TestScoring:
         scored = score_candidates(
             "sol", "luna", ["mar", "cielo", "noche", "amor"], resources.store
         )
-        mt = sum(c.theta for c in scored) / len(scored)
-        mb = sum(c.beta for c in scored) / len(scored)
+        mt = sum(c["theta"] for c in scored) / len(scored)
+        mb = sum(c["beta"] for c in scored) / len(scored)
         for c in scored:
-            assert abs(c.s - (mt / c.theta) * (c.beta / mb)) <= 1e-12
+            assert abs(c["s"] - (mt / c["theta"]) * (c["beta"] / mb)) <= 1e-12
 
     def test_monotone_in_beta(self, resources):
         # with theta fixed, larger beta means larger score
         scored = score_candidates(
             "sol", "luna", ["mar", "cielo", "noche", "amor"], resources.store
         )
-        mt = sum(c.theta for c in scored) / len(scored)
-        mb = sum(c.beta for c in scored) / len(scored)
-        betas = sorted(c.beta for c in scored)
-        ss = [(mt / scored[0].theta) * (b / mb) for b in betas]
+        mt = sum(c["theta"] for c in scored) / len(scored)
+        mb = sum(c["beta"] for c in scored) / len(scored)
+        betas = sorted(c["beta"] for c in scored)
+        ss = [(mt / scored[0]["theta"]) * (b / mb) for b in betas]
         assert ss == sorted(ss)
 
     def test_too_few_candidates(self, resources):
@@ -190,7 +190,7 @@ class TestGenerate:
         for seed in range(6):
             sent = generate_model3("cielo", 9, resources, seed=seed)
             for rec in sent.trace:
-                attested = {w for w, _ in resources.ta.words_for(rec["tag"])}
+                attested = {w for w, _ in resources.ta.table[rec["tag"]]}
                 assert rec["chosen"] in attested
 
     def test_novelty(self, resources):
@@ -231,16 +231,16 @@ class TestUnsortedTable:
         path = tmp_path / "ta.jsonl"
         moved = 0
         with open(path, "w", encoding="utf-8") as f:
-            for tag in resources.ta.tags():
-                words = resources.ta.words_for(tag)
+            for tag in sorted(resources.ta.table):
+                words = list(resources.ta.table[tag])
                 rng.shuffle(words)
-                moved += words != resources.ta.words_for(tag)
+                moved += words != list(resources.ta.table[tag])
                 f.write(json.dumps({"tag": tag, "words": words}) + "\n")
         assert moved  # some tag's words are out of order in the file
         shuffled = AssociativeTable.load(path)
         assert shuffled.table == resources.ta.table
         store = resources.store
-        for tag in resources.ta.tags():
+        for tag in sorted(resources.ta.table):
             for q in ("sol", "guerra", "luna"):
                 assert rank_vocabulary(PosTag(tag), q, shuffled, store) == (
                     rank_vocabulary(PosTag(tag), q, resources.ta, store)
@@ -255,7 +255,7 @@ class TestUnsortedTable:
 
 def _reference_top3(tag, q, store, ta):
     """Model 2's first three, word by word: one-pair proximities, sorted."""
-    words = [w for w, _ in ta.words_for(tag) if w in store]
+    words = [w for w, _ in ta.table[tag] if w in store]
     ranked = sorted(
         words, key=lambda w: (-store.proximity(store.index[q], store.index[w]), w)
     )
@@ -266,16 +266,16 @@ class TestOovFallback:
     def test_top3_matches_reference_on_cold_and_warm_table(self, resources):
         # every length-7 template's first slot gets an original with no
         # vector, so that slot always falls back to model 2's ranking
-        templates = TemplateStore()
-        for tid in resources.templates.ids_of_length(7):
-            t = resources.templates.get(tid)
+        templates = {}
+        for tid in resources.templates.by_length[7]:
+            t = resources.templates.templates[tid]
             first = t.slots[0]
             items = tuple(replace(it, original="zzzqx") if it == first else it
                           for it in t.items)
-            templates.add(replace(t, items=items))
+            templates[tid] = replace(t, items=items)
         # a fresh table: the first pass ranks cold, the second from its memo
         ta = AssociativeTable(resources.ta.table)
-        res = replace(resources, templates=templates, ta=ta)
+        res = replace(resources, templates=TemplateStore(templates), ta=ta)
         for _ in ("cold", "warm"):
             fallbacks = 0
             for seed in range(4):

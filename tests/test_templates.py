@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 
@@ -15,10 +16,22 @@ from homosyntax.templates import (
 )
 
 
+# sha256 of the fixture store's templates.jsonl: the bytes that `save` must
+# keep writing, whatever the store's in-memory shape
+FIXTURE_TEMPLATES_SHA256 = (
+    "46ee46633510cec755e660d356d0d0d900f6e68468e2b55dda78e9c4e0aa6e8e"
+)
+
+
 def _ts(pairs, doc_id="d", index=0):
     tokens = tuple((w, PosTag(t)) for w, t in pairs)
     src = SentenceRecord(doc_id, index, tuple(w for w, _ in tokens), 0)
     return TaggedSentence(tokens=tokens, source=src)
+
+
+def _store(*sentences):
+    return TemplateStore.from_sentences([_ts(pairs, index=i)
+                                         for i, pairs in enumerate(sentences)])
 
 
 class TestExtract:
@@ -55,42 +68,39 @@ class TestExtract:
 
 class TestStore:
     def test_select_singleton(self):
-        store = TemplateStore()
-        ts = _ts([("el", "DA0MS0"), ("sol", "NCMS000"), ("brilla", "VMIP3S0"),
-                  ("hoy", "RG"), (".", "Fp")])
-        store.add(extract_template(ts))
+        store = _store([("el", "DA0MS0"), ("sol", "NCMS000"),
+                        ("brilla", "VMIP3S0"), ("hoy", "RG"), (".", "Fp")])
         got = select_template(store, 5, random.Random(0))
         assert len(got) == 5
 
     def test_nearest_length_fallback(self):
-        store = TemplateStore()
-        four = _ts([("el", "DA0MS0"), ("sol", "NCMS000"),
-                    ("brilla", "VMIP3S0"), (".", "Fp")])
-        eight = _ts(
-            [("el", "DA0MS0"), ("sol", "NCMS000"), ("brilla", "VMIP3S0"),
-             ("sobre", "SPS00"), ("el", "DA0MS0"), ("mar", "NCMS000"),
-             ("frío", "AQ0MS00"), (".", "Fp")],
-            index=1,
-        )
-        store.add(extract_template(four))
-        store.add(extract_template(eight))
+        four = [("el", "DA0MS0"), ("sol", "NCMS000"), ("brilla", "VMIP3S0"),
+                (".", "Fp")]
+        eight = [("el", "DA0MS0"), ("sol", "NCMS000"), ("brilla", "VMIP3S0"),
+                 ("sobre", "SPS00"), ("el", "DA0MS0"), ("mar", "NCMS000"),
+                 ("frío", "AQ0MS00"), (".", "Fp")]
+        store = _store(four, eight)
         got = select_template(store, 5, random.Random(0))
         assert len(got) == 4  # distance 1 beats distance 3
 
     def test_nearest_tie_prefers_smaller(self):
-        store = TemplateStore()
-        for i, n_extra in enumerate((0, 2)):  # lengths 4 and 6
-            pairs = [("el", "DA0MS0"), ("sol", "NCMS000"),
-                     ("brilla", "VMIP3S0")]
-            pairs += [("hoy", "RG")] * n_extra
-            pairs += [(".", "Fp")]
-            store.add(extract_template(_ts(pairs, index=i)))
+        head = [("el", "DA0MS0"), ("sol", "NCMS000"), ("brilla", "VMIP3S0")]
+        store = _store(head + [(".", "Fp")],  # length 4
+                       head + [("hoy", "RG")] * 2 + [(".", "Fp")])  # length 6
         got = select_template(store, 5, random.Random(0))
         assert len(got) == 4
 
     def test_empty_store(self):
         with pytest.raises(StoreError):
-            select_template(TemplateStore(), 5, random.Random(0))
+            select_template(TemplateStore({}), 5, random.Random(0))
+
+    def test_ids_in_build_order_by_length(self):
+        short = [("sol", "NCMS000"), (".", "Fp")]
+        longer = [("el", "DA0MS0"), ("sol", "NCMS000"), (".", "Fp")]
+        untemplatable = [("de", "SPS00"), (".", "Fp")]
+        store = _store(short, untemplatable, longer, short)
+        assert list(store.templates) == ["t000000", "t000001", "t000002"]
+        assert store.by_length == {2: ["t000000", "t000002"], 3: ["t000001"]}
 
     def test_selection_deterministic(self, template_store):
         a = select_template(template_store, 8, random.Random(7))
@@ -99,8 +109,8 @@ class TestStore:
 
     def test_selection_roughly_uniform(self, template_store):
         # all templates of one length should be drawn comparably often
-        length = template_store.lengths()[0]
-        ids = template_store._by_length[length]
+        length = min(template_store.by_length)
+        ids = template_store.by_length[length]
         if len(ids) < 2:
             pytest.skip("need several templates of one length")
         rng = random.Random(123)
@@ -121,5 +131,13 @@ class TestSerialization:
         template_store.save(path)
         back = TemplateStore.load(path)
         assert len(back) == len(template_store)
-        for tid in template_store.ids()[:50]:
-            assert back.get(tid) == template_store.get(tid)
+        assert back.templates == template_store.templates
+        assert back.by_length == template_store.by_length
+
+    def test_fixture_store_bytes_are_pinned(self, template_store, tmp_path):
+        path = tmp_path / "templates.jsonl"
+        template_store.save(path)
+        data = path.read_bytes()
+        assert hashlib.sha256(data).hexdigest() == FIXTURE_TEMPLATES_SHA256
+        TemplateStore.load(path).save(tmp_path / "again.jsonl")
+        assert (tmp_path / "again.jsonl").read_bytes() == data
