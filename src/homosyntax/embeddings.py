@@ -104,6 +104,14 @@ class EmbeddingStore:
 
     @classmethod
     def load(cls, path: str | Path) -> "EmbeddingStore":
+        """Read a word2vec text file: a ``<count> <dims>`` header, then one
+        ``word v1 … v_dims`` row per word, split on whitespace.
+
+        Well-formed rows are parsed in one numpy call. Rows it refuses are
+        read again one at a time, which loads what ``float()`` reads and
+        numpy does not (``1_0``, a non-ASCII digit) or stops at the first bad
+        row with its line.
+        """
         lines = read_lines(path)
         if not lines:
             raise FormatError("empty embedding file", 1, path)
@@ -120,29 +128,53 @@ class EmbeddingStore:
             )
         if len(lines) - 1 < count:
             raise FormatError(f"expected {count} vector rows", path=path)
-        row_of: dict[str, int] = {}  # word -> row index, in file order
-        vectors = np.zeros((count, dims), dtype=np.float64)
+        parsed = _parse_bulk(lines[1 : 1 + count], dims)
+        if parsed is None:
+            row_of: dict[str, int] = {}  # word -> row index, in file order
+            vectors = np.zeros((count, dims), dtype=np.float64)
 
-        def add(parts: list[str]) -> None:
-            if len(parts) != dims + 1:
-                raise ValueError(f"expected word + {dims} floats")
-            word = parts[0]
-            if word in row_of:
-                raise ValueError(
-                    f"duplicate word {word!r}, first at line {row_of[word] + 2}"
-                )
-            vectors[len(row_of)] = [float(p) for p in parts[1:]]
-            row_of[word] = len(row_of)
+            def add(parts: list[str]) -> None:
+                if len(parts) != dims + 1:
+                    raise ValueError(f"expected word + {dims} floats")
+                word = parts[0]
+                if word in row_of:
+                    raise ValueError(
+                        f"duplicate word {word!r}, first at line {row_of[word] + 2}"
+                    )
+                vectors[len(row_of)] = [float(p) for p in parts[1:]]
+                row_of[word] = len(row_of)
 
-        rows = enumerate((line.split() for line in lines[1 : 1 + count]), start=2)
-        load_rows(rows, path, "bad vector row", add)
-        bad = np.flatnonzero(~np.isfinite(vectors).all(axis=1))
-        if bad.size:
-            raise FormatError("non-finite vector component", int(bad[0]) + 2, path)
+            rows = enumerate((line.split() for line in lines[1 : 1 + count]), start=2)
+            load_rows(rows, path, "bad vector row", add)
+            bad = np.flatnonzero(~np.isfinite(vectors).all(axis=1))
+            if bad.size:
+                raise FormatError("non-finite vector component", int(bad[0]) + 2, path)
+            parsed = list(row_of), vectors
         for i, line in enumerate(lines[1 + count :], start=2 + count):
             if line.strip():
                 raise FormatError(f"more than {count} vector rows", i, path)
-        return cls(list(row_of), vectors)
+        return cls(*parsed)
+
+
+def _parse_bulk(rows: list[str], dims: int) -> tuple[list[str], np.ndarray] | None:
+    """Words and vectors of the rows in one numpy call, which splits where
+    ``str.split`` does and converts as ``float()`` does; None when numpy
+    refuses a row or the rows repeat a word or hold a non-finite component."""
+    # numpy sizes its buffer from the dtype, not the rows, and warns on no
+    # rows: call it only when the first row is as wide as the header says
+    if not rows or len(rows[0].split()) != dims + 1:
+        return None
+    try:
+        table = np.loadtxt(rows, dtype=[("w", object), ("v", np.float64, (dims,))],
+                           comments=None, ndmin=1)
+    except ValueError:
+        return None
+    words = table["w"].tolist()
+    vectors = np.ascontiguousarray(table["v"])
+    if (len(words) != len(rows)  # numpy skips a blank row
+            or len(set(words)) != len(words) or not np.isfinite(vectors).all()):
+        return None
+    return words, vectors
 
 
 LEARNING_RATE = 0.025  # initial SGD step, decayed linearly to 1e-4 of it

@@ -102,6 +102,7 @@ class TemplateStore:
     @classmethod
     def load(cls, path: str | Path) -> "TemplateStore":
         templates: dict[str, EgpSkeleton] = {}
+        tags: dict[str, PosTag] = {}  # one PosTag per tag string, shared by its slots
 
         def text(obj, key: str) -> str:
             if not isinstance(obj[key], str):
@@ -112,11 +113,16 @@ class TemplateStore:
             items: list[Slot | Literal] = []
             for pos, it in enumerate(obj["items"]):
                 if it["t"] == "slot":
-                    items.append(Slot(pos, PosTag(text(it, "tag")), text(it, "orig")))
+                    tag = text(it, "tag")
+                    if tag not in tags:
+                        tags[tag] = PosTag(tag)
+                    items.append(Slot(pos, tags[tag], text(it, "orig")))
                 elif it["t"] == "lit":
                     items.append(Literal(pos, text(it, "w")))
                 else:
                     raise ValueError(f"unknown item type {it['t']!r}")
+            if not any(isinstance(it, Slot) for it in items):
+                raise ValueError("template has no slot")
             tid = text(obj, "id")
             if tid in templates:
                 raise StoreError(f"duplicate template id {tid!r}")

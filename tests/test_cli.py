@@ -109,6 +109,27 @@ class TestExitCodes:
         assert (diagnostic["path"], diagnostic["line"]) == (str(path), 2)
         assert f"duplicate template id {first['id']!r}" in diagnostic["message"]
 
+    def test_template_without_a_slot_names_file_and_line(self, resources_dir,
+                                                         tmp_path, capsys):
+        import shutil
+
+        broken = tmp_path / "no_slot"
+        shutil.copytree(resources_dir, broken)
+        path = broken / "templates.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        row = json.loads(lines[2])
+        # every slot becomes its original word: a copy of a corpus sentence
+        row["items"] = [{"t": "lit", "w": it.get("orig", it.get("w"))}
+                        for it in row["items"]]
+        lines[2] = json.dumps(row, ensure_ascii=False)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = main(_gen(broken, "--model", "2", "--query", "sol",
+                         "--len", str(len(row["items"]))))
+        diagnostic = json.loads(capsys.readouterr().err.splitlines()[0])
+        assert code == EXIT_RESOURCE
+        assert (diagnostic["path"], diagnostic["line"]) == (str(path), 3)
+        assert "bad template row: template has no slot" in diagnostic["message"]
+
     @pytest.mark.parametrize("name, line, edit", [
         ("vectors.txt", 1, lambda lines: ["-1 3"] + lines[1:]),
         ("matrix.txt", 1, lambda lines: ["states -1"] + lines[1:]),

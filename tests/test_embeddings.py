@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -456,6 +457,181 @@ class TestSerialization:
         p.write_text("2 2\na 1.0 0.0\nb 0.0 1.0\n\n")
         assert len(EmbeddingStore.load(p)) == 2
 
+
+def _numpy_float(token):
+    """A vector component as the loader's numpy call reads it; None where
+    numpy refuses the token."""
+    try:
+        table = np.loadtxt([f"w {token}"], dtype=[("w", object), ("v", np.float64, (1,))],
+                           comments=None, ndmin=1)
+    except ValueError:
+        return None
+    return table["v"][0, 0]
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+_SIGNS = st.sampled_from(["", "+", "-"])
+_DIGITS = st.text(alphabet="0123456789", max_size=30)
+
+
+@st.composite
+def _decimal_spellings(draw):
+    """Signed decimals with an optional fraction (``.5`` and ``5.`` too) and
+    an optional ``e``/``E`` exponent with or without a sign."""
+    whole, frac = draw(_DIGITS), draw(_DIGITS)
+    if not whole + frac:
+        whole = draw(st.text(alphabet="0123456789", min_size=1, max_size=30))
+    dot = draw(st.booleans()) or not whole
+    exponent = ""
+    if draw(st.booleans()):
+        exponent = (draw(st.sampled_from("eE")) + draw(_SIGNS)
+                    + str(draw(st.integers(0, 400))))
+    return draw(_SIGNS) + whole + ("." + frac if dot else "") + exponent
+
+
+_SMALLEST_NORMAL = 2.2250738585072014e-308
+_FLOAT_SPELLINGS = st.one_of(
+    _decimal_spellings(),
+    # at least 20 significant digits, past what a double can hold
+    st.builds(lambda s, d, e: f"{s}{d[0]}.{d[1:]}e{e}", _SIGNS,
+              st.text(alphabet="0123456789", min_size=20, max_size=60),
+              st.integers(-330, 310)),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    # subnormals up to the smallest normal, in long and short spellings
+    st.floats(min_value=0.0, max_value=_SMALLEST_NORMAL).flatmap(
+        lambda x: st.sampled_from([repr(x), f"{x:.25e}", f"-{x:.17g}"])),
+    st.sampled_from(["2.2250738585072014e-308", "2.2250738585072011e-308",
+                     "4.9e-324", "2.4703282292062328e-324",
+                     "2.4703282292062327e-324", "1e-400", "1.7976931348623159e308"]),
+    # inf and nan as float() spells them, any case, with or without a sign
+    st.builds(lambda s, w, flips: s + "".join(
+        c.upper() if f else c for c, f in zip(w, flips)),
+        _SIGNS, st.sampled_from(["inf", "infinity", "nan"]),
+        st.lists(st.booleans(), min_size=8, max_size=8)),
+)
+
+
+class TestNumpyFloatParse:
+    """The vector loader trusts numpy's string-to-float64 conversion to give
+    what ``float()`` gives, bit for bit, on every token numpy accepts."""
+
+    @settings(max_examples=1500)
+    @given(token=_FLOAT_SPELLINGS)
+    def test_float_spellings_convert_as_float_does(self, token):
+        parsed = _numpy_float(token)
+        assert parsed is not None, token
+        assert _bits(parsed) == _bits(float(token)), token
+
+    @settings(max_examples=500)
+    @given(token=st.text(alphabet="0123456789+-.eEinfatyINFATY_xX٣１ ", min_size=1,
+                         max_size=12))
+    def test_a_token_numpy_accepts_converts_as_float_does(self, token):
+        parsed = _numpy_float(token)
+        if parsed is not None:
+            assert _bits(parsed) == _bits(float(token)), token
+
+    @pytest.mark.parametrize("token", ["1_0", "٣", "１"])
+    def test_numpy_refuses_what_only_float_reads(self, token):
+        assert _numpy_float(token) is None
+        float(token)
+
+
+def _reference_vectors(text):
+    """Words and vectors of a word2vec text file read by ``str.split`` and
+    ``float()``, one token at a time."""
+    lines = text.splitlines()
+    count, dims = (int(x) for x in lines[0].split())
+    rows = [line.split() for line in lines[1 : 1 + count]]
+    if any(len(r) != dims + 1 for r in rows):
+        raise ValueError("a row without a word and dims floats")
+    vectors = np.array([[float(p) for p in r[1:]] for r in rows], dtype=np.float64)
+    return [r[0] for r in rows], vectors.reshape(count, dims)
+
+
+class TestVectorParsing:
+    """``EmbeddingStore.load`` reads what an independent reader reads,
+    whether numpy takes the rows in one call or the row loop reads them."""
+
+    @pytest.mark.parametrize("text", [
+        "0 3\n",
+        "1 2\nsol 0.25 -1e-3\n",
+        "2 2\n#sol 1.0 2.0\n# 3.0 4.0\n",
+        "2 3\nsol\t1.0\t2.0\t3.0\nluna  4.0   5.5  -6.0\n",
+        "2 2\nsol　1.0　2.0\nluna\xa03.0 4.0\n",
+        "2 2\n  sol 1 2  \nluna .5 5.\n",
+        "2 2\nsol 1_0 2.0\nluna 3.0 4.0\n",
+        "2 2\nsol 1.0 2.0\nluna ٣.5 4.0\n",
+    ], ids=["count-0", "count-1", "hash-word", "tab-and-spaces",
+            "ideographic-and-nbsp", "outer-space-short-floats", "underscore",
+            "arabic-indic-digit"])
+    def test_loads_as_the_reference_reads(self, tmp_path, text):
+        p = tmp_path / "v.txt"
+        p.write_text(text, encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            store = EmbeddingStore.load(p)
+        words, vectors = _reference_vectors(text)
+        assert store.words == words
+        assert store.vectors.tobytes() == vectors.tobytes()
+        assert store.vectors.shape == vectors.shape
+
+    def test_blank_row_within_the_count_rejected_at_its_line(self, tmp_path):
+        p = tmp_path / "v.txt"
+        p.write_text("3 2\na 1.0 0.0\n\nb 0.0 1.0\n")
+        with pytest.raises(FormatError, match="expected word \\+ 2 floats") as exc:
+            EmbeddingStore.load(p)
+        assert exc.value.line == 3
+
+    def test_numpy_parses_only_rows_as_wide_as_the_header(self, tmp_path,
+                                                          monkeypatch):
+        calls = []
+        loadtxt = np.loadtxt
+        monkeypatch.setattr(np, "loadtxt",
+                            lambda rows, **kw: calls.append(rows) or loadtxt(rows, **kw))
+        p = tmp_path / "v.txt"
+        p.write_text("2 2\nsol 1.0 2.0\nluna 3.0 4.0\n")
+        assert EmbeddingStore.load(p).words == ["sol", "luna"]
+        assert calls == [["sol 1.0 2.0", "luna 3.0 4.0"]]
+        # numpy would size its buffer for 10^8 components before it saw
+        # that the row holds one
+        p.write_text("1 100000000\nsol 1.0\n")
+        with pytest.raises(FormatError, match="expected word \\+ 100000000 floats") as exc:
+            EmbeddingStore.load(p)
+        assert exc.value.line == 2
+        assert len(calls) == 1
+
+    @settings(max_examples=300)
+    @given(data=st.data())
+    def test_random_rows_load_as_the_reference_reads(self, tmp_path_factory, data):
+        dims = data.draw(st.integers(1, 3))
+        words = data.draw(st.lists(st.sampled_from(["sol", "luna", "#mar", "río"]),
+                                   max_size=4))
+        # magnitudes whose squares sum without overflow in the row norms
+        token = st.one_of(
+            st.floats(min_value=-1e150, max_value=1e150).map(repr),
+            st.sampled_from(["1_0", "٣", ".5", "5.", "-0", "1e-320", "x"]))
+        sep = st.text(alphabet=" \t\xa0　\x1f", min_size=1, max_size=2)
+        rows = []
+        for word in words:
+            fields = [word] + [data.draw(token) for _ in range(dims)]
+            rows.append("".join(f + data.draw(sep) for f in fields).rstrip())
+        text = f"{len(rows)} {dims}\n" + "".join(r + "\n" for r in rows)
+        p = tmp_path_factory.getbasetemp() / "random_vectors.txt"
+        p.write_text(text, encoding="utf-8")
+        try:
+            expected = _reference_vectors(text)
+        except ValueError:
+            expected = None  # a row the reference cannot read
+        if expected is None or len(set(expected[0])) < len(expected[0]):
+            with pytest.raises(FormatError):
+                EmbeddingStore.load(p)
+            return
+        store = EmbeddingStore.load(p)
+        assert store.words == expected[0]
+        assert store.vectors.tobytes() == expected[1].tobytes()
 
 def _ts(pairs):
     tokens = tuple((w, PosTag(t)) for w, t in pairs)

@@ -33,6 +33,8 @@ CASES = {
                                '[{"t": "slot", "tag": 1.5, "orig": "luna"}]}',
         "non-string-literal": '{"id": "t1", "source_id": "d:1", "items": '
                               '[{"t": "lit", "w": null}]}',
+        "no-slot": '{"id": "t1", "source_id": "d:1", "items": '
+                   '[{"t": "lit", "w": "el"}, {"t": "lit", "w": "."}]}',
     }),
     "ta": (AssociativeTable.load, '{"tag": "NCMS", "words": [["sol", 2]]}', {
         "bad-row": '{"tag": "NCFS", "words": [["luna", "x"]]}',
