@@ -22,16 +22,28 @@ from .errors import (FormatError, OovError, TableError, TrainError, load_rows,
 from .pos import TaggedSentence, is_content
 
 
+def _proximity(cos: np.ndarray) -> np.ndarray:
+    """(cosine + 1) / 2, clipped to [0, 1]: the one proximity formula."""
+    return np.clip((cos + 1.0) / 2.0, 0.0, 1.0)
+
+
+def _norms(vectors: np.ndarray) -> np.ndarray:
+    """Row norms, as a column. A non-finite component gives a non-finite
+    norm, and so does a norm past the float range, without a warning."""
+    with np.errstate(over="ignore"):
+        return np.linalg.norm(vectors, axis=1, keepdims=True)
+
+
 class EmbeddingStore:
     def __init__(self, words: list[str], vectors: np.ndarray):
         if len(words) != vectors.shape[0]:
             raise FormatError("vocab size does not match vector count")
-        if not np.all(np.isfinite(vectors)):
-            raise FormatError("non-finite vector components")
         self.words = list(words)
         self.index = {w: i for i, w in enumerate(self.words)}
         self.vectors = np.asarray(vectors, dtype=np.float64)
-        norms = np.linalg.norm(self.vectors, axis=1, keepdims=True)
+        norms = _norms(self.vectors)
+        if not np.isfinite(norms).all():
+            raise FormatError("non-finite vector component or norm")
         self._unit = self.vectors / np.maximum(norms, 1e-12)
         self._neighbors: dict[tuple[str, int], np.ndarray] = {}
         self.training_losses: list[float] = []
@@ -61,9 +73,21 @@ class EmbeddingStore:
         shape. np.vecdot runs the same dot kernel as np.dot on one pair, so
         every element equals the one-pair value bit for bit.
         """
-        cos = np.vecdot(self._unit[a], self._unit[b])
-        prox = np.clip((cos + 1.0) / 2.0, 0.0, 1.0)
+        prox = _proximity(np.vecdot(self._unit[a], self._unit[b]))
         return float(prox) if prox.ndim == 0 else prox
+
+    def unit_block(self, rows: np.ndarray) -> np.ndarray:
+        """The unit vectors of rows, in their order, as one new contiguous
+        read-only array: the operand of ``block_proximity``."""
+        block = self._unit[rows]
+        block.flags.writeable = False
+        return block
+
+    def block_proximity(self, a: int, block: np.ndarray) -> np.ndarray:
+        """``proximity(a, rows)`` for the rows the block was made from,
+        without gathering them again: the same np.vecdot on the same unit
+        vectors, so equal bit for bit."""
+        return _proximity(np.vecdot(self._unit[a], block))
 
     def neighbors(self, q: str, m: int) -> np.ndarray:
         """Rows of the top-m words by proximity to q, nearest first, q
@@ -83,8 +107,7 @@ class EmbeddingStore:
         return rows
 
     def _top(self, iq: int, m: int) -> np.ndarray:
-        cos = self._unit @ self._unit[iq]
-        prox = np.clip((cos + 1.0) / 2.0, 0.0, 1.0)
+        prox = _proximity(self._unit @ self._unit[iq])
         prox[iq] = -1.0  # below every proximity: q is never its own neighbor
         k = min(m, len(self.words) - 1)
         if k == 0:
@@ -110,7 +133,9 @@ class EmbeddingStore:
         Well-formed rows are parsed in one numpy call. Rows it refuses are
         read again one at a time, which loads what ``float()`` reads and
         numpy does not (``1_0``, a non-ASCII digit) or stops at the first bad
-        row with its line.
+        row with its line. Nothing is sized by the header's dims before a row
+        shows that width, and a row whose norm is not finite (a nan or inf
+        component, or one too large to square) is an error at its line.
         """
         lines = read_lines(path)
         if not lines:
@@ -131,7 +156,7 @@ class EmbeddingStore:
         parsed = _parse_bulk(lines[1 : 1 + count], dims)
         if parsed is None:
             row_of: dict[str, int] = {}  # word -> row index, in file order
-            vectors = np.zeros((count, dims), dtype=np.float64)
+            vectors: list[list[float]] = []
 
             def add(parts: list[str]) -> None:
                 if len(parts) != dims + 1:
@@ -141,25 +166,32 @@ class EmbeddingStore:
                     raise ValueError(
                         f"duplicate word {word!r}, first at line {row_of[word] + 2}"
                     )
-                vectors[len(row_of)] = [float(p) for p in parts[1:]]
+                vectors.append([float(p) for p in parts[1:]])
                 row_of[word] = len(row_of)
 
             rows = enumerate((line.split() for line in lines[1 : 1 + count]), start=2)
             load_rows(rows, path, "bad vector row", add)
-            bad = np.flatnonzero(~np.isfinite(vectors).all(axis=1))
-            if bad.size:
-                raise FormatError("non-finite vector component", int(bad[0]) + 2, path)
-            parsed = list(row_of), vectors
+            try:
+                parsed = list(row_of), np.array(vectors).reshape(count, dims)
+            except ValueError as e:  # no row, and no array is dims wide
+                raise FormatError(f"bad header {lines[0]!r}: {e}", 1, path) from e
+        try:
+            store = cls(*parsed)
+        except FormatError:  # a norm that is not finite: find its row
+            bad = np.flatnonzero(~np.isfinite(_norms(parsed[1])))
+            raise FormatError(
+                "non-finite vector component or norm", int(bad[0]) + 2, path
+            ) from None
         for i, line in enumerate(lines[1 + count :], start=2 + count):
             if line.strip():
                 raise FormatError(f"more than {count} vector rows", i, path)
-        return cls(*parsed)
+        return store
 
 
 def _parse_bulk(rows: list[str], dims: int) -> tuple[list[str], np.ndarray] | None:
     """Words and vectors of the rows in one numpy call, which splits where
     ``str.split`` does and converts as ``float()`` does; None when numpy
-    refuses a row or the rows repeat a word or hold a non-finite component."""
+    refuses a row or the rows repeat a word."""
     # numpy sizes its buffer from the dtype, not the rows, and warns on no
     # rows: call it only when the first row is as wide as the header says
     if not rows or len(rows[0].split()) != dims + 1:
@@ -171,8 +203,8 @@ def _parse_bulk(rows: list[str], dims: int) -> tuple[list[str], np.ndarray] | No
         return None
     words = table["w"].tolist()
     vectors = np.ascontiguousarray(table["v"])
-    if (len(words) != len(rows)  # numpy skips a blank row
-            or len(set(words)) != len(words) or not np.isfinite(vectors).all()):
+    # numpy skips a blank row
+    if len(words) != len(rows) or len(set(words)) != len(words):
         return None
     return words, vectors
 
@@ -318,9 +350,10 @@ class AssociativeTable:
             tag: tuple(sorted(words, key=lambda wc: (-wc[1], wc[0])))
             for tag, words in table.items()
         }
-        # store -> tag -> that tag's rows in the store, and (tag, q) -> model
-        # 2's top three; keyed by the store itself, so nothing resolved
-        # against one store ever serves another
+        # store -> tag -> that tag's rows in the store, (tag,) -> model 2's
+        # unit block of them, and (tag, q) -> model 2's top three; keyed by
+        # the store itself, so nothing resolved against one store ever
+        # serves another
         self._rows: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
     def rows(

@@ -30,9 +30,12 @@ def rank_vocabulary(
     """The first min(3, n) of the tag's n attested, in-vocabulary words by
     descending proximity to q, ties by word, as (word, proximity) pairs.
 
-    Only the top three are ever drawn from, so nothing past them is ranked.
-    The table and the store never change after load, so each result is
-    memoized per (tag, q) for each store on first success, and shared.
+    Only the top three are ever drawn from, so only the words at or above
+    the k-th largest proximity, k = min(3, n), found in linear time, are
+    sorted. The tag's unit vectors are kept per store as one block in word
+    order, made on the tag's first rank, so a new q reads them without a
+    gather. The table and the store never change after load, so each result
+    is memoized per (tag, q) for each store on first success, and shared.
     """
     memo, key = ta.memo(store), (tag.truncated, q)
     if key in memo:
@@ -41,11 +44,15 @@ def rank_vocabulary(
     rows, _ = ta.rows(tag.truncated, store)  # TableError if the tag is absent
     if not rows.size:
         raise EmptyRankError(f"no in-vocabulary candidate for tag {key[0]!r}")
-    prox = store.proximity(iq, rows)
-    # rows are in word order, so a stable sort by -prox breaks ties by word
-    order = np.argsort(-prox, kind="stable")[:3]
-    words = [store.words[i] for i in rows[order].tolist()]
-    memo[key] = tuple(zip(words, prox[order].tolist()))
+    block = memo.get(key[:1])
+    if block is None:
+        block = memo[key[:1]] = store.unit_block(rows)
+    prox = store.block_proximity(iq, block)
+    k = min(3, prox.size)
+    top = (prox >= np.partition(prox, -k)[-k]).nonzero()[0]
+    # top is in word order, and sorted is stable: ties stay in word order
+    ranked = sorted(zip(prox[top].tolist(), rows[top].tolist()), key=lambda pr: -pr[0])
+    memo[key] = tuple((store.words[r], p) for p, r in ranked[:3])
     return memo[key]
 
 

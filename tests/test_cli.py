@@ -130,12 +130,19 @@ class TestExitCodes:
         assert (diagnostic["path"], diagnostic["line"]) == (str(path), 3)
         assert "bad template row: template has no slot" in diagnostic["message"]
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("name, line, edit", [
         ("vectors.txt", 1, lambda lines: ["-1 3"] + lines[1:]),
+        ("vectors.txt", 2, lambda lines: [lines[0].split()[0] + " " + "1" * 21]
+         + lines[1:]),
+        ("vectors.txt", 3, lambda lines: lines[:2]
+         + [lines[2].split()[0] + " 1e200" * (len(lines[2].split()) - 1)]
+         + lines[3:]),
         ("matrix.txt", 1, lambda lines: ["states -1"] + lines[1:]),
         ("matrix.txt", None, lambda lines: lines + ["0 1 99999999999999999999"]),
         ("matrix.txt", None, lambda lines: lines + [f"0 1 {2**62}", f"0 2 {2**62}"]),
-    ], ids=["negative-vector-count", "negative-state-count", "count-above-int64",
+    ], ids=["negative-vector-count", "huge-vector-dims", "vector-norm-overflows",
+            "negative-state-count", "count-above-int64",
             "row-sum-above-int64"])
     def test_unloadable_header_or_count_exits_2(self, resources_dir, tmp_path,
                                                 capsys, name, line, edit):

@@ -207,6 +207,35 @@ def test_bad_header_names_file_and_line_1(tmp_path, name):
     assert (exc.value.path, exc.value.line) == (str(p), 1)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text, line", [
+    ("2 100000000000000000000\nsol 1.0 2.0\nluna 3.0 4.0\n", 2),
+    ("2 4611686018427387904\nsol 1.0 2.0\nluna 3.0 4.0\n", 2),
+    ("0 100000000000000000000\n", 1),
+], ids=["dims-past-int64", "dims-past-any-array", "no-row-to-show-the-width"])
+def test_dims_too_wide_to_allocate_is_a_format_error(tmp_path, text, line):
+    p = tmp_path / "vectors.txt"
+    p.write_text(text, encoding="utf-8")
+    with pytest.raises(FormatError) as exc:
+        EmbeddingStore.load(p)
+    assert (exc.value.path, exc.value.line) == (str(p), line)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("row", ["luna 1e200 1e200", "luna -1e155 1e155",
+                                 "luna 1_0 1e200"],
+                         ids=["bulk-parse", "bulk-parse-square-overflows",
+                              "row-by-row-parse"])
+def test_row_whose_norm_overflows_is_an_error_at_its_line(tmp_path, row):
+    # "1_0" is read by float() but not by numpy: the row-by-row path
+    p = tmp_path / "vectors.txt"
+    p.write_text(f"3 2\nsol 1.0 2.0\n{row}\nmar 1e150 1e150\n", encoding="utf-8")
+    with pytest.raises(FormatError, match="non-finite vector component or norm"
+                       ) as exc:
+        EmbeddingStore.load(p)
+    assert (exc.value.path, exc.value.line) == (str(p), 3)
+
+
 @pytest.mark.parametrize("count", ["9223372036854775808", "99999999999999999999"])
 def test_count_above_int64_is_a_row_error(tmp_path, count):
     p = tmp_path / "matrix.txt"

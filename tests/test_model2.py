@@ -130,17 +130,59 @@ def _shared_table_cases(draw):
     return ta, stores, requests
 
 
+# a coarse palette of directions: many words share a proximity to any query
+_PALETTE = np.array([[1.0, 0.0], [2.0, 0.0], [1.0, 1.0], [0.0, 1.0],
+                     [-1.0, 1.0], [-1.0, 0.0], [0.0, -3.0], [0.0, 0.0]])
+
+
+@st.composite
+def _sized_cases(draw):
+    """One tag of n words, n from 1 to a few hundred, over two stores that
+    share the table: each store holds the words in its own shuffled row
+    order, with directions from the palette, and the second store misses
+    some of them. In the first store, for q, the second to fifth words of
+    the ranking share one direction, so the third place is tied whenever
+    n >= 4."""
+    n = draw(st.sampled_from((1, 2, 3, 4, 5, 6, 17, 40, 300)))
+    words = [f"w{i:03d}" for i in range(n)]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ta = AssociativeTable({"NCMS": [(w, int(c)) for w, c in
+                                    zip(words, rng.integers(1, 4, n))]})
+    # q points along [1, 0]: palette rows 0 and 1 are nearest, then row 2
+    picks = rng.integers(2, len(_PALETTE), n)
+    top = rng.permutation(n)[:5]
+    picks[top[:1]] = 0  # one nearest word ...
+    picks[top[1:5]] = 2  # ... then up to four tied for second to fifth
+    stores = []
+    for vectors, kept in ((_PALETTE[picks], words),
+                          (_PALETTE[rng.integers(0, len(_PALETTE), n)],
+                           [w for w in words if rng.random() < 0.7])):
+        order = rng.permutation(n).tolist()
+        rows = [i for i in order if words[i] in kept]
+        stores.append(EmbeddingStore(
+            [words[i] for i in rows] + ["q"],
+            np.vstack([vectors[rows], [[3.0, 0.0]]]),
+        ))
+    requests = draw(st.lists(
+        st.tuples(st.sampled_from((0, 1)), st.just("NCMS"),
+                  st.sampled_from(["q"] + words)),
+        min_size=1, max_size=4,
+    ))
+    return ta, stores, requests
+
+
 def _reference_top3(*args):
     return tuple(_reference_rank(*args)[:3])
 
 
 class TestRankOracle:
-    @settings(max_examples=200, deadline=None)
-    @given(_shared_table_cases())
+    @settings(max_examples=350, deadline=None)
+    @given(st.one_of(_shared_table_cases(), _sized_cases()))
     def test_matches_word_by_word_reference(self, case):
         # one table serves two stores with different vocabularies, in any
         # order, and each (tag, q) is asked twice of each store: a memo hit
-        # must repeat the first answer, and never be another store's entry
+        # must repeat the first answer, and a unit block or memo entry must
+        # never be another store's
         ta, stores, requests = case
         for i, tag, q in requests:
             for store in (stores[i], stores[1 - i]) * 2:
