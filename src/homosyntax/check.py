@@ -18,7 +18,6 @@ from . import model1, model2, model3
 from .errors import HomosyntaxError, ResourceError
 from .generation import GenerationResources
 from .markov import END, START
-from .model3 import score_candidates
 from .pos import PosTag, TaggedSentence, is_content, read_tagged_tsv
 from .resources import TAGGED, load_resources
 
@@ -152,7 +151,7 @@ def check_score_oracle(res: GenerationResources) -> CheckResult:
         if len(vocab) < 2:
             continue
         q = rng.choice(res.store.words)
-        scored = score_candidates(o, q, vocab, res.store)
+        scored = model3.score_candidates(o, q, vocab, res.store)
         expected = dict(zip(vocab, _oracle_scores(o, q, vocab, res.store)))
         for c in scored:
             worst = max(worst, abs(c["s"] - expected[c["w"]]))

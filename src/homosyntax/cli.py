@@ -263,13 +263,9 @@ def _cmd_check(args) -> int:
     from .check import run_check  # only this command needs the check harness
 
     results = run_check(_resource_dir(args.resources))
-    failed = 0
     for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        print(f"{status} {r.name}: {r.detail}")
-        if not r.passed:
-            failed += 1
-    return EXIT_OK if failed == 0 else EXIT_CHECK_FAILED
+        print(f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}")
+    return EXIT_OK if all(r.passed for r in results) else EXIT_CHECK_FAILED
 
 
 COMMANDS = {

@@ -351,9 +351,9 @@ class AssociativeTable:
             for tag, words in table.items()
         }
         # store -> tag -> that tag's rows in the store, (tag,) -> model 2's
-        # unit block of them, and (tag, q) -> model 2's top three; keyed by
-        # the store itself, so nothing resolved against one store ever
-        # serves another
+        # unit block of them, (tag, q) -> model 2's top three, and ("model3",
+        # tag, cap_m) -> model 3's candidate block; keyed by the store
+        # itself, so nothing resolved against one store ever serves another
         self._rows: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
     def rows(

@@ -19,6 +19,8 @@ out of vocabulary falls back to model 2's ranking.
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,50 +33,75 @@ from .templates import Slot
 SEGMENT = 10  # neighbors per anchor word; |U| = 3 * SEGMENT
 
 
-def _cos(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cosines along the last axis, each equal to the one-pair np.dot form."""
-    na, nb = np.sqrt(np.vecdot(a, a)), np.sqrt(np.vecdot(b, b))
-    if np.any(na == 0.0) or np.any(nb == 0.0):
-        raise DegenerateScoreError("zero-norm distance vector")
-    return np.vecdot(a, b) / (na * nb)
+@dataclass(frozen=True)
+class CandidateBlock:
+    """What model 3 reuses in every slot with the same candidates: their
+    words and store rows, and each one's first-k neighbor rows and its
+    proximities to those, both (n, k), all read-only."""
+
+    words: tuple[str, ...]
+    rows: np.ndarray
+    neighbors: np.ndarray
+    proximity: np.ndarray
+
+    @classmethod
+    def of(cls, vk: Sequence[str], store: EmbeddingStore) -> CandidateBlock:
+        """The block of vk; OovError names the first word with no vector."""
+        rows = np.array([store.row(w) for w in vk], dtype=np.intp)
+        nbrs = np.array([store.neighbors(w, SEGMENT) for w in vk], dtype=np.intp)
+        prox = store.proximity(rows[:, None], nbrs)
+        for a in (rows, nbrs, prox):
+            a.flags.writeable = False
+        return cls(tuple(vk), rows, nbrs, prox)
+
+    def __len__(self) -> int:
+        return len(self.words)
 
 
 def score_candidates(
-    o: str,
-    q: str,
-    vk: list[str],
-    store: EmbeddingStore,
+    o: str, q: str, vk: Sequence[str] | CandidateBlock, store: EmbeddingStore,
     invert: bool = False,
 ) -> list[dict]:
-    """Score every candidate: a ``{"w", "theta", "beta", "s"}`` record each,
-    the form model 3's trace prints, sorted by descending s, ties by w."""
+    """Score every candidate, given as words or as their block: a ``{"w",
+    "theta", "beta", "s"}`` record each, the form model 3's trace prints,
+    sorted by descending s, ties by w.
+
+    U's row for w is [N(o) N(q) N(w)]: o, q and each w meet the 2k shared
+    columns once, o and q meet each N(w), and the block holds w against N(w).
+    Each value is the one-pair proximity, and each cosine runs over the same
+    contiguous 3k-float rows as when U is built row by row."""
     if len(vk) < 2:
         raise EmptyRankError(f"need >= 2 candidates, got {len(vk)}")
-    # one row of U per candidate, as store rows, sharing the o and q segments;
-    # neighbors raises OovError for o, then q, then the first OOV w
-    oq = [store.neighbors(o, SEGMENT), store.neighbors(q, SEGMENT)]
-    u = np.array([np.concatenate(oq + [store.neighbors(w, SEGMENT)]) for w in vk])
-    # the o, q and candidate profiles against U in one gather
-    anchors = [[store.index[o]] * len(vk), [store.index[q]] * len(vk),
-               [store.index[w] for w in vk]]
-    x, qv, wv = store.proximity(np.array(anchors)[:, :, None], u)
-    thetas = _cos(qv, wv).tolist()
-    betas = _cos(x, wv).tolist()
+    # OovError for o, then q, then the first OOV candidate
+    oq = np.concatenate([store.neighbors(o, SEGMENT), store.neighbors(q, SEGMENT)])
+    block = vk if isinstance(vk, CandidateBlock) else CandidateBlock.of(vk, store)
+    n, k = block.neighbors.shape
+    anchors = np.array([store.index[o], store.index[q]])
+    shared = store.proximity(np.concatenate([anchors, block.rows])[:, None], oq)
+    # the o, q and candidate profiles against U: x, qv, wv
+    p = np.empty((3, n, 3 * k))
+    p[:2, :, : 2 * k] = shared[:2, None]
+    p[2, :, : 2 * k] = shared[2:]
+    p[:2, :, 2 * k :] = store.proximity(anchors[:, None, None], block.neighbors)
+    p[2, :, 2 * k :] = block.proximity
+    norms = np.sqrt(np.vecdot(p, p))
+    if (norms == 0.0).any():
+        raise DegenerateScoreError("zero-norm distance vector")
+    beta, theta = np.vecdot(p[:2], p[2]) / (norms[:2] * norms[2])
+    betas, thetas = beta.tolist(), theta.tolist()
 
-    mean_theta = sum(thetas) / len(thetas)
-    mean_beta = sum(betas) / len(betas)
+    mean_theta, mean_beta = sum(thetas) / n, sum(betas) / n
     if any(t == 0.0 for t in thetas) or mean_beta == 0.0:
         raise DegenerateScoreError("zero similarity in scoring")
     if invert and (any(b == 0.0 for b in betas) or mean_theta == 0.0):
         raise DegenerateScoreError("zero similarity in inverted scoring")
 
-    scored = []
-    for w, theta, beta in zip(vk, thetas, betas):
-        if invert:
-            s = (theta / mean_theta) * (mean_beta / beta)
-        else:
-            s = (mean_theta / theta) * (beta / mean_beta)
-        scored.append({"w": w, "theta": theta, "beta": beta, "s": s})
+    if invert:
+        s = (theta / mean_theta) * (mean_beta / beta)
+    else:
+        s = (mean_theta / theta) * (beta / mean_beta)
+    scored = [{"w": w, "theta": t, "beta": b, "s": si}
+              for w, t, b, si in zip(block.words, thetas, betas, s.tolist())]
     scored.sort(key=lambda c: (-c["s"], c["w"]))
     return scored
 
@@ -100,14 +127,17 @@ def generate_model3(
                 "top3": [w for w, _ in ranked],
                 "chosen": word,
             }
-        # the cap keeps the most frequent: the table lists them first
-        _, by_count = res.ta.rows(slot.tag.truncated, res.store)
-        vk = [res.store.words[i] for i in by_count[: res.cap_m].tolist()]
-        if len(vk) < 2:
-            raise EmptyRankError(
-                f"fewer than 2 in-vocabulary candidates for {slot.tag.truncated!r}"
-            )
-        scored = score_candidates(o, q, vk, res.store, invert=invert)
+        memo, key = res.ta.memo(res.store), ("model3", slot.tag.truncated, res.cap_m)
+        if key not in memo:
+            # the cap keeps the most frequent: the table lists them first
+            _, by_count = res.ta.rows(key[1], res.store)
+            vk = [res.store.words[i] for i in by_count[: res.cap_m].tolist()]
+            if len(vk) < 2:
+                raise EmptyRankError(
+                    f"fewer than 2 in-vocabulary candidates for {key[1]!r}"
+                )
+            memo[key] = CandidateBlock.of(vk, res.store)
+        scored = score_candidates(o, q, memo[key], res.store, invert=invert)
         word = choose_top3([(c["w"], c["s"]) for c in scored], rng)
         return word, {
             "position": pos,

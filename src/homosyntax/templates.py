@@ -58,11 +58,9 @@ def extract_template(ts: TaggedSentence) -> EgpSkeleton:
             items.append(Slot(pos, PosTag(tag.truncated), surface))
         else:
             items.append(Literal(pos, surface))
-    if not any(isinstance(it, Slot) for it in items):
-        raise TemplateError(
-            f"sentence {ts.source.doc_id}:{ts.source.index} has no content words"
-        )
     source_id = f"{ts.source.doc_id}:{ts.source.index}"
+    if not any(isinstance(it, Slot) for it in items):
+        raise TemplateError(f"sentence {source_id} has no content words")
     return EgpSkeleton(items=tuple(items), source_id=source_id)
 
 

@@ -399,6 +399,13 @@ GOLDEN_RUNS = {
         "9d730835033e717b7d20703596a28d21b15d7de8f6fad51b66f3d82f3c518307",
         "e907778c14debceed0e6604bae2d243975860837576e3a281eaee37d80b78ad0",
     ),
+    # a cap that binds on every fixture tag (8 to 32 words); frozen before
+    # model 3 kept one candidate block per (tag, cap)
+    ("--model", "3", "--cap-m", "5"): (
+        EXIT_OK,
+        "624ce7396729e58d8e32c913e29d15c81f9337c01ecfa134b0f5d6c58f366de3",
+        "042894bbdc67bac95d5c7d9cb79681fa11fd0235ecd9333635214bc66c7db70d",
+    ),
     # no argmax walk on the fixture matrix reaches length 8: nothing is printed
     ("--model", "1", "--policy", "argmax"): (
         EXIT_GENERATION,

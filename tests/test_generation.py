@@ -152,16 +152,18 @@ def _run_grid(res, grid):
 
 
 def test_warm_memos_give_the_cold_results(resources_dir):
-    # the neighbor, tag-row, content-fill and successor-table memos fill as
-    # requests run; a request must not depend on which requests ran before
-    # it on the same resources, whatever settings those requests used
+    # the neighbor, tag-row, content-fill and successor-table memos, model
+    # 2's unit blocks and top threes, and model 3's candidate blocks per
+    # (tag, cap) fill as requests run; a request must not depend on which
+    # requests ran before it on the same resources, whatever settings those
+    # requests used
     grid = [
         (model, q, n, seed, cap_m, policy, setting)
         for model in MODELS
         for q in ("sol", "guerra", "amor", "zzzqx")
         for n in range(5, 13)
         for seed in range(4)
-        for cap_m in ((2, 200) if model == 3 else (200,))
+        for cap_m in ((2, 5, 200) if model == 3 else (200,))
         for policy in (("topk:3", "topk:1", "argmax") if model == 1 else ("topk:3",))
         for setting in (
             ((FIXTURE_NEIGHBORS_M, 5), (20, 5), (20, 1)) if model == 1

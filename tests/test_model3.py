@@ -5,11 +5,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from homosyntax.embeddings import AssociativeTable, EmbeddingStore
-from homosyntax.errors import EmptyRankError, OovError
-from homosyntax.model2 import rank_vocabulary
-from homosyntax.model3 import SEGMENT, generate_model3, score_candidates
+from homosyntax.errors import EmptyRankError, HomosyntaxError, OovError
+from homosyntax.model2 import generate_model2, rank_vocabulary
+from homosyntax.model3 import (SEGMENT, CandidateBlock, generate_model3,
+                               score_candidates)
 from homosyntax.pos import PosTag
 from homosyntax.templates import TemplateStore
 
@@ -152,6 +154,126 @@ class TestScoring:
     def test_oov_candidate(self, resources):
         with pytest.raises(OovError):
             score_candidates("sol", "luna", ["mar", "zzzqx"], resources.store)
+
+    @pytest.mark.parametrize("o, q, vk, named", [
+        ("zz1", "zz2", ["zz3", "mar"], "zz1"),
+        ("sol", "zz2", ["zz3", "mar"], "zz2"),
+        ("zz1", "luna", ["mar", "zz3"], "zz1"),
+        ("sol", "luna", ["mar", "zz3", "zz4"], "zz3"),
+    ])
+    def test_oov_error_names_o_then_q_then_the_first_candidate(
+        self, resources, o, q, vk, named
+    ):
+        with pytest.raises(OovError) as exc:
+            score_candidates(o, q, vk, resources.store)
+        assert exc.value.word == named
+
+
+def _reference_records(o, q, vk, store, invert=False):
+    """Model 3's records built straight from the definition: each
+    candidate's own U from ``neighbors``, each proximity one pair at a time,
+    each cosine one np.vecdot over that candidate's three profiles.
+
+    The profiles are the rows of one (3, n, |U|) array, as in the scoring:
+    some BLAS kernels (OpenBLAS's SSE2 ``ddot``) sum a row in an order that
+    depends on its 16-byte alignment, which an odd |U| changes row by row.
+    """
+    profiles = np.empty((3, len(vk), 3 * len(store.neighbors(o, SEGMENT))))
+    thetas, betas = [], []
+    for i, w in enumerate(vk):
+        u = [int(r) for a in (o, q, w) for r in store.neighbors(a, SEGMENT)]
+        for profile, a in zip(profiles, (o, q, w)):
+            profile[i] = [store.proximity(store.index[a], r) for r in u]
+        x, qv, wv = profiles[:, i]
+        nx, nq, nw = (np.sqrt(np.vecdot(a, a)) for a in (x, qv, wv))
+        thetas.append(float(np.vecdot(qv, wv) / (nq * nw)))
+        betas.append(float(np.vecdot(x, wv) / (nx * nw)))
+    mt, mb = sum(thetas) / len(thetas), sum(betas) / len(betas)
+    records = [
+        {"w": w, "theta": t, "beta": b,
+         "s": (t / mt) * (mb / b) if invert else (mt / t) * (b / mb)}
+        for w, t, b in zip(vk, thetas, betas)
+    ]
+    return sorted(records, key=lambda c: (-c["s"], c["w"]))
+
+
+class TestCandidateBlock:
+    @settings(max_examples=80, deadline=None)
+    @given(v=st.sampled_from([4, 10, 60]), invert=st.booleans(), data=st.data())
+    def test_scores_equal_the_reference_bit_for_bit(self, v, invert, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        vectors = rng.standard_normal((v, 8))
+        # copies of one row tie exactly, so neighbor ties break by word
+        vectors[rng.integers(v, size=v // 4)] = vectors[0]
+        store = EmbeddingStore([f"w{i:02d}" for i in range(v)], vectors)
+        n = data.draw(st.integers(2, min(40, v)))
+        vk = data.draw(st.permutations(store.words))[:n]
+        o, q = data.draw(st.lists(st.sampled_from(store.words), min_size=2,
+                                  max_size=2))
+        expected = _reference_records(o, q, vk, store, invert)
+        # from the words (a block built and dropped), then one block twice:
+        # a miss and a hit of a memoized block
+        block = CandidateBlock.of(vk, store)
+        assert score_candidates(o, q, vk, store, invert) == expected
+        for _ in ("miss", "hit"):
+            assert score_candidates(o, q, block, store, invert) == expected
+        assert block.neighbors.shape == (n, min(SEGMENT, v - 1))
+
+    def test_memo_miss_and_hit_give_the_same_records(self, resources):
+        # a fresh table: the first pass builds each (tag, cap) block, the
+        # second reads it from the table's memo for the store
+        ta = AssociativeTable(resources.ta.table)
+        runs = []
+        for _ in ("miss", "hit"):
+            runs.append([])
+            for cap_m in (2, 5, 200):
+                res = replace(resources, ta=ta, cap_m=cap_m)
+                for seed in range(3):
+                    s = generate_model3("luna", 8, res, seed, invert=seed == 1)
+                    runs[-1].append((s.tokens, s.trace))
+        assert runs[0] == runs[1]
+        memo = ta.memo(resources.store)
+        blocks = {k: b for k, b in memo.items() if isinstance(b, CandidateBlock)}
+        assert blocks and all(k[0] == "model3" for k in blocks)
+        assert {k[2] for k in blocks} == {2, 5, 200}
+        for (_, tag, cap_m), block in blocks.items():
+            _, by_count = ta.rows(tag, resources.store)
+            assert block.rows.tolist() == by_count[:cap_m].tolist()
+            assert not block.proximity.flags.writeable
+
+    def test_one_table_serves_two_stores_as_two_fresh_tables(self, resources):
+        # the fixture store and a copy with other vectors: a table shared by
+        # both must give each what a fresh table gives it
+        store = resources.store
+        rng = np.random.default_rng(3)
+        other = EmbeddingStore(store.words, store.vectors[rng.permutation(len(store))])
+        shared = AssociativeTable(resources.ta.table)
+
+        def run(s, ta, cap_m):
+            res = replace(resources, store=s, ta=ta, cap_m=cap_m)
+            out = []
+            for model in (generate_model2, generate_model3):
+                for seed in range(4):
+                    try:
+                        sent = model("sol", 7, res, seed)
+                        out.append((sent.tokens, sent.trace))
+                    except HomosyntaxError as e:
+                        out.append((type(e).__name__, str(e)))
+                        continue
+                    for rec in sent.trace:
+                        if "candidates" in rec:  # as scored from the words
+                            by_count = ta.rows(rec["tag"], s)[1][:cap_m].tolist()
+                            vk = [s.words[i] for i in by_count]
+                            assert rec["candidates"] == score_candidates(
+                                rec["o"], "sol", vk, s)
+            return out
+
+        for cap_m in (5, 200):
+            fresh = {id(s): run(s, AssociativeTable(resources.ta.table), cap_m)
+                     for s in (store, other)}
+            assert fresh[id(store)] != fresh[id(other)]
+            for s in (store, other, store, other):
+                assert run(s, shared, cap_m) == fresh[id(s)]
 
 
 class TestGenerate:
