@@ -194,8 +194,9 @@ def _check_least(*flags: tuple[str, int, int]) -> None:
 
 def _cmd_train_emb(args) -> int:
     # checked before the corpus is read: 0 trains nothing, below 0 cannot run
-    _check_least(("--window", args.window, 1), ("--epochs", args.epochs, 1),
-                 ("--negatives", args.negatives, 1))
+    _check_least(("--dims", args.dims, 8), ("--window", args.window, 1),
+                 ("--epochs", args.epochs, 1), ("--negatives", args.negatives, 1),
+                 ("--seed", args.seed, 0))
     sentences = corpus_mod.read_sentences(args.infile)
     store = train_embeddings(
         sentences,
@@ -228,6 +229,7 @@ def _cmd_generate(args) -> int:
     if not (MIN_LEN <= args.length <= MAX_LEN):
         raise ConfigError(f"--len must be in [{MIN_LEN}, {MAX_LEN}]")
     _check_least(
+        ("--seed", args.seed, 0),  # random.Random would seed -s as s
         ("--count", args.count, 1),
         ("--neighbors", args.neighbors, 1),
         ("--max-hops", args.max_hops, 0),

@@ -12,6 +12,7 @@ proximity = (cosine + 1) / 2, so larger always means closer.
 from __future__ import annotations
 
 import weakref
+from collections.abc import Callable
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +33,17 @@ def _norms(vectors: np.ndarray) -> np.ndarray:
     norm, and so does a norm past the float range, without a warning."""
     with np.errstate(over="ignore"):
         return np.linalg.norm(vectors, axis=1, keepdims=True)
+
+
+def top_k(prox: np.ndarray, k: int, word: Callable[[int], str]) -> list[int]:
+    """Positions of the k largest proximities, largest first, ties by
+    ``word(position)``; [] when k < 1. Only the values at or above the k-th
+    largest, found in linear time, are sorted: all that tie with it are kept."""
+    k = min(k, prox.size)
+    if k < 1:
+        return []
+    tied = (prox >= np.partition(prox, -k)[-k]).nonzero()[0].tolist()
+    return sorted(tied, key=lambda i: (-prox[i], word(i)))[:k]
 
 
 class EmbeddingStore:
@@ -101,22 +113,14 @@ class EmbeddingStore:
             raise ValueError(f"m must be >= 1, got {m}")
         rows = self._neighbors.get((q, m))
         if rows is None:
-            rows = self._top(self.row(q), m)
+            iq = self.row(q)
+            prox = _proximity(self._unit @ self._unit[iq])
+            prox[iq] = -1.0  # below every proximity: q is never its own neighbor
+            top = top_k(prox, min(m, len(self.words) - 1), self.words.__getitem__)
+            rows = np.array(top, dtype=np.intp)
             rows.flags.writeable = False
             self._neighbors[q, m] = rows
         return rows
-
-    def _top(self, iq: int, m: int) -> np.ndarray:
-        prox = _proximity(self._unit @ self._unit[iq])
-        prox[iq] = -1.0  # below every proximity: q is never its own neighbor
-        k = min(m, len(self.words) - 1)
-        if k == 0:
-            return np.empty(0, dtype=np.intp)
-        kth = np.partition(prox, -k)[-k]
-        # keep every word tied with the k-th value: the word order breaks the tie
-        tied = np.flatnonzero(prox >= kth).tolist()
-        order = sorted(tied, key=lambda i: (-prox[i], self.words[i]))[:k]
-        return np.array(order, dtype=np.intp)
 
     def save(self, path: str | Path) -> None:
         rows = (
@@ -351,35 +355,26 @@ class AssociativeTable:
             for tag, words in table.items()
         }
         # store -> tag -> that tag's rows in the store, (tag,) -> model 2's
-        # unit block of them, (tag, q) -> model 2's top three, and ("model3",
-        # tag, cap_m) -> model 3's candidate block; keyed by the store
-        # itself, so nothing resolved against one store ever serves another
+        # unit block of them in that order, (tag, q) -> model 2's top three,
+        # and ("model3", tag, cap_m) -> model 3's candidate block; keyed by the
+        # store itself, so nothing resolved against one store ever serves another
         self._rows: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
-    def rows(
-        self, tag: str, store: EmbeddingStore
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Store rows of the tag's attested words that have a vector: in
-        word order, and in table order (most frequent first).
+    def rows(self, tag: str, store: EmbeddingStore) -> np.ndarray:
+        """Store rows of the tag's attested words that have a vector, in
+        table order (most frequent first).
 
-        Resolved against each store once, on first use; both arrays are
-        shared between calls and read-only. TableError if the tag is absent.
+        Resolved against each store once, on first use; the array is shared
+        between calls and read-only. TableError if the tag is absent.
         """
         by_tag = self.memo(store)
         rows = by_tag.get(tag)
         if rows is None:
             if tag not in self.table:
                 raise TableError(f"no associative-table entry for tag {tag!r}")
-            in_store = [
-                (w, store.index[w]) for w, _ in self.table[tag] if w in store
-            ]
-            by_word = sorted(in_store, key=lambda wr: wr[0])
-            rows = tuple(
-                np.array([r for _, r in order], dtype=np.intp)
-                for order in (by_word, in_store)
-            )
-            for a in rows:
-                a.flags.writeable = False
+            words = [w for w, _ in self.table[tag] if w in store]
+            rows = np.array([store.index[w] for w in words], dtype=np.intp)
+            rows.flags.writeable = False
             by_tag[tag] = rows
         return rows
 

@@ -130,7 +130,7 @@ def generate_model3(
         memo, key = res.ta.memo(res.store), ("model3", slot.tag.truncated, res.cap_m)
         if key not in memo:
             # the cap keeps the most frequent: the table lists them first
-            _, by_count = res.ta.rows(key[1], res.store)
+            by_count = res.ta.rows(key[1], res.store)
             vk = [res.store.words[i] for i in by_count[: res.cap_m].tolist()]
             if len(vk) < 2:
                 raise EmptyRankError(

@@ -269,7 +269,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("where", ["existing", "missing", "unset"])
     @pytest.mark.parametrize("flag", [
         ("--neighbors", "0"), ("--max-hops", "-1"), ("--cap-m", "1"),
-        ("--count", "0"), ("--len", "2"), ("--policy", "topk:0"),
+        ("--count", "0"), ("--len", "2"), ("--policy", "topk:0"), ("--seed", "-1"),
     ], ids=lambda flag: " ".join(flag))
     def test_bad_setting_is_usage_error_before_loading(
         self, resources_dir, tmp_path, capsys, monkeypatch, flag, where
@@ -289,10 +289,14 @@ class TestExitCodes:
         diagnostic = json.loads(next(ln for ln in err if ln.startswith("{")))
         assert diagnostic["error"] == "usage"
 
-    @pytest.mark.parametrize("value", ["0", "-1"])
-    @pytest.mark.parametrize("flag", ["--window", "--epochs", "--negatives"])
+    @pytest.mark.parametrize("flag, value, least", [
+        pytest.param(*case, id=f"{case[0]}-{case[1]}") for case in (
+            ("--window", "0", 1), ("--window", "-1", 1), ("--epochs", "0", 1),
+            ("--epochs", "-1", 1), ("--negatives", "0", 1), ("--negatives", "-1", 1),
+            ("--dims", "7", 8), ("--seed", "-1", 0))
+    ])
     def test_bad_training_setting_is_usage_error_before_reading(
-        self, resources_dir, tmp_path, capsys, flag, value
+        self, resources_dir, tmp_path, capsys, flag, value, least
     ):
         out = tmp_path / "vectors.txt"
         for corpus in (resources_dir / "sentences.txt", tmp_path / "missing.txt"):
@@ -304,7 +308,7 @@ class TestExitCodes:
             err = capsys.readouterr().err.splitlines()
             diagnostic = json.loads(next(ln for ln in err if ln.startswith("{")))
             assert diagnostic == {"error": "usage",
-                                  "message": f"{flag} must be >= 1"}
+                                  "message": f"{flag} must be >= {least}"}
             assert not out.exists()
 
     def test_oov_query_is_generation_failure(self, resources_dir, capsys):

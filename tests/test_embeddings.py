@@ -13,6 +13,7 @@ from homosyntax.embeddings import (
     AssociativeTable,
     EmbeddingStore,
     build_associative_table,
+    top_k,
     train_embeddings,
 )
 from homosyntax.errors import FormatError, OovError, TableError, TrainError
@@ -234,6 +235,25 @@ class TestNeighborTies:
             for m in range(1, len(store) + 6):
                 expected = tuple(_brute_force_neighbors(store, q, m))
                 assert _words(store, store.neighbors(q, m)) == expected
+
+
+class TestTopK:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_full_sort(self, data):
+        words = data.draw(st.lists(st.text(alphabet="abc", min_size=1, max_size=3),
+                                   max_size=12, unique=True))
+        n = len(words)
+        # values from a pool of at most three: ties at every rank
+        pool = data.draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3))
+        prox = data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+        k = data.draw(st.integers(0, n))
+        if 0 < k < n:  # plant an exact tie with the k-th largest value
+            prox[data.draw(st.integers(0, n - 1))] = sorted(prox)[-k]
+        expected = sorted(range(n), key=lambda i: (-prox[i], words[i]))[:k]
+        got = top_k(np.array(prox), k, words.__getitem__)
+        assert got == expected
+        assert top_k(np.array(prox), -1, words.__getitem__) == []
 
 
 def _reference_train(corpus, dims, window, epochs, negatives, seed, min_count=2):
@@ -695,22 +715,19 @@ class TestAssociativeTable:
     def test_candidates_have_vectors_in_table_order(self):
         store = _toy_store()
         ta = AssociativeTable({"NCMS": [("sur", 1), ("oeste", 9), ("norte", 2)]})
-        _, by_count = ta.rows("NCMS", store)
+        by_count = ta.rows("NCMS", store)
         assert [store.words[i] for i in by_count] == ["norte", "sur"]
 
-    def test_rows_in_word_and_table_order_per_store(self):
+    def test_rows_in_table_order_per_store(self):
         ta = AssociativeTable(
             {"NCMS": [("sur", 5), ("oeste", 9), ("norte", 2), ("este", 3)]}
         )
         toy = _toy_store()  # este, norte, sur
         other = EmbeddingStore(["sur", "oeste"], np.eye(2))
         for _ in range(2):  # the second round is served from the memo
-            by_word, by_table = ta.rows("NCMS", toy)
-            assert _words(toy, by_word) == ("este", "norte", "sur")
-            assert _words(toy, by_table) == ("sur", "este", "norte")
-            by_word, by_table = ta.rows("NCMS", other)
-            assert _words(other, by_word) == ("oeste", "sur")
-            assert _words(other, by_table) == ("oeste", "sur")
-            assert by_word.dtype == np.intp and not by_word.flags.writeable
+            rows = ta.rows("NCMS", toy)
+            assert _words(toy, rows) == ("sur", "este", "norte")
+            assert rows.dtype == np.intp and not rows.flags.writeable
+            assert _words(other, ta.rows("NCMS", other)) == ("oeste", "sur")
         with pytest.raises(TableError):
             ta.rows("XXXX", toy)

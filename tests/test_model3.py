@@ -237,7 +237,7 @@ class TestCandidateBlock:
         assert blocks and all(k[0] == "model3" for k in blocks)
         assert {k[2] for k in blocks} == {2, 5, 200}
         for (_, tag, cap_m), block in blocks.items():
-            _, by_count = ta.rows(tag, resources.store)
+            by_count = ta.rows(tag, resources.store)
             assert block.rows.tolist() == by_count[:cap_m].tolist()
             assert not block.proximity.flags.writeable
 
@@ -262,7 +262,7 @@ class TestCandidateBlock:
                         continue
                     for rec in sent.trace:
                         if "candidates" in rec:  # as scored from the words
-                            by_count = ta.rows(rec["tag"], s)[1][:cap_m].tolist()
+                            by_count = ta.rows(rec["tag"], s)[:cap_m].tolist()
                             vk = [s.words[i] for i in by_count]
                             assert rec["candidates"] == score_candidates(
                                 rec["o"], "sol", vk, s)
