@@ -151,7 +151,8 @@ def check_score_oracle(res: GenerationResources) -> CheckResult:
         if len(vocab) < 2:
             continue
         q = rng.choice(res.store.words)
-        scored = model3.score_candidates(o, q, vocab, res.store)
+        block = model3.CandidateBlock.of(vocab, res.store)
+        scored = model3.score_candidates(o, q, block, res.store)
         expected = dict(zip(vocab, _oracle_scores(o, q, vocab, res.store)))
         for c in scored:
             worst = max(worst, abs(c["s"] - expected[c["w"]]))

@@ -11,7 +11,6 @@ proximity = (cosine + 1) / 2, so larger always means closer.
 
 from __future__ import annotations
 
-import weakref
 from collections.abc import Callable
 from pathlib import Path
 
@@ -47,6 +46,11 @@ def top_k(prox: np.ndarray, k: int, word: Callable[[int], str]) -> list[int]:
 
 
 class EmbeddingStore:
+    """Word vectors and their unit rows. Nothing changes once built, so each
+    result derived from the store is kept in ``memo`` on first use; a result
+    that also depends on a table or lexicon holds it in its key, so two owners
+    never share an entry, and the store keeps that owner alive with it."""
+
     def __init__(self, words: list[str], vectors: np.ndarray):
         if len(words) != vectors.shape[0]:
             raise FormatError("vocab size does not match vector count")
@@ -57,7 +61,7 @@ class EmbeddingStore:
         if not np.isfinite(norms).all():
             raise FormatError("non-finite vector component or norm")
         self._unit = self.vectors / np.maximum(norms, 1e-12)
-        self._neighbors: dict[tuple[str, int], np.ndarray] = {}
+        self.memo: dict[tuple, object] = {}
         self.training_losses: list[float] = []
 
     def __len__(self) -> int:
@@ -105,13 +109,12 @@ class EmbeddingStore:
         """Rows of the top-m words by proximity to q, nearest first, q
         excluded, ties by word; empty when q is the store's only word.
 
-        The store never changes after it is built, so the result is
-        memoized per (q, m) on first use; the returned array is shared
-        between calls and read-only.
+        Kept in ``memo`` per (q, m) on first use; the returned array is
+        shared between calls and read-only.
         """
         if m < 1:
             raise ValueError(f"m must be >= 1, got {m}")
-        rows = self._neighbors.get((q, m))
+        rows = self.memo.get(("neighbors", q, m))
         if rows is None:
             iq = self.row(q)
             prox = _proximity(self._unit @ self._unit[iq])
@@ -119,7 +122,7 @@ class EmbeddingStore:
             top = top_k(prox, min(m, len(self.words) - 1), self.words.__getitem__)
             rows = np.array(top, dtype=np.intp)
             rows.flags.writeable = False
-            self._neighbors[q, m] = rows
+            self.memo["neighbors", q, m] = rows
         return rows
 
     def save(self, path: str | Path) -> None:
@@ -349,38 +352,30 @@ class AssociativeTable:
 
     def __init__(self, table: dict[str, list[tuple[str, int]]]):
         # each tag's words most frequent first, ties by word, in any input order;
-        # a tuple, since the memos below take the table as fixed
+        # a tuple, since the memos take the table as fixed
         self.table = {
             tag: tuple(sorted(words, key=lambda wc: (-wc[1], wc[0])))
             for tag, words in table.items()
         }
-        # store -> tag -> that tag's rows in the store, (tag,) -> model 2's
-        # unit block of them in that order, (tag, q) -> model 2's top three,
-        # and ("model3", tag, cap_m) -> model 3's candidate block; keyed by the
-        # store itself, so nothing resolved against one store ever serves another
-        self._rows: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
     def rows(self, tag: str, store: EmbeddingStore) -> np.ndarray:
         """Store rows of the tag's attested words that have a vector, in
         table order (most frequent first).
 
-        Resolved against each store once, on first use; the array is shared
-        between calls and read-only. TableError if the tag is absent.
+        Resolved once per store and kept in ``store.memo``, which keeps this
+        table alive with the store; the array is shared between calls and
+        read-only. TableError if the tag is absent.
         """
-        by_tag = self.memo(store)
-        rows = by_tag.get(tag)
+        key = ("rows", self, tag)
+        rows = store.memo.get(key)
         if rows is None:
             if tag not in self.table:
                 raise TableError(f"no associative-table entry for tag {tag!r}")
             words = [w for w, _ in self.table[tag] if w in store]
             rows = np.array([store.index[w] for w in words], dtype=np.intp)
             rows.flags.writeable = False
-            by_tag[tag] = rows
+            store.memo[key] = rows
         return rows
-
-    def memo(self, store: EmbeddingStore) -> dict:
-        """This table's memo for one store, created empty on first use."""
-        return self._rows.setdefault(store, {})
 
     def save(self, path: str | Path) -> None:
         write_jsonl(path, (

@@ -39,21 +39,20 @@ def fill_content_with_relaxation(
     raises OovError from the first neighbor query.
 
     The outcome depends only on (q, tag.truncated, m, max_hops), the store
-    and the lexicon, and neither changes once loaded, so it is kept per
-    (q, tag.truncated, m, max_hops) in ``forms.memo(store)``: the word and
-    hops, or the RelaxationError. Each call gets its own visited list, or
-    its own error with the same message and visited queries.
+    and the lexicon, and neither changes once loaded, so it is kept in
+    ``store.memo`` under a key holding the lexicon, which the store keeps
+    alive: the word and hops, or the RelaxationError. Each call gets its own
+    visited list, or its own error with the same message and visited queries.
     """
-    memo = forms.memo(store)
-    key = (q, tag.truncated, m, max_hops)
-    outcome = memo.get(key)
+    key = ("fill", forms, q, tag.truncated, m, max_hops)
+    outcome = store.memo.get(key)
     if outcome is None:
         try:
             word, hops, visited = _relax(tag, q, store, forms, m, max_hops)
             outcome = (word, hops, tuple(visited))
         except RelaxationError as e:
             outcome = e
-        memo[key] = outcome
+        store.memo[key] = outcome
     if isinstance(outcome, RelaxationError):
         raise RelaxationError(str(outcome), visited=outcome.visited)
     word, hops, visited = outcome

@@ -29,21 +29,22 @@ def rank_vocabulary(
     descending proximity to q, ties by word, as (word, proximity) pairs.
 
     Only the top three are ever drawn from, so ``top_k`` sorts only the words
-    at or above the third. The tag's unit vectors are kept per store as one
-    block in table order, made on the tag's first rank, so a new q reads them
-    without a gather. The table and the store never change after load, so
-    each result is memoized per (tag, q) for each store on first success.
+    at or above the third. The tag's unit vectors are kept as one block in
+    table order, made on the tag's first rank, so a new q reads them without
+    a gather. The table and the store never change after load, so the block
+    and each (tag, q) result are kept in ``store.memo`` on first success,
+    under keys holding the table, which the store keeps alive.
     """
-    memo, key = ta.memo(store), (tag.truncated, q)
+    memo, key = store.memo, ("top3", ta, tag.truncated, q)
     if key in memo:
         return memo[key]
     iq = store.row(q)
     rows = ta.rows(tag.truncated, store)  # TableError if the tag is absent
     if not rows.size:
-        raise EmptyRankError(f"no in-vocabulary candidate for tag {key[0]!r}")
-    block = memo.get(key[:1])
+        raise EmptyRankError(f"no in-vocabulary candidate for tag {tag.truncated!r}")
+    block = memo.get(("unit", ta, tag.truncated))
     if block is None:
-        block = memo[key[:1]] = store.unit_block(rows)
+        block = memo["unit", ta, tag.truncated] = store.unit_block(rows)
     prox = store.block_proximity(iq, block)
     top = top_k(prox, 3, lambda i: store.words[rows[i]])
     memo[key] = tuple((store.words[rows[i]], float(prox[i])) for i in top)

@@ -59,22 +59,21 @@ class CandidateBlock:
 
 
 def score_candidates(
-    o: str, q: str, vk: Sequence[str] | CandidateBlock, store: EmbeddingStore,
+    o: str, q: str, block: CandidateBlock, store: EmbeddingStore,
     invert: bool = False,
 ) -> list[dict]:
-    """Score every candidate, given as words or as their block: a ``{"w",
-    "theta", "beta", "s"}`` record each, the form model 3's trace prints,
-    sorted by descending s, ties by w.
+    """Score every candidate of the block: a ``{"w", "theta", "beta", "s"}``
+    record each, the form model 3's trace prints, sorted by descending s,
+    ties by w.
 
     U's row for w is [N(o) N(q) N(w)]: o, q and each w meet the 2k shared
     columns once, o and q meet each N(w), and the block holds w against N(w).
     Each value is the one-pair proximity, and each cosine runs over the same
     contiguous 3k-float rows as when U is built row by row."""
-    if len(vk) < 2:
-        raise EmptyRankError(f"need >= 2 candidates, got {len(vk)}")
-    # OovError for o, then q, then the first OOV candidate
+    if len(block) < 2:
+        raise EmptyRankError(f"need >= 2 candidates, got {len(block)}")
+    # OovError for o, then q; the block holds no OOV candidate
     oq = np.concatenate([store.neighbors(o, SEGMENT), store.neighbors(q, SEGMENT)])
-    block = vk if isinstance(vk, CandidateBlock) else CandidateBlock.of(vk, store)
     n, k = block.neighbors.shape
     anchors = np.array([store.index[o], store.index[q]])
     shared = store.proximity(np.concatenate([anchors, block.rows])[:, None], oq)
@@ -127,14 +126,14 @@ def generate_model3(
                 "top3": [w for w, _ in ranked],
                 "chosen": word,
             }
-        memo, key = res.ta.memo(res.store), ("model3", slot.tag.truncated, res.cap_m)
+        memo, key = res.store.memo, ("model3", res.ta, slot.tag.truncated, res.cap_m)
         if key not in memo:
             # the cap keeps the most frequent: the table lists them first
-            by_count = res.ta.rows(key[1], res.store)
+            by_count = res.ta.rows(key[2], res.store)
             vk = [res.store.words[i] for i in by_count[: res.cap_m].tolist()]
             if len(vk) < 2:
                 raise EmptyRankError(
-                    f"fewer than 2 in-vocabulary candidates for {key[1]!r}"
+                    f"fewer than 2 in-vocabulary candidates for {key[2]!r}"
                 )
             memo[key] = CandidateBlock.of(vk, res.store)
         scored = score_candidates(o, q, memo[key], res.store, invert=invert)

@@ -7,7 +7,6 @@ exist for each lemma; inflection is an exact lookup over it.
 
 from __future__ import annotations
 
-import weakref
 from pathlib import Path
 
 from .errors import FormatError, TagError, load_rows, read_tsv
@@ -23,9 +22,6 @@ class FormsLexicon:
         # surface -> truncated tags it is attested under
         self.attested: dict[str, set[str]] = {}
         self._seen: set[tuple[str, str, str]] = set()
-        # store -> results computed from this lexicon and that store; keyed
-        # by the store itself, so a result never serves another store
-        self._memos: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
         for entry in entries:
             self._add(*entry)
 
@@ -43,12 +39,6 @@ class FormsLexicon:
         self.forms.setdefault(lemma, []).append((surface, fulltag, freq))
         self.lemmas_of.setdefault(surface, set()).add(lemma)
         self.attested.setdefault(surface, set()).add(fulltag[:4])
-
-    def memo(self, store) -> dict:
-        """A dict for results that depend only on this lexicon, which gains
-        no form once built, and one embedding store; kept while the store
-        lives (model 1 keeps its content fills here)."""
-        return self._memos.setdefault(store, {})
 
     @classmethod
     def load(cls, path: str | Path) -> "FormsLexicon":

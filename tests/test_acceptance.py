@@ -19,7 +19,7 @@ from homosyntax import model1, model2, model3
 from homosyntax.cli import main as cli_main
 from homosyntax.errors import GenerationError
 from homosyntax.markov import DecodePolicy, build_transition_matrix, generate_egv
-from homosyntax.model3 import SEGMENT, score_candidates
+from homosyntax.model3 import SEGMENT, CandidateBlock, score_candidates
 from homosyntax.templates import extract_template
 from homosyntax.errors import TemplateError
 
@@ -195,7 +195,9 @@ class TestCriterion05ScoreEquivalence:
         assert len(cases) == 50
         worst = 0.0
         for o, q, vk in cases:
-            scored = score_candidates(o, q, vk, resources.store)
+            scored = score_candidates(
+                o, q, CandidateBlock.of(vk, resources.store), resources.store
+            )
             ot, ob, os_ = self._oracle(o, q, vk, resources.store)
             oracle = {
                 w: (t, b, s) for w, t, b, s in zip(vk, ot, ob, os_)
@@ -214,7 +216,9 @@ class TestCriterion05ScoreEquivalence:
     def test_mean_point_scores_one(self, resources):
         worst = 0.0
         for o, q, vk in self._slot_cases(resources, 10):
-            scored = score_candidates(o, q, vk, resources.store)
+            scored = score_candidates(
+                o, q, CandidateBlock.of(vk, resources.store), resources.store
+            )
             mt = sum(c["theta"] for c in scored) / len(scored)
             mb = sum(c["beta"] for c in scored) / len(scored)
             s_mean = (mt / mt) * (mb / mb)
@@ -229,7 +233,9 @@ class TestCriterion05ScoreEquivalence:
         rng = random.Random(6)
         stable = True
         for o, q, vk in self._slot_cases(resources, 10):
-            scored = score_candidates(o, q, vk, resources.store)
+            scored = score_candidates(
+                o, q, CandidateBlock.of(vk, resources.store), resources.store
+            )
             thetas = [c["theta"] for c in scored]
             betas = [c["beta"] for c in scored]
             words = [c["w"] for c in scored]

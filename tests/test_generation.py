@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from homosyntax.embeddings import EmbeddingStore
+from homosyntax.embeddings import AssociativeTable, EmbeddingStore
 from homosyntax.errors import (
     EmptyRankError,
     GenerationError,
@@ -14,9 +14,11 @@ from homosyntax.errors import (
 )
 from homosyntax.generation import NOVELTY_RETRIES, generate
 from homosyntax.markov import DecodePolicy
-from homosyntax.model1 import generate_model1
-from homosyntax.model2 import generate_model2
+from homosyntax.model1 import fill_content_with_relaxation, generate_model1
+from homosyntax.model2 import generate_model2, rank_vocabulary
 from homosyntax.model3 import generate_model3
+from homosyntax.morphology import FormsLexicon
+from homosyntax.pos import PosTag
 from homosyntax.resources import load_resources
 
 from conftest import FIXTURE_NEIGHBORS_M
@@ -152,11 +154,11 @@ def _run_grid(res, grid):
 
 
 def test_warm_memos_give_the_cold_results(resources_dir):
-    # the neighbor, tag-row, content-fill and successor-table memos, model
-    # 2's unit blocks and top threes, and model 3's candidate blocks per
-    # (tag, cap) fill as requests run; a request must not depend on which
-    # requests ran before it on the same resources, whatever settings those
-    # requests used
+    # the store's memo (neighbors; per table, tag rows, model 2's unit blocks
+    # and top threes, and model 3's candidate blocks per (tag, cap); per
+    # lexicon, content fills) and the matrix's successor tables fill as
+    # requests run; a request must not depend on which requests ran before
+    # it on the same resources, whatever settings those requests used
     grid = [
         (model, q, n, seed, cap_m, policy, setting)
         for model in MODELS
@@ -181,3 +183,58 @@ def test_warm_memos_give_the_cold_results(resources_dir):
     default = made[("topk:3", (FIXTURE_NEIGHBORS_M, 5))]
     assert sum(default) > len(default) // 2
     assert all(any(ok) for ok in made.values())
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except HomosyntaxError as e:
+        return type(e).__name__, str(e)
+
+
+def _table_answers(resources, store, ta):
+    """Model 2's top three for every (tag, q), then model 3's sentences at a
+    binding cap, through one table."""
+    res = replace(resources, store=store, ta=ta, cap_m=5)
+    ranked = [_outcome(rank_vocabulary, PosTag(tag), q, ta, store)
+              for tag in sorted(resources.ta.table) for q in ("sol", "guerra")]
+    sentences = [_outcome(lambda s: generate_model3("sol", 7, res, s).trace, seed)
+                 for seed in range(3)]
+    return ranked, sentences
+
+
+def _lexicon_answers(resources, store, forms):
+    """Model 1's content fill for every (tag, q), through one lexicon."""
+    return [
+        _outcome(fill_content_with_relaxation, PosTag(tag), q, store, forms,
+                 FIXTURE_NEIGHBORS_M, 5)
+        for tag in sorted(resources.ta.table) for q in ("sol", "guerra", "amor")
+    ]
+
+
+@pytest.mark.parametrize("kind", ["table", "lexicon"])
+def test_two_owners_over_one_store_keep_their_own_answers(resources, kind):
+    # two tables, or two lexicons, serve one store: what each derives is
+    # kept in the store's memo, and each must get the answer it gets alone,
+    # whichever asks first
+    if kind == "table":
+        first = AssociativeTable(resources.ta.table)
+        owners = (first, AssociativeTable(
+            {tag: words[1::2] for tag, words in first.table.items()}))
+        answers = _table_answers
+    else:
+        entries = [(lemma, *form) for lemma, forms in resources.forms.forms.items()
+                   for form in forms]
+        owners = (FormsLexicon(entries), FormsLexicon(entries[1::2]))
+        answers = _lexicon_answers
+
+    def fresh():
+        return EmbeddingStore(resources.store.words, resources.store.vectors)
+
+    alone = [answers(resources, fresh(), owner) for owner in owners]
+    assert alone[0] != alone[1]
+    for order in ((0, 1), (1, 0)):
+        store = fresh()
+        for i in order:
+            for _ in ("miss", "hit"):
+                assert answers(resources, store, owners[i]) == alone[i]
