@@ -11,7 +11,7 @@ proximity = (cosine + 1) / 2, so larger always means closer.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +20,8 @@ from .corpus import SentenceRecord
 from .errors import (FormatError, OovError, TableError, TrainError, load_rows,
                      read_jsonl, read_lines, write_jsonl, write_lines)
 from .pos import TaggedSentence, is_content
+
+CHUNK = 64  # cold queries per float32 product: 64 x V values, 5 MB at V = 20k
 
 
 def _proximity(cos: np.ndarray) -> np.ndarray:
@@ -106,24 +108,77 @@ class EmbeddingStore:
         return _proximity(np.vecdot(self._unit[a], block))
 
     def neighbors(self, q: str, m: int) -> np.ndarray:
-        """Rows of the top-m words by proximity to q, nearest first, q
-        excluded, ties by word; empty when q is the store's only word.
+        """Rows of the top-m words by ``proximity(q, w)``, the one-pair value,
+        nearest first, q excluded, ties by word; empty when q is the store's
+        only word. This is ``neighbors_many([q], m)[0]``: the same float32
+        cut and exact re-rank, the same memo."""
+        return self.neighbors_many([q], m)[0]
 
-        Kept in ``memo`` per (q, m) on first use; the returned array is
-        shared between calls and read-only.
-        """
+    def neighbors_many(self, qs: Sequence[str], m: int) -> list[np.ndarray]:
+        """``neighbors(q, m)`` for each q of qs, in order, repeats allowed:
+        ordered by ``proximity(q, w)``, the one-pair value, ties by word.
+
+        Cold queries are scanned CHUNK at a time. One float32 product against
+        a float32 copy of the unit rows (made on first use, kept in ``memo``)
+        gives each word a coarse cosine, and only the words within
+        2e + (d+2) 2^-50 of the query's k-th coarse value, e = g/(1 - g) and
+        g = (d+2) 2^-24 for d dims, are re-ranked by ``proximity``. No word
+        below that bound, derived in ``_scan``, can be in the top m.
+
+        Each list is kept in ``memo`` per (q, m) and shared read-only.
+        ValueError if m < 1, OovError naming the first word with no vector,
+        both before any scan."""
+        memo = self.memo
+        try:  # no bad m or OOV word is ever memoized
+            return [memo["neighbors", q, m] for q in qs]
+        except KeyError:
+            pass
         if m < 1:
             raise ValueError(f"m must be >= 1, got {m}")
-        rows = self.memo.get(("neighbors", q, m))
-        if rows is None:
-            iq = self.row(q)
-            prox = _proximity(self._unit @ self._unit[iq])
-            prox[iq] = -1.0  # below every proximity: q is never its own neighbor
-            top = top_k(prox, min(m, len(self.words) - 1), self.words.__getitem__)
-            rows = np.array(top, dtype=np.intp)
+        for q in qs:
+            self.row(q)
+        cold = [q for q in dict.fromkeys(qs) if ("neighbors", q, m) not in memo]
+        for start in range(0, len(cold), CHUNK):
+            self._scan(cold[start : start + CHUNK], m)
+        return [memo["neighbors", q, m] for q in qs]
+
+    def _scan(self, qs: list[str], m: int) -> None:
+        """Memoize the neighbor lists of up to CHUNK in-vocabulary words."""
+        # the unit rows as float32 columns: a (d, V) right operand is the
+        # fastest layout for sgemm, for one query or CHUNK
+        cols = self.memo.get(("unit32",))
+        if cols is None:
+            cols = self.memo["unit32",] = np.ascontiguousarray(self._unit.T, np.float32)
+        d, k = self.dims, min(m, len(self.words) - 1)
+        # The bound. With u = 2^-24, float32's unit roundoff, rounding unit
+        # rows x and y to float32 moves each product x_i*y_i by at most
+        # (2u + u^2)|x_i*y_i|, and a float32 dot of d terms, summed in any
+        # order, with or without FMA, adds at most du/(1 - du) of
+        # sum|x_i*y_i| (Higham, Accuracy and Stability of Numerical
+        # Algorithms, 2nd ed., sec. 3.1). So a coarse value is within
+        # e = g/(1 - g), g = (d+2)u, of the real cosine c, as
+        # sum|x_i*y_i| <= |x||y| = 1 + O(d 2^-52); underflow adds under
+        # d 2^-126. The float64 dot in ``proximity`` is within d 2^-53 of c,
+        # and (cos + 1)/2, rounded once and clipped to [0, 1], keeps the
+        # order of two cosines more than 2^-52 apart unless both clip, which
+        # |c| <= 1 + O(d 2^-52) confines to the same O(d 2^-52). A word whose
+        # coarse value is more than 2e + (d+2) 2^-50 below the k-th coarse
+        # value T therefore has a proximity strictly below each of the k or
+        # more words at or above T: it is not in the top k. Rounding the cut
+        # to float32 keeps every float32 value at or above it.
+        g = (d + 2) * 2.0**-24
+        bound = 2 * g / (1 - g) + (d + 2) * 2.0**-50
+        iq = np.array([self.index[q] for q in qs], dtype=np.intp)
+        coarse = self._unit[iq].astype(np.float32) @ cols  # a row per query
+        coarse[np.arange(iq.size), iq] = -np.inf  # q is never its own neighbor
+        kth = np.partition(coarse, -k, axis=1)[:, -k]
+        cuts = (kth - np.float64(bound)).astype(np.float32)
+        for q, i, row, cut in zip(qs, iq.tolist(), coarse, cuts):
+            near = (row >= cut).nonzero()[0]
+            top = top_k(self.proximity(i, near), k, lambda j: self.words[near[j]])
+            rows = near[top]
             rows.flags.writeable = False
             self.memo["neighbors", q, m] = rows
-        return rows
 
     def save(self, path: str | Path) -> None:
         rows = (

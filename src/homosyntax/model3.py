@@ -28,7 +28,7 @@ from .embeddings import EmbeddingStore
 from .errors import DegenerateScoreError, EmptyRankError
 from .generation import GeneratedSentence, GenerationResources, generate
 from .model2 import choose_top3, rank_vocabulary, template_skeleton
-from .templates import Slot
+from .templates import Literal, Slot
 
 SEGMENT = 10  # neighbors per anchor word; |U| = 3 * SEGMENT
 
@@ -47,8 +47,8 @@ class CandidateBlock:
     @classmethod
     def of(cls, vk: Sequence[str], store: EmbeddingStore) -> CandidateBlock:
         """The block of vk; OovError names the first word with no vector."""
-        rows = np.array([store.row(w) for w in vk], dtype=np.intp)
-        nbrs = np.array([store.neighbors(w, SEGMENT) for w in vk], dtype=np.intp)
+        nbrs = np.array(store.neighbors_many(vk, SEGMENT), dtype=np.intp)
+        rows = np.array([store.index[w] for w in vk], dtype=np.intp)
         prox = store.proximity(rows[:, None], nbrs)
         for a in (rows, nbrs, prox):
             a.flags.writeable = False
@@ -73,7 +73,7 @@ def score_candidates(
     if len(block) < 2:
         raise EmptyRankError(f"need >= 2 candidates, got {len(block)}")
     # OovError for o, then q; the block holds no OOV candidate
-    oq = np.concatenate([store.neighbors(o, SEGMENT), store.neighbors(q, SEGMENT)])
+    oq = np.concatenate(store.neighbors_many([o, q], SEGMENT))
     n, k = block.neighbors.shape
     anchors = np.array([store.index[o], store.index[q]])
     shared = store.proximity(np.concatenate([anchors, block.rows])[:, None], oq)
@@ -146,4 +146,13 @@ def generate_model3(
             "chosen": word,
         }
 
-    return generate(3, q, res, seed, template_skeleton(res, n), fill_slot)
+    draw = template_skeleton(res, n)
+
+    def skeleton(rng: random.Random) -> tuple[str, tuple[Slot | Literal, ...]]:
+        # every slot scores against N(q) and its own N(o): fetch them in one scan
+        source, items = draw(rng)
+        originals = (i.original.lower() for i in items if isinstance(i, Slot))
+        res.store.neighbors_many([q, *(o for o in originals if o in res.store)], SEGMENT)
+        return source, items
+
+    return generate(3, q, res, seed, skeleton, fill_slot)

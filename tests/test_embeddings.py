@@ -237,6 +237,151 @@ class TestNeighborTies:
                 assert _words(store, store.neighbors(q, m)) == expected
 
 
+# sha256 of every fixture word's neighbor list, one "q<TAB>neighbors" line
+# per word in store order, per m; m = 149 and 200 both ask for all V - 1
+_NEIGHBOR_DIGESTS = {
+    1: "a7482dbd7fa00c80e64dc766232f42217df0d331eb1df6af3c3f01ee4991d586",
+    10: "51dbb5ac5a89b0a0c493d96ce29f9946fb2d81a51de22b74ffd5df48079159b0",
+    20: "a7bd489d2c39da827c0ed73b626fc9d5c677ee7be1ac3c63b07c6ff3529148c4",
+    60: "93c16574fb0abecf8c9d5389f8d1da2cafbdf16541939836a0779b9db56c32d0",
+    149: "044a9b68c939a0a64f4486b2163d789bb18fdaf45bfb7c81b480f55ead4c7cf9",
+    200: "044a9b68c939a0a64f4486b2163d789bb18fdaf45bfb7c81b480f55ead4c7cf9",
+}
+
+
+class TestNeighborDigests:
+    def test_fixture_neighbor_lists_are_frozen(self, store):
+        assert len(store) == 150
+        got = {}
+        for m in _NEIGHBOR_DIGESTS:
+            text = "\n".join(q + "\t" + " ".join(_words(store, store.neighbors(q, m)))
+                             for q in store.words)
+            got[m] = hashlib.sha256(text.encode()).hexdigest()
+        assert got == _NEIGHBOR_DIGESTS
+
+
+def _proximity_scan(store, q, m):
+    """Full scan: the other words by (-proximity(q, w), w), the first m."""
+    iq = store.row(q)
+    others = sorted((-store.proximity(iq, i), w)
+                    for i, w in enumerate(store.words) if i != iq)
+    return tuple(w for _, w in others[:m])
+
+
+@st.composite
+def _near_tie_stores(draw):
+    """Rows along one direction, each moved by 1e-9 to 1e-5 of it or not at
+    all, and scaled by a power of two: float32 cannot tell most of them
+    apart, so many coarse values fall within the cut's bound of the k-th,
+    and the unmoved rows tie exactly."""
+    words = draw(st.lists(st.text(alphabet="abcd", min_size=1, max_size=3),
+                          min_size=1, max_size=12, unique=True))
+    dims = draw(st.integers(2, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = rng.standard_normal(dims)
+    rows = []
+    for _ in words:
+        shift = draw(st.sampled_from((0.0, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5)))
+        scale = draw(st.sampled_from((0.5, 1.0, 4.0)))
+        rows.append(scale * (base + shift * rng.standard_normal(dims)))
+    return EmbeddingStore(words, np.array(rows))
+
+
+class TestNeighborCut:
+    @settings(max_examples=200, deadline=None)
+    @given(_near_tie_stores())
+    def test_near_ties_match_a_full_scan(self, store):
+        for m in range(1, len(store) + 2):
+            expected = [_proximity_scan(store, q, m) for q in store.words]
+            batch = EmbeddingStore(store.words, store.vectors)
+            got = batch.neighbors_many(store.words, m)
+            assert [_words(store, rows) for rows in got] == expected
+            for q, want in zip(store.words, expected):
+                assert _words(store, store.neighbors(q, m)) == want
+
+
+def _fresh(store):
+    """The same words and vectors with an empty memo."""
+    return EmbeddingStore(store.words, store.vectors)
+
+
+class TestNeighborsMany:
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+    def test_query_counts_around_the_chunk(self, store, n):
+        qs = store.words[:n]
+        got = _fresh(store).neighbors_many(qs, 10)
+        assert len(got) == n
+        assert [_words(store, rows) for rows in got] == [
+            _proximity_scan(store, q, 10) for q in qs
+        ]
+
+    def test_repeated_and_memoized_words(self, store):
+        s = _fresh(store)
+        a, b, c = store.words[:3]
+        warm = s.neighbors(b, 10)
+        got = s.neighbors_many([a, b, a, c, b, a], 10)
+        assert got[1] is warm and got[4] is warm
+        assert got[0] is got[2] is got[5] is s.neighbors(a, 10)
+        for q, rows in zip([a, b, a, c, b, a], got):
+            assert _words(s, rows) == _proximity_scan(s, q, 10)
+            assert not rows.flags.writeable
+
+    def test_empty_query_list(self, store):
+        s = _fresh(store)
+        assert s.neighbors_many([], 10) == []
+        assert s.memo == {}
+
+    def test_m_at_or_above_v_minus_one(self, store):
+        qs = store.words[::7]
+        for m in (len(store) - 1, len(store), len(store) + 5):
+            got = _fresh(store).neighbors_many(qs, m)
+            assert [_words(store, rows) for rows in got] == [
+                _proximity_scan(store, q, m) for q in qs
+            ]
+
+    def test_stores_of_one_and_two_words(self):
+        solo = EmbeddingStore(["solo"], np.array([[1.0, 2.0]]))
+        for m in (1, 5):
+            got = solo.neighbors_many(["solo", "solo"], m)
+            assert [rows.shape for rows in got] == [(0,), (0,)]
+        pair = EmbeddingStore(["b", "a"], np.array([[1.0, 0.0], [-1.0, 0.0]]))
+        for m in (1, 2, 7):
+            got = pair.neighbors_many(["a", "b", "a"], m)
+            assert [_words(pair, rows) for rows in got] == [("b",), ("a",), ("b",)]
+
+    @pytest.mark.parametrize("at", [0, 1, 64, 70])
+    def test_oov_anywhere_raises_before_any_scan(self, store, at):
+        qs = list(store.words[:70])
+        qs.insert(at, "zzzqx")
+        qs.append("zzzqy")
+        cold, warm = _fresh(store), _fresh(store)
+        warm.neighbors_many(store.words[:3], 10)
+        before = dict(warm.memo)
+        for s in (cold, warm):
+            with pytest.raises(OovError) as e:
+                s.neighbors_many(qs, 10)
+            assert e.value.word == "zzzqx"
+        assert cold.memo == {}
+        assert warm.memo == before
+
+    def test_bad_m_raises_before_any_scan(self, store):
+        s = _fresh(store)
+        for m in (0, -3):
+            with pytest.raises(ValueError):
+                s.neighbors_many(store.words[:2], m)
+        assert s.memo == {}
+
+    def test_a_batch_fills_the_memo_single_calls_fill(self, store):
+        batch, single = _fresh(store), _fresh(store)
+        for m in (1, 10, 60):
+            batch.neighbors_many(store.words, m)
+            for q in store.words:
+                single.neighbors(q, m)
+        assert batch.memo.keys() == single.memo.keys()
+        for key, value in batch.memo.items():
+            assert np.array_equal(value, single.memo[key])
+
+
 class TestTopK:
     @settings(max_examples=300, deadline=None)
     @given(st.data())
