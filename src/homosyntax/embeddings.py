@@ -43,8 +43,10 @@ def top_k(prox: np.ndarray, k: int, word: Callable[[int], str]) -> list[int]:
     k = min(k, prox.size)
     if k < 1:
         return []
-    tied = (prox >= np.partition(prox, -k)[-k]).nonzero()[0].tolist()
-    return sorted(tied, key=lambda i: (-prox[i], word(i)))[:k]
+    tied = (prox >= np.partition(prox, -k)[-k]).nonzero()[0]
+    at = tied.tolist()
+    ranked = sorted(zip((-prox[tied]).tolist(), map(word, at), at))
+    return [i for _, _, i in ranked[:k]]
 
 
 class EmbeddingStore:
@@ -175,7 +177,8 @@ class EmbeddingStore:
         cuts = (kth - np.float64(bound)).astype(np.float32)
         for q, i, row, cut in zip(qs, iq.tolist(), coarse, cuts):
             near = (row >= cut).nonzero()[0]
-            top = top_k(self.proximity(i, near), k, lambda j: self.words[near[j]])
+            names = [self.words[j] for j in near.tolist()]
+            top = top_k(self.proximity(i, near), k, names.__getitem__)
             rows = near[top]
             rows.flags.writeable = False
             self.memo["neighbors", q, m] = rows

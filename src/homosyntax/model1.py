@@ -43,6 +43,10 @@ def fill_content_with_relaxation(
     ``store.memo`` under a key holding the lexicon, which the store keeps
     alive: the word and hops, or the RelaxationError. Each call gets its own
     visited list, or its own error with the same message and visited queries.
+    A cold fill reads each neighbor's fit under the tag from the entry
+    ``("fit", forms, tag.truncated)``: per store row, whether it is attested
+    under the tag and its inflected form or None, each worked out when a pass
+    first reaches the row.
     """
     key = ("fill", forms, q, tag.truncated, m, max_hops)
     outcome = store.memo.get(key)
@@ -67,19 +71,24 @@ def _relax(
     m: int,
     max_hops: int,
 ) -> tuple[str, int, list[str]]:
+    attested, inflected = store.memo.setdefault(("fit", forms, tag.truncated), ({}, {}))
+    words = store.words
     visited = [q]
     current = q
     for hops in range(max_hops + 1):
-        lexicon = [store.words[i] for i in store.neighbors(current, m).tolist()]
-        for word in lexicon:
-            if matches_tag(word, tag, forms):
-                return word, hops, visited
-        for word in lexicon:
-            inflected = inflect(word, tag, forms)
-            if inflected is not None:
-                return inflected, hops, visited
+        rows = store.neighbors(current, m).tolist()
+        for i in rows:
+            if i not in attested:
+                attested[i] = matches_tag(words[i], tag, forms)
+            if attested[i]:
+                return words[i], hops, visited
+        for i in rows:
+            if i not in inflected:
+                inflected[i] = inflect(words[i], tag, forms)
+            if inflected[i] is not None:
+                return inflected[i], hops, visited
         # relax: nearest neighbor of the current query not yet visited
-        next_q = next((w for w in lexicon if w not in visited), None)
+        next_q = next((words[i] for i in rows if words[i] not in visited), None)
         if next_q is None:
             break
         visited.append(next_q)

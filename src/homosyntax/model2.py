@@ -30,10 +30,10 @@ def rank_vocabulary(
 
     Only the top three are ever drawn from, so ``top_k`` sorts only the words
     at or above the third. The tag's unit vectors are kept as one block in
-    table order, made on the tag's first rank, so a new q reads them without
-    a gather. The table and the store never change after load, so the block
-    and each (tag, q) result are kept in ``store.memo`` on first success,
-    under keys holding the table, which the store keeps alive.
+    table order, with their words, made on the tag's first rank, so a new q
+    reads them without a gather. The table and the store never change after
+    load, so the block and each (tag, q) result are kept in ``store.memo`` on
+    first success, under keys holding the table, which the store keeps alive.
     """
     memo, key = store.memo, ("top3", ta, tag.truncated, q)
     if key in memo:
@@ -42,12 +42,14 @@ def rank_vocabulary(
     rows = ta.rows(tag.truncated, store)  # TableError if the tag is absent
     if not rows.size:
         raise EmptyRankError(f"no in-vocabulary candidate for tag {tag.truncated!r}")
-    block = memo.get(("unit", ta, tag.truncated))
-    if block is None:
-        block = memo["unit", ta, tag.truncated] = store.unit_block(rows)
+    unit = memo.get(("unit", ta, tag.truncated))
+    if unit is None:
+        names = tuple(store.words[i] for i in rows.tolist())
+        unit = memo["unit", ta, tag.truncated] = store.unit_block(rows), names
+    block, names = unit
     prox = store.block_proximity(iq, block)
-    top = top_k(prox, 3, lambda i: store.words[rows[i]])
-    memo[key] = tuple((store.words[rows[i]], float(prox[i])) for i in top)
+    top = top_k(prox, 3, names.__getitem__)
+    memo[key] = tuple(zip([names[i] for i in top], prox[top].tolist()))
     return memo[key]
 
 

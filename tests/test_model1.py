@@ -13,7 +13,9 @@ from homosyntax.generation import (
 )
 from homosyntax.model1 import fill_content_with_relaxation, generate_model1
 from homosyntax.morphology import FormsLexicon, inflect, matches_tag
-from homosyntax.pos import PosTag
+from homosyntax.pos import PosTag, is_content
+
+from conftest import FIXTURE_NEIGHBORS_M
 
 
 class TestFillFunctional:
@@ -207,6 +209,40 @@ class TestKeptFills:
         assert errors[0] is not errors[1]
         assert str(errors[0]) == str(errors[1])
         assert errors[0].visited == errors[1].visited == ("q", "a", "b")
+
+    def test_every_fixture_fill_equals_the_reference(self, resources):
+        # at the benchmark's setting, every store word as the query under
+        # every content tag the skeletons draw, on a fresh store in each of
+        # two query orders: each cold fill, and its warm repeat, must equal
+        # the word-by-word loop's outcome
+        words, forms = resources.store.words, resources.forms
+        tags = sorted({PosTag(s).truncated for s in resources.matrix.states
+                       if is_content(PosTag(s))})
+        calls = [(PosTag(tag), q) for tag in tags for q in words]
+
+        def fresh():
+            return EmbeddingStore(words, resources.store.vectors)
+
+        reference = fresh()
+        expected = {
+            (tag.truncated, q): _outcome(_reference_fill, tag, q, reference, forms,
+                                         FIXTURE_NEIGHBORS_M, 5)
+            for tag, q in calls
+        }
+        # the fixture reaches every way out of the walk: a direct word, an
+        # inflected form missing from the store, a relaxation and an error
+        fills = [o for o in expected.values() if o[0] != "RelaxationError"]
+        assert any(word in reference for word, _, _ in fills)
+        assert any(word not in reference for word, _, _ in fills)
+        assert any(hops > 0 for _, hops, _ in fills)
+        assert len(fills) < len(expected)
+        for order in (calls, calls[::-1]):
+            store = fresh()
+            for _ in ("cold", "warm"):
+                for tag, q in order:
+                    got = _outcome(fill_content_with_relaxation, tag, q, store,
+                                   forms, FIXTURE_NEIGHBORS_M, 5)
+                    assert got == expected[tag.truncated, q], (tag.truncated, q)
 
 
 class TestGenerate:
