@@ -146,8 +146,7 @@ def check_score_oracle(res: GenerationResources) -> CheckResult:
         # a tag without a table entry fails resource-fit instead
         if o not in res.store or slot.tag.truncated not in res.ta.table:
             continue
-        by_count = res.ta.rows(slot.tag.truncated, res.store)
-        vocab = [res.store.words[i] for i in by_count[:10].tolist()]
+        vocab = res.ta.words(slot.tag.truncated, res.store)[:10]
         if len(vocab) < 2:
             continue
         q = rng.choice(res.store.words)

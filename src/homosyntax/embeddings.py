@@ -11,7 +11,7 @@ proximity = (cosine + 1) / 2, so larger always means closer.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from pathlib import Path
 
 import numpy as np
@@ -36,16 +36,16 @@ def _norms(vectors: np.ndarray) -> np.ndarray:
         return np.linalg.norm(vectors, axis=1, keepdims=True)
 
 
-def top_k(prox: np.ndarray, k: int, word: Callable[[int], str]) -> list[int]:
+def top_k(prox: np.ndarray, k: int, words: Sequence[str]) -> list[int]:
     """Positions of the k largest proximities, largest first, ties by
-    ``word(position)``; [] when k < 1. Only the values at or above the k-th
+    ``words[position]``; [] when k < 1. Only the values at or above the k-th
     largest, found in linear time, are sorted: all that tie with it are kept."""
     k = min(k, prox.size)
     if k < 1:
         return []
     tied = (prox >= np.partition(prox, -k)[-k]).nonzero()[0]
     at = tied.tolist()
-    ranked = sorted(zip((-prox[tied]).tolist(), map(word, at), at))
+    ranked = sorted(zip((-prox[tied]).tolist(), [words[i] for i in at], at))
     return [i for _, _, i in ranked[:k]]
 
 
@@ -96,17 +96,17 @@ class EmbeddingStore:
         prox = _proximity(np.vecdot(self._unit[a], self._unit[b]))
         return float(prox) if prox.ndim == 0 else prox
 
-    def unit_block(self, rows: np.ndarray) -> np.ndarray:
-        """The unit vectors of rows, in their order, as one new contiguous
-        read-only array: the operand of ``block_proximity``."""
-        block = self._unit[rows]
+    def unit_block(self, words: Sequence[str]) -> np.ndarray:
+        """The unit vectors of in-vocabulary words, in their order, as one
+        new contiguous read-only array: the operand of ``block_proximity``."""
+        block = self._unit[[self.index[w] for w in words]]
         block.flags.writeable = False
         return block
 
     def block_proximity(self, a: int, block: np.ndarray) -> np.ndarray:
-        """``proximity(a, rows)`` for the rows the block was made from,
-        without gathering them again: the same np.vecdot on the same unit
-        vectors, so equal bit for bit."""
+        """``proximity(a, rows)`` for the rows of the words the block was
+        made from, without gathering them again: the same np.vecdot on the
+        same unit vectors, so equal bit for bit."""
         return _proximity(np.vecdot(self._unit[a], block))
 
     def neighbors(self, q: str, m: int) -> np.ndarray:
@@ -178,7 +178,7 @@ class EmbeddingStore:
         for q, i, row, cut in zip(qs, iq.tolist(), coarse, cuts):
             near = (row >= cut).nonzero()[0]
             names = [self.words[j] for j in near.tolist()]
-            top = top_k(self.proximity(i, near), k, names.__getitem__)
+            top = top_k(self.proximity(i, near), k, names)
             rows = near[top]
             rows.flags.writeable = False
             self.memo["neighbors", q, m] = rows
@@ -416,24 +416,21 @@ class AssociativeTable:
             for tag, words in table.items()
         }
 
-    def rows(self, tag: str, store: EmbeddingStore) -> np.ndarray:
-        """Store rows of the tag's attested words that have a vector, in
-        table order (most frequent first).
+    def words(self, tag: str, store: EmbeddingStore) -> tuple[str, ...]:
+        """The tag's attested words that have a vector, in table order (most
+        frequent first).
 
         Resolved once per store and kept in ``store.memo``, which keeps this
-        table alive with the store; the array is shared between calls and
-        read-only. TableError if the tag is absent.
+        table alive with the store; the tuple is shared between calls.
+        TableError if the tag is absent.
         """
-        key = ("rows", self, tag)
-        rows = store.memo.get(key)
-        if rows is None:
+        key = ("words", self, tag)
+        words = store.memo.get(key)
+        if words is None:
             if tag not in self.table:
                 raise TableError(f"no associative-table entry for tag {tag!r}")
-            words = [w for w, _ in self.table[tag] if w in store]
-            rows = np.array([store.index[w] for w in words], dtype=np.intp)
-            rows.flags.writeable = False
-            store.memo[key] = rows
-        return rows
+            words = store.memo[key] = tuple(w for w, _ in self.table[tag] if w in store)
+        return words
 
     def save(self, path: str | Path) -> None:
         write_jsonl(path, (

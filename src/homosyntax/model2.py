@@ -29,9 +29,9 @@ def rank_vocabulary(
     descending proximity to q, ties by word, as (word, proximity) pairs.
 
     Only the top three are ever drawn from, so ``top_k`` sorts only the words
-    at or above the third. The tag's unit vectors are kept as one block in
-    table order, with their words, made on the tag's first rank, so a new q
-    reads them without a gather. The table and the store never change after
+    at or above the third. The unit vectors of the tag's ``ta.words`` are
+    kept as one block in their order, made on the tag's first rank, so a new
+    q reads them without a gather. The table and the store never change after
     load, so the block and each (tag, q) result are kept in ``store.memo`` on
     first success, under keys holding the table, which the store keeps alive.
     """
@@ -39,17 +39,15 @@ def rank_vocabulary(
     if key in memo:
         return memo[key]
     iq = store.row(q)
-    rows = ta.rows(tag.truncated, store)  # TableError if the tag is absent
-    if not rows.size:
+    words = ta.words(tag.truncated, store)  # TableError if the tag is absent
+    if not words:
         raise EmptyRankError(f"no in-vocabulary candidate for tag {tag.truncated!r}")
-    unit = memo.get(("unit", ta, tag.truncated))
-    if unit is None:
-        names = tuple(store.words[i] for i in rows.tolist())
-        unit = memo["unit", ta, tag.truncated] = store.unit_block(rows), names
-    block, names = unit
+    block = memo.get(("unit", ta, tag.truncated))
+    if block is None:
+        block = memo["unit", ta, tag.truncated] = store.unit_block(words)
     prox = store.block_proximity(iq, block)
-    top = top_k(prox, 3, names.__getitem__)
-    memo[key] = tuple(zip([names[i] for i in top], prox[top].tolist()))
+    top = top_k(prox, 3, words)
+    memo[key] = tuple(zip([words[i] for i in top], prox[top].tolist()))
     return memo[key]
 
 
@@ -70,18 +68,20 @@ def template_skeleton(res: GenerationResources, n: int):
     return draw
 
 
+def fill_by_rank(pos: int, slot: Slot, q: str, res: GenerationResources,
+                 rng: random.Random, **fields) -> tuple[str, dict]:
+    """Model 2's slot fill: a uniform draw among the three words of the
+    slot's tag nearest q, and its trace record, with fields after the tag."""
+    ranked = rank_vocabulary(slot.tag, q, res.ta, res.store)
+    word = choose_top3(ranked, rng)
+    return word, {"position": pos, "tag": slot.tag.truncated, **fields,
+                  "top3": [w for w, _ in ranked], "chosen": word}
+
+
 def generate_model2(
     q: str, n: int, res: GenerationResources, seed: int
 ) -> GeneratedSentence:
     def fill_slot(pos: int, slot: Slot, rng: random.Random) -> tuple[str, dict]:
-        ranked = rank_vocabulary(slot.tag, q, res.ta, res.store)
-        word = choose_top3(ranked, rng)
-        return word, {
-            "position": pos,
-            "tag": slot.tag.truncated,
-            "original": slot.original,
-            "top3": [w for w, _ in ranked],
-            "chosen": word,
-        }
+        return fill_by_rank(pos, slot, q, res, rng, original=slot.original)
 
     return generate(2, q, res, seed, template_skeleton(res, n), fill_slot)

@@ -27,7 +27,7 @@ import numpy as np
 from .embeddings import EmbeddingStore
 from .errors import DegenerateScoreError, EmptyRankError
 from .generation import GeneratedSentence, GenerationResources, generate
-from .model2 import choose_top3, rank_vocabulary, template_skeleton
+from .model2 import choose_top3, fill_by_rank, template_skeleton
 from .templates import Literal, Slot
 
 SEGMENT = 10  # neighbors per anchor word; |U| = 3 * SEGMENT
@@ -116,21 +116,11 @@ def generate_model3(
         o = slot.original.lower()
         if o not in res.store:
             # graceful degradation: rank by query proximity alone
-            ranked = rank_vocabulary(slot.tag, q, res.ta, res.store)
-            word = choose_top3(ranked, rng)
-            return word, {
-                "position": pos,
-                "tag": slot.tag.truncated,
-                "o": o,
-                "fallback": "model2",
-                "top3": [w for w, _ in ranked],
-                "chosen": word,
-            }
+            return fill_by_rank(pos, slot, q, res, rng, o=o, fallback="model2")
         memo, key = res.store.memo, ("model3", res.ta, slot.tag.truncated, res.cap_m)
         if key not in memo:
             # the cap keeps the most frequent: the table lists them first
-            by_count = res.ta.rows(key[2], res.store)
-            vk = [res.store.words[i] for i in by_count[: res.cap_m].tolist()]
+            vk = res.ta.words(key[2], res.store)[: res.cap_m]
             if len(vk) < 2:
                 raise EmptyRankError(
                     f"fewer than 2 in-vocabulary candidates for {key[2]!r}"

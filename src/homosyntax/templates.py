@@ -21,14 +21,12 @@ from .pos import PosTag, TaggedSentence, is_content
 
 @dataclass(frozen=True)
 class Slot:
-    position: int
     tag: PosTag
     original: str
 
 
 @dataclass(frozen=True)
 class Literal:
-    position: int
     surface: str
 
 
@@ -53,11 +51,11 @@ class EgpSkeleton:
 def extract_template(ts: TaggedSentence) -> EgpSkeleton:
     """Hollow out content words; error if the sentence has none."""
     items: list[Slot | Literal] = []
-    for pos, (surface, tag) in enumerate(ts.tokens):
+    for surface, tag in ts.tokens:
         if is_content(tag):
-            items.append(Slot(pos, PosTag(tag.truncated), surface))
+            items.append(Slot(PosTag(tag.truncated), surface))
         else:
-            items.append(Literal(pos, surface))
+            items.append(Literal(surface))
     source_id = f"{ts.source.doc_id}:{ts.source.index}"
     if not any(isinstance(it, Slot) for it in items):
         raise TemplateError(f"sentence {source_id} has no content words")
@@ -109,14 +107,14 @@ class TemplateStore:
 
         def add(obj) -> None:
             items: list[Slot | Literal] = []
-            for pos, it in enumerate(obj["items"]):
+            for it in obj["items"]:
                 if it["t"] == "slot":
                     tag = text(it, "tag")
                     if tag not in tags:
                         tags[tag] = PosTag(tag)
-                    items.append(Slot(pos, tags[tag], text(it, "orig")))
+                    items.append(Slot(tags[tag], text(it, "orig")))
                 elif it["t"] == "lit":
-                    items.append(Literal(pos, text(it, "w")))
+                    items.append(Literal(text(it, "w")))
                 else:
                     raise ValueError(f"unknown item type {it['t']!r}")
             if not any(isinstance(it, Slot) for it in items):

@@ -290,8 +290,10 @@ class TestCriterion06Attestation:
                 attested = {w for w, _ in resources.ta.table[rec["tag"]]}
                 if rec["chosen"] not in attested:
                     violations += 1
-            for item, token in zip(template.items, sent.tokens):
-                if item.position not in slot_positions:
+            for position, (item, token) in enumerate(
+                zip(template.items, sent.tokens)
+            ):
+                if position not in slot_positions:
                     if token != item.surface:
                         violations += 1
         _report(

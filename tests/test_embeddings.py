@@ -396,9 +396,9 @@ class TestTopK:
         if 0 < k < n:  # plant an exact tie with the k-th largest value
             prox[data.draw(st.integers(0, n - 1))] = sorted(prox)[-k]
         expected = sorted(range(n), key=lambda i: (-prox[i], words[i]))[:k]
-        got = top_k(np.array(prox), k, words.__getitem__)
+        got = top_k(np.array(prox), k, words)
         assert got == expected
-        assert top_k(np.array(prox), -1, words.__getitem__) == []
+        assert top_k(np.array(prox), -1, words) == []
 
 
 def _reference_train(corpus, dims, window, epochs, negatives, seed, min_count=2):
@@ -820,7 +820,7 @@ class TestAssociativeTable:
 
     def test_missing_tag(self, ta, store):
         with pytest.raises(TableError, match="no associative-table entry"):
-            ta.rows("XXXX", store)
+            ta.words("XXXX", store)
 
     def test_against_groupby_oracle(self, ta, tagged):
         # independent group-by of the same corpus
@@ -860,19 +860,19 @@ class TestAssociativeTable:
     def test_candidates_have_vectors_in_table_order(self):
         store = _toy_store()
         ta = AssociativeTable({"NCMS": [("sur", 1), ("oeste", 9), ("norte", 2)]})
-        by_count = ta.rows("NCMS", store)
-        assert [store.words[i] for i in by_count] == ["norte", "sur"]
+        assert ta.words("NCMS", store) == ("norte", "sur")
 
-    def test_rows_in_table_order_per_store(self):
+    def test_words_in_table_order_per_store(self):
         ta = AssociativeTable(
             {"NCMS": [("sur", 5), ("oeste", 9), ("norte", 2), ("este", 3)]}
         )
         toy = _toy_store()  # este, norte, sur
         other = EmbeddingStore(["sur", "oeste"], np.eye(2))
         for _ in range(2):  # the second round is served from the memo
-            rows = ta.rows("NCMS", toy)
-            assert _words(toy, rows) == ("sur", "este", "norte")
-            assert rows.dtype == np.intp and not rows.flags.writeable
-            assert _words(other, ta.rows("NCMS", other)) == ("oeste", "sur")
+            words = ta.words("NCMS", toy)
+            assert words == ("sur", "este", "norte")
+            assert toy.memo["words", ta, "NCMS"] is words
+            assert ta.words("NCMS", other) == ("oeste", "sur")
         with pytest.raises(TableError):
-            ta.rows("XXXX", toy)
+            ta.words("XXXX", toy)
+        assert ("words", ta, "XXXX") not in toy.memo

@@ -88,7 +88,7 @@ class TestDriver:
         return item.upper(), {"position": position, "chosen": item.upper()}
 
     def test_literals_copied_and_slots_filled(self, resources):
-        items = (Literal(0, "el"), "sol", Literal(2, "."))
+        items = (Literal("el"), "sol", Literal("."))
         s = generate(9, "sol", resources, 0, lambda rng: ("src", items), self._fill)
         assert s.tokens == ("el", "SOL", ".")
         assert (s.model, s.query, s.source) == (9, "sol", "src")

@@ -245,6 +245,9 @@ class TestGenerate:
         for seed in range(10):
             sent = generate_model2("sol", 9, resources, seed=seed)
             for rec in sent.trace:
+                # the key order the --trace file prints
+                assert list(rec) == ["position", "tag", "original", "top3",
+                                     "chosen"]
                 assert rec["chosen"] in rec["top3"]
 
     def test_determinism(self, resources):

@@ -237,9 +237,11 @@ class TestCandidateBlock:
                   if isinstance(b, CandidateBlock) and k[1] is ta}
         assert blocks and all(k[0] == "model3" for k in blocks)
         assert {k[3] for k in blocks} == {2, 5, 200}
+        index = resources.store.index
         for (_, _, tag, cap_m), block in blocks.items():
-            by_count = ta.rows(tag, resources.store)
-            assert block.rows.tolist() == by_count[:cap_m].tolist()
+            # the cap keeps the tag's first words in table order
+            assert block.words == ta.words(tag, resources.store)[:cap_m]
+            assert block.rows.tolist() == [index[w] for w in block.words]
             assert not block.proximity.flags.writeable
 
     def test_one_table_serves_two_stores_as_two_fresh_tables(self, resources):
@@ -263,8 +265,7 @@ class TestCandidateBlock:
                         continue
                     for rec in sent.trace:
                         if "candidates" in rec:  # as scored from the words
-                            by_count = ta.rows(rec["tag"], s)[:cap_m].tolist()
-                            vk = [s.words[i] for i in by_count]
+                            vk = ta.words(rec["tag"], s)[:cap_m]
                             assert rec["candidates"] == score_candidates(
                                 rec["o"], "sol", CandidateBlock.of(vk, s), s)
             return out
@@ -393,7 +394,7 @@ class TestOovFallback:
         for tid in resources.templates.by_length[7]:
             t = resources.templates.templates[tid]
             first = t.slots[0]
-            items = tuple(replace(it, original="zzzqx") if it == first else it
+            items = tuple(replace(it, original="zzzqx") if it is first else it
                           for it in t.items)
             templates[tid] = replace(t, items=items)
         # a fresh table: the first pass ranks cold, the second from its memo
@@ -406,6 +407,10 @@ class TestOovFallback:
                     if "fallback" not in rec:
                         continue
                     fallbacks += 1
+                    # the key order of model 2's record, o and fallback
+                    # after the tag in place of model 2's original
+                    assert list(rec) == ["position", "tag", "o", "fallback",
+                                         "top3", "chosen"]
                     assert rec["o"] == "zzzqx"
                     assert rec["top3"] == _reference_top3(
                         rec["tag"], "sol", res.store, ta

@@ -38,9 +38,8 @@ class TestExtract:
     def test_basic_hollowing(self):
         ts = _ts([("el", "DA0MS0"), ("sol", "NCMS000"), ("brilla", "VMIP3S0")])
         t = extract_template(ts)
-        assert t.items[0] == Literal(0, "el")
-        assert t.items[1] == Slot(1, PosTag("NCMS"), "sol")
-        assert t.items[2] == Slot(2, PosTag("VMIP"), "brilla")
+        assert t.items == (Literal("el"), Slot(PosTag("NCMS"), "sol"),
+                           Slot(PosTag("VMIP"), "brilla"))
 
     def test_all_functional_fails(self):
         ts = _ts([("de", "SPS00"), ("la", "DA0FS0"), ("a", "SPS00")])
@@ -62,8 +61,8 @@ class TestExtract:
         ts = _ts([("sol", "NCMS000"), (",", "Fc"), ("arde", "VMIP3S0"),
                   (".", "Fp")])
         t = extract_template(ts)
-        assert t.items[1] == Literal(1, ",")
-        assert t.items[3] == Literal(3, ".")
+        assert t.items[1] == Literal(",")
+        assert t.items[3] == Literal(".")
 
 
 class TestStore:
