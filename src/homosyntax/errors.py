@@ -34,7 +34,8 @@ class BuildError(HomosyntaxError):
 
 
 class GenerationError(HomosyntaxError):
-    """Sequence generation failed (e.g. dead-end state, retries exhausted)."""
+    """An attempt or a request could not be completed (e.g. dead-end state,
+    a slot without candidates, retries exhausted)."""
 
     def __init__(self, message, partial=None):
         super().__init__(message)
@@ -163,11 +164,11 @@ class TableError(HomosyntaxError):
     """Associative table has no entry for a tag."""
 
 
-class EmptyRankError(HomosyntaxError):
+class EmptyRankError(GenerationError):
     """No in-vocabulary candidate available for a slot."""
 
 
-class DegenerateScoreError(HomosyntaxError):
+class DegenerateScoreError(GenerationError):
     """Cosine scoring hit a zero similarity or zero mean."""
 
 

@@ -2,11 +2,12 @@
 
 Every model draws a syntactic skeleton and fills its slots; only the
 skeleton source and the slot filler differ. ``generate`` owns the rest: the
-query check, the seeded RNG, the novelty retries and the one template
-reselection when a slot has no candidate. This module also holds the
-generated-sentence record, surface realization (detokenization), sentence
-normalization used for novelty checks, the function-word dictionary and the
-bundle of prebuilt resources the models consume.
+query check, the seeded RNG and the attempts. An attempt ends in a novel
+sentence, in a failure that costs only that attempt, or in an error that
+ends the request. This module also holds the generated-sentence record,
+surface realization (detokenization), sentence normalization used for
+novelty checks, the function-word dictionary and the bundle of prebuilt
+resources the models consume.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from typing import Any, Callable, Sequence
 from .embeddings import AssociativeTable, EmbeddingStore, lowercase_words
 from .errors import (
     DictError,
-    EmptyRankError,
     GenerationError,
     OovError,
     load_rows,
@@ -156,11 +156,12 @@ def generate(
 ) -> GeneratedSentence:
     """Fill skeletons until the sentence is novel, at most NOVELTY_RETRIES times.
 
-    ``skeleton(rng)`` returns the provenance and the items of one skeleton; a
-    ``GenerationError`` from it costs one attempt. ``Literal`` items are
-    copied, every other item goes to ``fill_slot(position, item, rng)``, which
-    returns the word and its trace record. A slot without candidates
-    (``EmptyRankError``) gets one fresh skeleton per attempt.
+    ``skeleton(rng)`` returns the provenance and the items of one skeleton.
+    ``Literal`` items are copied, every other item goes to
+    ``fill_slot(position, item, rng)``, which returns the word and its trace
+    record. A ``GenerationError`` from either, such as a dead-end walk or a
+    slot without candidates, costs one attempt; any other error ends the
+    request.
     """
     if q not in res.store:
         raise OovError(q)
@@ -181,20 +182,10 @@ def generate(
     for _attempt in range(NOVELTY_RETRIES):
         try:
             source, items = skeleton(rng)
+            tokens, trace = fill(items)
         except GenerationError as e:
             last_error = e
             continue
-        try:
-            tokens, trace = fill(items)
-        except EmptyRankError as e:
-            # one reselection per attempt keeps sparse stores usable
-            source, items = skeleton(rng)
-            try:
-                tokens, trace = fill(items)
-            except EmptyRankError as e2:
-                raise EmptyRankError(
-                    f"{e2} (after template reselection; first failure: {e})"
-                ) from e2
         if res.is_novel(tokens):
             return GeneratedSentence(tokens, model, q, source, trace)
         last_error = GenerationError("generated sentence exists in corpus")

@@ -10,7 +10,6 @@ from the top three.
 from __future__ import annotations
 
 import random
-from collections.abc import Sequence
 
 from .embeddings import AssociativeTable, EmbeddingStore, top_k
 from .errors import EmptyRankError
@@ -51,13 +50,6 @@ def rank_vocabulary(
     return memo[key]
 
 
-def choose_top3(ranked: Sequence[tuple[str, float]], rng: random.Random) -> str:
-    """Word of a uniform choice among the first min(3, len) (word, score)s."""
-    if not ranked:
-        raise EmptyRankError("cannot choose from an empty ranking")
-    return ranked[rng.randrange(min(3, len(ranked)))][0]
-
-
 def template_skeleton(res: GenerationResources, n: int):
     """Skeleton source of the template models: one length-n template."""
 
@@ -72,10 +64,10 @@ def fill_by_rank(pos: int, slot: Slot, q: str, res: GenerationResources,
                  rng: random.Random, **fields) -> tuple[str, dict]:
     """Model 2's slot fill: a uniform draw among the three words of the
     slot's tag nearest q, and its trace record, with fields after the tag."""
-    ranked = rank_vocabulary(slot.tag, q, res.ta, res.store)
-    word = choose_top3(ranked, rng)
+    top3 = [w for w, _ in rank_vocabulary(slot.tag, q, res.ta, res.store)]
+    word = rng.choice(top3)
     return word, {"position": pos, "tag": slot.tag.truncated, **fields,
-                  "top3": [w for w, _ in ranked], "chosen": word}
+                  "top3": top3, "chosen": word}
 
 
 def generate_model2(

@@ -27,7 +27,7 @@ import numpy as np
 from .embeddings import EmbeddingStore
 from .errors import DegenerateScoreError, EmptyRankError
 from .generation import GeneratedSentence, GenerationResources, generate
-from .model2 import choose_top3, fill_by_rank, template_skeleton
+from .model2 import fill_by_rank, template_skeleton
 from .templates import Literal, Slot
 
 SEGMENT = 10  # neighbors per anchor word; |U| = 3 * SEGMENT
@@ -127,7 +127,7 @@ def generate_model3(
                 )
             memo[key] = CandidateBlock.of(vk, res.store)
         scored = score_candidates(o, q, memo[key], res.store, invert=invert)
-        word = choose_top3([(c["w"], c["s"]) for c in scored], rng)
+        word = rng.choice([c["w"] for c in scored[:3]])
         return word, {
             "position": pos,
             "tag": slot.tag.truncated,

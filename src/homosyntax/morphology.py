@@ -10,7 +10,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from .errors import FormatError, TagError, load_rows, read_tsv
-from .pos import PosTag
+from .pos import PosTag, truncate
 
 
 class FormsLexicon:
@@ -38,7 +38,7 @@ class FormsLexicon:
         self._seen.add(key)
         self.forms.setdefault(lemma, []).append((surface, fulltag, freq))
         self.lemmas_of.setdefault(surface, set()).add(lemma)
-        self.attested.setdefault(surface, set()).add(fulltag[:4])
+        self.attested.setdefault(surface, set()).add(truncate(fulltag))
 
     @classmethod
     def load(cls, path: str | Path) -> "FormsLexicon":
@@ -67,7 +67,7 @@ def inflect(word: str, target: PosTag, lex: FormsLexicon) -> str | None:
     # the lemma itself may also head an entry without appearing as a surface
     for lemma in lex.lemmas_of.get(low) or ((low,) if low in lex.forms else ()):
         for surface, fulltag, freq in lex.forms[lemma]:
-            if fulltag[:4] == target.truncated:
+            if truncate(fulltag) == target.truncated:
                 candidates.append((surface, freq))
     if not candidates:
         return None

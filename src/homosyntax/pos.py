@@ -2,7 +2,8 @@
 
 Tags follow the EAGLES-style inventory (N/V/A/D/P/C/S/F/Z/W/R/I first
 character). Only the first four positions of a full tag are load-bearing;
-everything downstream works on the truncated form.
+everything downstream works on the truncated form, and ``truncate`` is the
+one place that says so.
 
 Two tagger backends are provided: a deterministic lexicon+suffix tagger for
 hermetic use, and a reader for pre-tagged TSV produced by any external tool.
@@ -28,11 +29,16 @@ class PosTag:
 
     @property
     def truncated(self) -> str:
-        return self.full[:4]
+        return truncate(self.full)
 
     @property
     def category(self) -> str:
         return self.full[0]
+
+
+def truncate(full: str) -> str:
+    """The load-bearing positions of a full tag: its first four."""
+    return full[:4]
 
 
 _CONTENT = frozenset("VNA")  # verbs, nouns and adjectives; the rest is functional

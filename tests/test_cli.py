@@ -130,6 +130,33 @@ class TestExitCodes:
         assert (diagnostic["path"], diagnostic["line"]) == (str(path), 3)
         assert "bad template row: template has no slot" in diagnostic["message"]
 
+    def test_unfillable_slots_exhaust_the_attempts(self, resources_dir,
+                                                   tmp_path, capsys):
+        import shutil
+
+        from homosyntax.embeddings import AssociativeTable, EmbeddingStore
+
+        sparse = tmp_path / "no_adjectives"
+        shutil.copytree(resources_dir, sparse)
+        # no adjective keeps a vector, and every length-11 template has an
+        # adjective slot: each attempt fails on it
+        ta = AssociativeTable.load(sparse / "ta.jsonl")
+        adjectives = {w for tag, words in ta.table.items() if tag[0] == "A"
+                      for w, _ in words}
+        store = EmbeddingStore.load(sparse / "vectors.txt")
+        keep = [i for i, w in enumerate(store.words) if w not in adjectives]
+        EmbeddingStore([store.words[i] for i in keep],
+                       store.vectors[keep]).save(sparse / "vectors.txt")
+        code = main(_gen(sparse, "--model", "2", "--query", "sol",
+                         "--len", "11"))
+        diagnostic = json.loads(capsys.readouterr().err.splitlines()[0])
+        assert code == EXIT_GENERATION
+        assert diagnostic["error"] == "generation"
+        assert diagnostic["message"].startswith(
+            "model 2 failed after 20 attempts: "
+            "no in-vocabulary candidate for tag 'AQ0"
+        )
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("name, line, edit", [
         ("vectors.txt", 1, lambda lines: ["-1 3"] + lines[1:]),

@@ -5,12 +5,18 @@ from dataclasses import replace
 
 import pytest
 
+from homosyntax import model1
 from homosyntax.embeddings import AssociativeTable, EmbeddingStore
 from homosyntax.errors import (
+    DegenerateScoreError,
+    DictError,
     EmptyRankError,
+    FormatError,
     GenerationError,
     HomosyntaxError,
     OovError,
+    RelaxationError,
+    TableError,
 )
 from homosyntax.generation import NOVELTY_RETRIES, generate
 from homosyntax.markov import DecodePolicy
@@ -22,7 +28,7 @@ from homosyntax.pos import PosTag
 from homosyntax.resources import load_resources
 
 from conftest import FIXTURE_NEIGHBORS_M
-from homosyntax.templates import Literal
+from homosyntax.templates import Literal, Slot
 
 MODELS = {1: generate_model1, 2: generate_model2, 3: generate_model3}
 
@@ -56,19 +62,46 @@ def test_nothing_novel_exhausts_retries(resources, model):
     )
 
 
+def _needs_adjective(template):
+    return any(isinstance(i, Slot) and i.tag.category == "A" for i in template.items)
+
+
 @pytest.mark.parametrize("model", [2, 3])
 def test_template_reselection_without_adjectives(resources, model):
+    # with no adjective in the store, an adjective slot has no candidate: that
+    # attempt fails, and the next one draws a fresh template
     res, adjectives = _without_adjectives(resources)
-    failures, sentences = [], []
-    for seed in range(10):
-        try:
-            sentences.append(MODELS[model]("sol", 8, res, seed))
-        except EmptyRankError as e:
-            failures.append(str(e))
-    assert failures and sentences
-    assert all("after template reselection; first failure:" in f for f in failures)
-    for s in sentences:
+    templates = res.templates.templates
+    by_length = {n: [templates[t] for t in ids]
+                 for n, ids in res.templates.by_length.items()}
+    assert any(_needs_adjective(t) for t in by_length[8])
+    for seed in range(200):
+        s = MODELS[model]("sol", 8, res, seed)
         assert not adjectives & {r["chosen"] for r in s.trace}
+    # every length-11 template has an adjective slot: every attempt fails
+    assert all(_needs_adjective(t) for t in by_length[11])
+    with pytest.raises(GenerationError) as exc:
+        MODELS[model]("sol", 11, res, 0)
+    assert type(exc.value) is GenerationError
+    assert str(exc.value).startswith(
+        f"model {model} failed after 20 attempts: "
+        "no in-vocabulary candidate for tag 'AQ0"
+    )
+
+
+def test_model1_relaxation_error_ends_the_request(resources, monkeypatch):
+    # a content slot that relaxation cannot fill is not retried with a fresh
+    # skeleton: its error reaches the caller after the first walk
+    walks, walk = [], model1.generate_egv
+
+    def counted(*args):
+        walks.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(model1, "generate_egv", counted)
+    with pytest.raises(RelaxationError):
+        generate_model1("sol", 8, replace(resources, neighbors_m=20), 1)
+    assert len(walks) == 1
 
 
 def test_model1_argmax_reports_dead_end(resources):
@@ -102,16 +135,51 @@ class TestDriver:
             generate(9, "zzzqx", resources, 0, skeleton, self._fill)
 
     def test_skeleton_error_costs_one_attempt(self, resources):
+        # so does a slot that cannot be filled, whichever way its model fails
         calls = []
 
         def skeleton(rng):
             calls.append(rng)
+            return "src", ("sol",)
+
+        def dead_end(rng):
+            skeleton(rng)
             raise GenerationError(f"dead-end {len(calls)}")
 
-        with pytest.raises(GenerationError, match="after 20 attempts: dead-end 20$"):
-            generate(9, "sol", resources, 0, skeleton, self._fill)
-        assert len(calls) == NOVELTY_RETRIES
-        assert all(isinstance(r, random.Random) and r is calls[0] for r in calls)
+        def fill_raising(error):
+            def fill(position, item, rng):
+                raise error(f"{error.__name__} {len(calls)}")
+            return fill
+
+        for draw, fill, last in [
+            (dead_end, self._fill, "dead-end 20"),
+            (skeleton, fill_raising(EmptyRankError), "EmptyRankError 20"),
+            (skeleton, fill_raising(DegenerateScoreError), "DegenerateScoreError 20"),
+        ]:
+            calls.clear()
+            with pytest.raises(GenerationError) as exc:
+                generate(9, "sol", resources, 0, draw, fill)
+            assert str(exc.value) == f"model 9 failed after 20 attempts: {last}"
+            assert len(calls) == NOVELTY_RETRIES
+            assert all(isinstance(r, random.Random) and r is calls[0] for r in calls)
+
+    def test_other_errors_end_the_request_untried(self, resources):
+        drawn = []
+
+        def skeleton(rng):
+            drawn.append(rng)
+            return "src", ("sol",)
+
+        for error in (RelaxationError("no fit"), TableError("no entry"),
+                      DictError("XXXX"), OovError("zzzqx"), FormatError("bad row")):
+            def fill(position, item, rng, error=error):
+                raise error
+
+            drawn.clear()
+            with pytest.raises(HomosyntaxError) as exc:
+                generate(9, "sol", resources, 0, skeleton, fill)
+            assert exc.value is error
+            assert len(drawn) == 1
 
     def test_one_reselection_per_attempt(self, resources):
         drawn = []
@@ -132,11 +200,9 @@ class TestDriver:
             raise EmptyRankError(f"empty {len(drawn)}")
 
         drawn.clear()
-        with pytest.raises(EmptyRankError) as exc:
+        with pytest.raises(GenerationError) as exc:
             generate(9, "sol", resources, 0, skeleton, never)
-        assert str(exc.value) == (
-            "empty 2 (after template reselection; first failure: empty 1)"
-        )
+        assert str(exc.value) == "model 9 failed after 20 attempts: empty 20"
 
 
 def _run_grid(res, grid):

@@ -1,10 +1,11 @@
-"""Each module of the package imports on its own.
+"""Each module of the package imports on its own, and uses what it imports.
 
 The package root imports nothing, so no import order is fixed by it: a
 module that needs another must import it itself. The CLI imports the check
 harness only for the check command.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -54,3 +55,24 @@ def test_cli_leaves_the_check_harness_unimported():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["False"]
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """``file:line: name`` for each name a module imports and never reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line}: {name}"
+            for name, line in imported.items() if name not in used]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = [u for name in MODULES
+              for u in _unused_imports(SRC / "homosyntax" / f"{name}.py")]
+    assert unused == []

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from homosyntax.embeddings import AssociativeTable, EmbeddingStore
 from homosyntax.errors import EmptyRankError, OovError, TableError
-from homosyntax.model2 import choose_top3, generate_model2, rank_vocabulary
+from homosyntax.model2 import fill_by_rank, generate_model2, rank_vocabulary
 from homosyntax.pos import PosTag
+from homosyntax.templates import Slot
 
 
 def _angled_store():
@@ -192,28 +194,30 @@ class TestRankOracle:
                 )
 
 
+def _draws(words, n, seed):
+    """n slot fills of ``fill_by_rank`` for q on a tag holding the words,
+    which lie at falling proximity to q in the order given."""
+    angles = np.linspace(0.0, 2.5, len(words))
+    vectors = np.array([[1.0, 0.0], *([np.cos(a), np.sin(a)] for a in angles)])
+    res = SimpleNamespace(store=EmbeddingStore(["q", *words], vectors),
+                          ta=_ta("NCMS", words))
+    slot, rng = Slot(PosTag("NCMS"), "o"), random.Random(seed)
+    return [fill_by_rank(0, slot, "q", res, rng)[0] for _ in range(n)]
+
+
 class TestChooseTop3:
+    """Model 2's slot fill draws uniformly among the tag's three words
+    nearest q."""
+
     def test_support_is_first_three(self):
-        ranked = [("a", 0.9), ("b", 0.8), ("c", 0.7), ("d", 0.6)]
-        rng = random.Random(0)
-        seen = {choose_top3(ranked, rng) for _ in range(200)}
-        assert seen == {"a", "b", "c"}
+        assert set(_draws(["a", "b", "c", "d"], 200, 0)) == {"a", "b", "c"}
 
     def test_short_list(self):
-        ranked = [("a", 0.9), ("b", 0.8)]
-        rng = random.Random(0)
-        seen = {choose_top3(ranked, rng) for _ in range(100)}
-        assert seen == {"a", "b"}
-
-    def test_empty(self):
-        with pytest.raises(EmptyRankError):
-            choose_top3([], random.Random(0))
+        assert set(_draws(["a", "b"], 100, 0)) == {"a", "b"}
 
     def test_roughly_uniform(self):
-        ranked = [("a", 0.9), ("b", 0.8), ("c", 0.7)]
-        rng = random.Random(7)
         n = 3000
-        counts = Counter(choose_top3(ranked, rng) for _ in range(n))
+        counts = Counter(_draws(["a", "b", "c"], n, 7))
         expected = n / 3
         sigma = (n * (1 / 3) * (2 / 3)) ** 0.5
         for c in counts.values():
