@@ -21,6 +21,12 @@ import os
 import sys
 from pathlib import Path
 
+# one BLAS thread unless the user chose: thread start-up outweighs the
+# small scans the CLI makes. Set before any module that imports numpy
+if not os.environ.keys() & {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                            "OMP_NUM_THREADS"}:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 from . import corpus as corpus_mod
 from . import generation, model1, model2, model3
 from .embeddings import build_associative_table, train_embeddings

@@ -25,8 +25,9 @@ CHUNK = 64  # cold queries per float32 product: 64 x V values, 5 MB at V = 20k
 
 
 def _proximity(cos: np.ndarray) -> np.ndarray:
-    """(cosine + 1) / 2, clipped to [0, 1]: the one proximity formula."""
-    return np.clip((cos + 1.0) / 2.0, 0.0, 1.0)
+    """(cosine + 1) / 2, clipped to [0, 1]: the one proximity formula. The
+    method skips ``np.clip``'s argument handling, about 1 µs a call."""
+    return ((cos + 1.0) / 2.0).clip(0.0, 1.0)
 
 
 def _norms(vectors: np.ndarray) -> np.ndarray:
@@ -279,7 +280,7 @@ LEARNING_RATE = 0.025  # initial SGD step, decayed linearly to 1e-4 of it
 
 def lowercase_words(tokens: list[str] | tuple[str, ...]) -> list[str]:
     """Lowercase and drop tokens without letters (punctuation, numbers)."""
-    return [t.lower() for t in tokens if any(c.isalpha() for c in t)]
+    return [t.lower() for t in tokens if t.isalpha() or any(map(str.isalpha, t))]
 
 
 def train_embeddings(

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,23 +36,28 @@ SEGMENT = 10  # neighbors per anchor word; |U| = 3 * SEGMENT
 @dataclass(frozen=True)
 class CandidateBlock:
     """What model 3 reuses in every slot with the same candidates: their
-    words and store rows, and each one's first-k neighbor rows and its
-    proximities to those, both (n, k), all read-only."""
+    words, store rows and ranks in sorted word order, and each one's first-k
+    neighbor rows and its proximities to those, both (n, k), all read-only.
+    ``profiles`` maps each anchor word a (a slot's o or q) from its first
+    slot to a read-only (2, n, k): prox(w, N(a)) and prox(a, N(w)) per w."""
 
     words: tuple[str, ...]
     rows: np.ndarray
+    word_rank: np.ndarray
     neighbors: np.ndarray
     proximity: np.ndarray
+    profiles: dict = field(default_factory=dict, compare=False, repr=False)
 
     @classmethod
     def of(cls, vk: Sequence[str], store: EmbeddingStore) -> CandidateBlock:
         """The block of vk; OovError names the first word with no vector."""
         nbrs = np.array(store.neighbors_many(vk, SEGMENT), dtype=np.intp)
         rows = np.array([store.index[w] for w in vk], dtype=np.intp)
+        rank = np.argsort(sorted(range(len(vk)), key=vk.__getitem__))
         prox = store.proximity(rows[:, None], nbrs)
-        for a in (rows, nbrs, prox):
+        for a in (rows, rank, nbrs, prox):
             a.flags.writeable = False
-        return cls(tuple(vk), rows, nbrs, prox)
+        return cls(tuple(vk), rows, rank, nbrs, prox)
 
     def __len__(self) -> int:
         return len(self.words)
@@ -68,6 +73,8 @@ def score_candidates(
 
     U's row for w is [N(o) N(q) N(w)]: o, q and each w meet the 2k shared
     columns once, o and q meet each N(w), and the block holds w against N(w).
+    If the block lacks the profile of o or q, all of that is computed and it
+    keeps what it lacked; if not, only o and q against the shared columns.
     Each value is the one-pair proximity, and each cosine runs over the same
     contiguous 3k-float rows as when U is built row by row."""
     if len(block) < 2:
@@ -76,33 +83,43 @@ def score_candidates(
     oq = np.concatenate(store.neighbors_many([o, q], SEGMENT))
     n, k = block.neighbors.shape
     anchors = np.array([store.index[o], store.index[q]])
-    shared = store.proximity(np.concatenate([anchors, block.rows])[:, None], oq)
+    profiles = block.profiles
     # the o, q and candidate profiles against U: x, qv, wv
     p = np.empty((3, n, 3 * k))
-    p[:2, :, : 2 * k] = shared[:2, None]
-    p[2, :, : 2 * k] = shared[2:]
-    p[:2, :, 2 * k :] = store.proximity(anchors[:, None, None], block.neighbors)
+    if o in profiles and q in profiles:
+        p[:2, :, : 2 * k] = store.proximity(anchors[:, None], oq)[:, None]
+        p[2, :, :k], p[0, :, 2 * k :] = profiles[o]
+        p[2, :, k : 2 * k], p[1, :, 2 * k :] = profiles[q]
+    else:
+        shared = store.proximity(np.concatenate([anchors, block.rows])[:, None], oq)
+        p[:2, :, : 2 * k] = shared[:2, None]
+        p[2, :, : 2 * k] = shared[2:]
+        p[:2, :, 2 * k :] = store.proximity(anchors[:, None, None], block.neighbors)
+        for i, a in enumerate((o, q)):
+            if a not in profiles:
+                profile = profiles[a] = np.empty((2, n, k))
+                profile[0], profile[1] = p[2, :, i * k : (i + 1) * k], p[i, :, 2 * k :]
+                profile.flags.writeable = False
     p[2, :, 2 * k :] = block.proximity
     norms = np.sqrt(np.vecdot(p, p))
-    if (norms == 0.0).any():
+    if not norms.all():
         raise DegenerateScoreError("zero-norm distance vector")
     beta, theta = np.vecdot(p[:2], p[2]) / (norms[:2] * norms[2])
     betas, thetas = beta.tolist(), theta.tolist()
 
     mean_theta, mean_beta = sum(thetas) / n, sum(betas) / n
-    if any(t == 0.0 for t in thetas) or mean_beta == 0.0:
+    if 0.0 in thetas or mean_beta == 0.0:
         raise DegenerateScoreError("zero similarity in scoring")
-    if invert and (any(b == 0.0 for b in betas) or mean_theta == 0.0):
+    if invert and (0.0 in betas or mean_theta == 0.0):
         raise DegenerateScoreError("zero similarity in inverted scoring")
 
     if invert:
         s = (theta / mean_theta) * (mean_beta / beta)
     else:
         s = (mean_theta / theta) * (beta / mean_beta)
-    scored = [{"w": w, "theta": t, "beta": b, "s": si}
-              for w, t, b, si in zip(block.words, thetas, betas, s.tolist())]
-    scored.sort(key=lambda c: (-c["s"], c["w"]))
-    return scored
+    scores, words = s.tolist(), block.words
+    return [{"w": words[i], "theta": thetas[i], "beta": betas[i], "s": scores[i]}
+            for i in np.lexsort((block.word_rank, -s)).tolist()]
 
 
 def generate_model3(

@@ -13,6 +13,7 @@ from homosyntax.embeddings import (
     AssociativeTable,
     EmbeddingStore,
     build_associative_table,
+    lowercase_words,
     top_k,
     train_embeddings,
 )
@@ -493,6 +494,20 @@ def _training_runs(draw):
         seed=draw(st.integers(0, 2**32 - 1)),
     )
     return corpus, params
+
+
+class TestLowercaseWords:
+    @settings(max_examples=300)
+    @given(st.lists(st.one_of(
+        st.text(),
+        st.sampled_from(["", ",", "...", "1990", "3ª", "¿qué?", "niño",
+                         "Ωμέγα", "東京", "٣", "a-b", "l'eau", "\u0301"]),
+    )))
+    def test_keeps_the_tokens_with_a_letter(self, tokens):
+        # the words the trainer and the novelty key see, as first defined
+        expected = [t.lower() for t in tokens if any(c.isalpha() for c in t)]
+        assert lowercase_words(tokens) == expected
+        assert lowercase_words(tuple(tokens)) == expected
 
 
 class TestTrainingOracle:

@@ -29,14 +29,16 @@ for name in sys.argv[1:]:
 """
 
 
-def _python(*args: str) -> subprocess.CompletedProcess:
-    """Run a child interpreter that imports the package from SRC."""
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+def _python(*args: str, env: dict | None = None) -> subprocess.CompletedProcess:
+    """Run a child interpreter that imports the package from SRC, in env
+    (this process's environment by default)."""
+    env = os.environ if env is None else env
+    path = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, *args],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env={**env, "PYTHONPATH": path},
         timeout=120,
     )
 
@@ -55,6 +57,31 @@ def test_cli_leaves_the_check_harness_unimported():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["False"]
+
+
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+SHOW_THREAD_VARS = (
+    "import os, homosyntax.cli; "
+    f"print([os.environ.get(v) for v in {THREAD_VARS!r}])"
+)
+
+
+def _python_with_threads(**chosen: str) -> list:
+    """The three BLAS thread variables after importing the CLI in a child
+    whose environment sets only those of ``chosen``."""
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    done = _python("-c", SHOW_THREAD_VARS, env={**env, **chosen})
+    assert done.returncode == 0, done.stderr
+    return ast.literal_eval(done.stdout)
+
+
+def test_cli_pins_one_blas_thread_by_default():
+    assert _python_with_threads() == ["1", None, None]
+
+
+def test_cli_leaves_a_chosen_thread_count_as_it_is():
+    assert _python_with_threads(OPENBLAS_NUM_THREADS="2") == ["2", None, None]
+    assert _python_with_threads(OMP_NUM_THREADS="2") == [None, None, "2"]
 
 
 def _unused_imports(path: Path) -> list[str]:

@@ -200,17 +200,35 @@ def _reference_records(o, q, vk, store, invert=False):
     return sorted(records, key=lambda c: (-c["s"], c["w"]))
 
 
+def _tied_store_and_words(v, data):
+    """A drawn v-word store of 8 dims where copies of one row tie exactly,
+    so neighbor ties break by word, and 2..40 of its words in drawn order."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    vectors = rng.standard_normal((v, 8))
+    vectors[rng.integers(v, size=v // 4)] = vectors[0]
+    store = EmbeddingStore([f"w{i:02d}" for i in range(v)], vectors)
+    n = data.draw(st.integers(2, min(40, v)))
+    return store, data.draw(st.permutations(store.words))[:n]
+
+
+class _CountedProximity:
+    """Wraps a store's ``proximity`` and counts its calls."""
+
+    def __init__(self, store):
+        self.calls, self._proximity = 0, store.proximity
+        store.proximity = self
+
+    def __call__(self, a, b):
+        self.calls += 1
+        return self._proximity(a, b)
+
+
 class TestCandidateBlock:
     @settings(max_examples=80, deadline=None)
     @given(v=st.sampled_from([4, 10, 60]), invert=st.booleans(), data=st.data())
     def test_scores_equal_the_reference_bit_for_bit(self, v, invert, data):
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        vectors = rng.standard_normal((v, 8))
-        # copies of one row tie exactly, so neighbor ties break by word
-        vectors[rng.integers(v, size=v // 4)] = vectors[0]
-        store = EmbeddingStore([f"w{i:02d}" for i in range(v)], vectors)
-        n = data.draw(st.integers(2, min(40, v)))
-        vk = data.draw(st.permutations(store.words))[:n]
+        store, vk = _tied_store_and_words(v, data)
+        n = len(vk)
         o, q = data.draw(st.lists(st.sampled_from(store.words), min_size=2,
                                   max_size=2))
         expected = _reference_records(o, q, vk, store, invert)
@@ -219,6 +237,53 @@ class TestCandidateBlock:
         for _ in ("miss", "hit"):
             assert score_candidates(o, q, block, store, invert) == expected
         assert block.neighbors.shape == (n, min(SEGMENT, v - 1))
+
+    @settings(max_examples=60, deadline=None)
+    @given(v=st.sampled_from([4, 10, 60]), data=st.data())
+    def test_warm_profiles_give_the_reference_bit_for_bit(self, v, data):
+        # a few anchors, so most profiles a call reads were made by calls
+        # with other partners, or with the word as the other anchor
+        store, vk = _tied_store_and_words(v, data)
+        anchors = data.draw(st.lists(st.sampled_from(store.words), min_size=1,
+                                     max_size=3, unique=True))
+        pairs = data.draw(st.lists(
+            st.tuples(st.sampled_from(anchors), st.sampled_from(anchors),
+                      st.booleans()), min_size=1, max_size=8))
+        block = CandidateBlock.of(vk, store)
+        for o, q, invert in [*pairs, (anchors[0], anchors[0], False)]:
+            assert score_candidates(o, q, block, store, invert) == (
+                _reference_records(o, q, vk, store, invert))
+        used = {a for o, q, _ in pairs for a in (o, q)} | {anchors[0]}
+        assert set(block.profiles) == used
+        for profile in block.profiles.values():
+            assert profile.shape == (2, len(vk), block.neighbors.shape[1])
+            assert not profile.flags.writeable
+
+    def test_a_slot_with_both_profiles_makes_one_proximity_call(self, resources):
+        store = EmbeddingStore(resources.store.words, resources.store.vectors)
+        block = CandidateBlock.of(["mar", "cielo", "noche", "amor"], store)
+        # the neighbor scans call proximity too: make them first
+        store.neighbors_many(["sol", "luna", "paz", "guerra"], SEGMENT)
+        counted = _CountedProximity(store)
+        for o, q, calls in [("sol", "luna", 2), ("sol", "luna", 1),
+                            ("luna", "sol", 1), ("sol", "paz", 2),
+                            ("paz", "paz", 1), ("guerra", "sol", 2)]:
+            before = counted.calls
+            score_candidates(o, q, block, store)
+            assert counted.calls - before == calls, (o, q)
+
+    def test_profiles_stay_out_of_the_store_memo(self, resources):
+        # a block made outside model 3 keeps its profiles itself: once the
+        # neighbor lists are memoized, scoring on a new block adds no key
+        store = EmbeddingStore(resources.store.words, resources.store.vectors)
+        vk = ["mar", "cielo", "noche", "amor"]
+        first = score_candidates("sol", "luna", CandidateBlock.of(vk, store), store)
+        keys = set(store.memo)
+        block = CandidateBlock.of(vk, store)
+        assert score_candidates("sol", "luna", block, store) == first
+        assert set(store.memo) == keys
+        assert set(block.profiles) == {"sol", "luna"}
+        assert "profiles" not in repr(block)
 
     def test_memo_miss_and_hit_give_the_same_records(self, resources):
         # a fresh table: the first pass builds each (tag, cap) block, the
