@@ -25,9 +25,8 @@ CHUNK = 64  # cold queries per float32 product: 64 x V values, 5 MB at V = 20k
 
 
 def _proximity(cos: np.ndarray) -> np.ndarray:
-    """(cosine + 1) / 2, clipped to [0, 1]: the one proximity formula. The
-    method skips ``np.clip``'s argument handling, about 1 µs a call."""
-    return ((cos + 1.0) / 2.0).clip(0.0, 1.0)
+    """(cosine + 1) / 2, clipped to [0, 1]: the one proximity formula."""
+    return np.clip((cos + 1.0) / 2.0, 0.0, 1.0)
 
 
 def _norms(vectors: np.ndarray) -> np.ndarray:

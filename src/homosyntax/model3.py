@@ -39,7 +39,7 @@ class CandidateBlock:
     words, store rows and ranks in sorted word order, and each one's first-k
     neighbor rows and its proximities to those, both (n, k), all read-only.
     ``profiles`` maps each anchor word a (a slot's o or q) from its first
-    slot to a read-only (2, n, k): prox(w, N(a)) and prox(a, N(w)) per w."""
+    slot to two read-only (n, k): prox(w, N(a)) and prox(a, N(w)) per w."""
 
     words: tuple[str, ...]
     rows: np.ndarray
@@ -73,8 +73,8 @@ def score_candidates(
 
     U's row for w is [N(o) N(q) N(w)]: o, q and each w meet the 2k shared
     columns once, o and q meet each N(w), and the block holds w against N(w).
-    If the block lacks the profile of o or q, all of that is computed and it
-    keeps what it lacked; if not, only o and q against the shared columns.
+    The block keeps each anchor's part of those rows as its profile, made in
+    the first slot that lacks it; a slot with both computes only the 2 x 2k.
     Each value is the one-pair proximity, and each cosine runs over the same
     contiguous 3k-float rows as when U is built row by row."""
     if len(block) < 2:
@@ -84,22 +84,23 @@ def score_candidates(
     n, k = block.neighbors.shape
     anchors = np.array([store.index[o], store.index[q]])
     profiles = block.profiles
+    missing = [a for a in dict.fromkeys((o, q)) if a not in profiles]
+    heads = np.concatenate([anchors, block.rows]) if missing else anchors
+    shared = store.proximity(heads[:, None], oq)
+    if missing:
+        # anchors[lo:hi] lack a profile: o, q or both
+        lo, hi = (o, q).index(missing[0]), (o, q).index(missing[-1]) + 1
+        to_a = shared[2:, lo * k : hi * k].copy()
+        from_a = store.proximity(anchors[lo:hi, None, None], block.neighbors)
+        to_a.setflags(write=False)
+        from_a.setflags(write=False)
+        for j, a in enumerate(missing):
+            profiles[a] = to_a[:, j * k : (j + 1) * k], from_a[j]
     # the o, q and candidate profiles against U: x, qv, wv
     p = np.empty((3, n, 3 * k))
-    if o in profiles and q in profiles:
-        p[:2, :, : 2 * k] = store.proximity(anchors[:, None], oq)[:, None]
-        p[2, :, :k], p[0, :, 2 * k :] = profiles[o]
-        p[2, :, k : 2 * k], p[1, :, 2 * k :] = profiles[q]
-    else:
-        shared = store.proximity(np.concatenate([anchors, block.rows])[:, None], oq)
-        p[:2, :, : 2 * k] = shared[:2, None]
-        p[2, :, : 2 * k] = shared[2:]
-        p[:2, :, 2 * k :] = store.proximity(anchors[:, None, None], block.neighbors)
-        for i, a in enumerate((o, q)):
-            if a not in profiles:
-                profile = profiles[a] = np.empty((2, n, k))
-                profile[0], profile[1] = p[2, :, i * k : (i + 1) * k], p[i, :, 2 * k :]
-                profile.flags.writeable = False
+    p[:2, :, : 2 * k] = shared[:2, None]
+    p[2, :, :k], p[0, :, 2 * k :] = profiles[o]
+    p[2, :, k : 2 * k], p[1, :, 2 * k :] = profiles[q]
     p[2, :, 2 * k :] = block.proximity
     norms = np.sqrt(np.vecdot(p, p))
     if not norms.all():

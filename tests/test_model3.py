@@ -255,9 +255,14 @@ class TestCandidateBlock:
                 _reference_records(o, q, vk, store, invert))
         used = {a for o, q, _ in pairs for a in (o, q)} | {anchors[0]}
         assert set(block.profiles) == used
-        for profile in block.profiles.values():
-            assert profile.shape == (2, len(vk), block.neighbors.shape[1])
-            assert not profile.flags.writeable
+        halves = [half for profile in block.profiles.values() for half in profile]
+        assert len(halves) == 2 * len(used)
+        for half in halves:
+            assert half.shape == block.neighbors.shape
+            assert not half.flags.writeable
+        # the arrays the profiles keep alive hold the profiles and no more
+        kept = {id(a): a for a in (h if h.base is None else h.base for h in halves)}
+        assert sum(a.size for a in kept.values()) == len(halves) * halves[0].size
 
     def test_a_slot_with_both_profiles_makes_one_proximity_call(self, resources):
         store = EmbeddingStore(resources.store.words, resources.store.vectors)
@@ -267,7 +272,7 @@ class TestCandidateBlock:
         counted = _CountedProximity(store)
         for o, q, calls in [("sol", "luna", 2), ("sol", "luna", 1),
                             ("luna", "sol", 1), ("sol", "paz", 2),
-                            ("paz", "paz", 1), ("guerra", "sol", 2)]:
+                            ("paz", "paz", 1), ("guerra", "guerra", 2)]:
             before = counted.calls
             score_candidates(o, q, block, store)
             assert counted.calls - before == calls, (o, q)
