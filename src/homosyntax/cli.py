@@ -202,7 +202,7 @@ def _cmd_train_emb(args) -> int:
     # checked before the corpus is read: 0 trains nothing, below 0 cannot run
     _check_least(("--dims", args.dims, 8), ("--window", args.window, 1),
                  ("--epochs", args.epochs, 1), ("--negatives", args.negatives, 1),
-                 ("--seed", args.seed, 0))
+                 ("--min-count", args.min_count, 1), ("--seed", args.seed, 0))
     sentences = corpus_mod.read_sentences(args.infile)
     store = train_embeddings(
         sentences,

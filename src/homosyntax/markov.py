@@ -8,6 +8,7 @@ generated bigram is guaranteed to have been observed in training.
 from __future__ import annotations
 
 import random
+from bisect import bisect
 from dataclasses import dataclass
 from itertools import accumulate
 from pathlib import Path
@@ -59,13 +60,14 @@ class DecodePolicy:
         return self.kind if self.kind == "argmax" else f"topk:{self.k}"
 
 
-# a state's draw: the words it may pick, and their cumulative weights for
-# rng.choices, or None for a uniform rng.choice (argmax ties)
-Draw = tuple[list[str], list[float] | None]
+# a state's draw: the tags it may pick, and their cumulative weights for a
+# bisect on one rng.random(), or None for a uniform rng.choice (argmax ties)
+Draw = tuple[list[PosTag], list[float] | None]
 
 
 class Draws(NamedTuple):
-    """One decode policy's successor table over a matrix."""
+    """One decode policy's successor table over a matrix, with one PosTag
+    per state."""
 
     first: Draw  # START's every non-END successor, in state order
     steps: dict[str, Draw]  # state -> its draw; a state without one dead-ends
@@ -184,6 +186,14 @@ def _successors(m: TransitionMatrix, state: str) -> list[tuple[str, float]]:
 def _build_draws(m: TransitionMatrix, policy: DecodePolicy) -> Draws:
     """Each state keeps its top-k successors by (-p, state), with cumulative
     weights, or under argmax its successors tied at the highest p."""
+    tags = {s: PosTag(s) for s in m.states}
+
+    # what Random.choices checks on each call holds by construction: a weight
+    # list is as long as its tags, and its total, a sum of p in (0, 1], is
+    # positive and finite
+    def weighted(succ: list[tuple[str, float]]) -> Draw:
+        return [tags[s] for s, _ in succ], list(accumulate(p for _, p in succ))
+
     steps: dict[str, Draw] = {}
     for state in m.states:
         succ = _successors(m, state)
@@ -191,30 +201,19 @@ def _build_draws(m: TransitionMatrix, policy: DecodePolicy) -> Draws:
             continue
         if policy.kind == "argmax":
             best = max(p for _, p in succ)
-            steps[state] = ([s for s, p in succ if p >= best - 1e-12], None)
+            steps[state] = ([tags[s] for s, p in succ if p >= best - 1e-12], None)
         else:
             top = sorted(succ, key=lambda sp: (-sp[1], sp[0]))[: policy.k]
-            steps[state] = ([s for s, _ in top], list(accumulate(p for _, p in top)))
+            steps[state] = weighted(top)
     # longest[s]: the longest walk from s, capped at MAX_LEN tags
     longest = dict.fromkeys(m.states, 1)
     for _ in range(MAX_LEN - 1):
         longest = {
-            s: 1 + max(longest[t] for t in steps[s][0]) if s in steps else 1
+            s: 1 + max(longest[t.full] for t in steps[s][0]) if s in steps else 1
             for s in m.states
         }
     first = _successors(m, START)
-    return Draws(
-        ([s for s, _ in first], list(accumulate(p for _, p in first))),
-        steps,
-        max((longest[s] for s, _ in first), default=0),
-    )
-
-
-def _step(draw: Draw, rng: random.Random) -> str:
-    words, cum_weights = draw
-    if cum_weights is None:
-        return rng.choice(words)
-    return rng.choices(words, cum_weights=cum_weights)[0]
+    return Draws(weighted(first), steps, max((longest[s] for s, _ in first), default=0))
 
 
 def generate_egv(
@@ -227,7 +226,9 @@ def generate_egv(
     START: the first tag is drawn by its sentence-initial probability.
 
     The walk draws from ``m.draws(policy)``, the policy's kept successor
-    table, which takes the same numbers from ``rng`` as drawing from each
+    table, and returns its PosTag objects. A weighted draw is the bisect at
+    one ``rng.random()`` that ``rng.choices(tags, cum_weights=cum)`` makes,
+    so the walk takes the same numbers from ``rng`` as drawing from each
     state's successors afresh. A length longer than any walk the policy
     allows fails before anything is drawn.
     """
@@ -243,18 +244,21 @@ def generate_egv(
         )
 
     steps = draws.steps
-    partial: list[str] = []
+    seq: list[PosTag] = []
     for _ in range(RESTARTS):
-        seq = [_step(draws.first, rng)]
-        while len(seq) < n:
-            draw = steps.get(seq[-1])
-            if draw is None:
-                break
-            seq.append(_step(draw, rng))
-        if len(seq) == n:
-            return tuple(PosTag(t) for t in seq)
-        partial = seq
+        seq = []
+        draw = draws.first
+        while draw is not None:
+            tags, cum = draw
+            if cum is None:
+                tag = rng.choice(tags)
+            else:
+                tag = tags[bisect(cum, rng.random() * cum[-1], 0, len(cum) - 1)]
+            seq.append(tag)
+            if len(seq) == n:
+                return tuple(seq)
+            draw = steps.get(tag.full)
     raise GenerationError(
         f"dead-end before length {n} after {RESTARTS} restarts",
-        partial=tuple(partial),
+        partial=tuple(t.full for t in seq),
     )

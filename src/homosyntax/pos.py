@@ -21,19 +21,17 @@ from .errors import FormatError, TagError, load_rows, read_lines, read_tsv, writ
 
 @dataclass(frozen=True)
 class PosTag:
+    """A full tag; ``truncated`` and ``category`` are worked out once, when
+    it is made, and kept outside the fields, which alone decide equality,
+    hashing and repr."""
+
     full: str
 
     def __post_init__(self):
         if not self.full:
             raise TagError("empty POS tag")
-
-    @property
-    def truncated(self) -> str:
-        return truncate(self.full)
-
-    @property
-    def category(self) -> str:
-        return self.full[0]
+        object.__setattr__(self, "truncated", truncate(self.full))
+        object.__setattr__(self, "category", self.full[0])
 
 
 def truncate(full: str) -> str:
@@ -91,6 +89,7 @@ class TaggerLexicon:
 
     def __init__(self):
         self.entries: dict[str, list[tuple[str, float]]] = {}
+        self.tags: dict[str, PosTag] = {}  # one PosTag per full tag it assigned
 
     def add(self, surface: str, full: str, weight: float) -> None:
         """Record one weighted full tag for a surface form."""
@@ -129,7 +128,8 @@ def tag_sentence(s: SentenceRecord, lex: TaggerLexicon) -> TaggedSentence:
         full = lex.best_tag(surface)
         if full is None:
             full = "NCMS000" if surface[:1].isupper() else "NC0000"
-        tagged.append((surface, PosTag(full)))
+        tag = lex.tags.get(full) or lex.tags.setdefault(full, PosTag(full))
+        tagged.append((surface, tag))
     return TaggedSentence(tokens=tuple(tagged), source=s)
 
 
@@ -147,6 +147,7 @@ def read_tagged_tsv(path: str | Path) -> list[TaggedSentence]:
     path = Path(path)
     sentences: list[TaggedSentence] = []
     current: list[tuple[str, PosTag]] = []
+    tags: dict[str, PosTag] = {}  # one PosTag per tag string, shared by its tokens
 
     def flush():
         if current:
@@ -169,6 +170,7 @@ def read_tagged_tsv(path: str | Path) -> list[TaggedSentence]:
             raise FormatError("expected 'surface<TAB>fulltag'", i, path)
         if parts[1].split() != [parts[1]]:
             raise FormatError(f"tag {parts[1]!r} holds whitespace", i, path)
-        current.append((parts[0], PosTag(parts[1])))
+        tag = tags.get(parts[1]) or tags.setdefault(parts[1], PosTag(parts[1]))
+        current.append((parts[0], tag))
     flush()
     return sentences

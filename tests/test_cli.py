@@ -320,7 +320,8 @@ class TestExitCodes:
         pytest.param(*case, id=f"{case[0]}-{case[1]}") for case in (
             ("--window", "0", 1), ("--window", "-1", 1), ("--epochs", "0", 1),
             ("--epochs", "-1", 1), ("--negatives", "0", 1), ("--negatives", "-1", 1),
-            ("--dims", "7", 8), ("--seed", "-1", 0))
+            ("--dims", "7", 8), ("--min-count", "0", 1), ("--min-count", "-3", 1),
+            ("--seed", "-1", 0))
     ])
     def test_bad_training_setting_is_usage_error_before_reading(
         self, resources_dir, tmp_path, capsys, flag, value, least

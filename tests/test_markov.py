@@ -269,6 +269,51 @@ class TestSuccessorTable:
         _compare_with_reference(m, policy, n, seed)
         _compare_with_reference(m, policy, n, seed)  # the kept table
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        counts=st.integers(min_value=1, max_value=8).flatmap(
+            lambda k: st.lists(
+                st.lists(st.integers(min_value=1, max_value=10**6),
+                         min_size=k, max_size=k),
+                min_size=k + 1, max_size=k + 1,
+            )
+        ),
+        n=st.integers(min_value=3, max_value=15),
+        seed=st.integers(min_value=0, max_value=2**32),
+    )
+    def test_weighted_draw_is_what_choices_picks(self, counts, n, seed):
+        # START and k tags each lead to every tag, so no walk dead-ends and
+        # each of its n draws bisects weights made from random counts
+        k = len(counts[0])
+        full = np.zeros((k + 2, k + 2), dtype=np.int64)
+        full[: k + 1, 1 : k + 1] = counts
+        m = TransitionMatrix((START, *(f"T{i}" for i in range(k)), END), full)
+        policy = DecodePolicy.topk(k)
+        rng, ref = random.Random(seed), random.Random(seed)
+        got = generate_egv(m, n, policy, rng)
+        draws, want = m.draws(policy), []
+        draw = draws.first
+        for _ in range(n):
+            tags, cum = draw
+            want.append(ref.choices(tags, cum_weights=cum)[0])
+            draw = draws.steps[want[-1].full]
+        assert all(a is b for a, b in zip(got, want, strict=True))
+        assert rng.getstate() == ref.getstate()
+
+    def test_walks_return_the_tables_tags(self, matrix, monkeypatch):
+        policy = DecodePolicy.topk(3)
+        generate_egv(matrix, 8, policy, random.Random(0))  # builds the table
+        made = []
+        monkeypatch.setattr(PosTag, "__post_init__", lambda tag: made.append(tag))
+        seen: dict[str, PosTag] = {}
+        shared = 0
+        for seed in range(20):
+            for tag in generate_egv(matrix, 8, policy, random.Random(seed)):
+                shared += tag.full in seen
+                assert seen.setdefault(tag.full, tag) is tag
+        assert made == []
+        assert shared > 100
+
 
 class TestSerialization:
     def test_round_trip_probs(self, matrix, tmp_path):

@@ -3,11 +3,13 @@ from hypothesis import given, strategies as st
 
 from homosyntax.corpus import SentenceRecord
 from homosyntax.errors import TagError
+from homosyntax import pos
 from homosyntax.pos import (
     PosTag,
     is_content,
     read_tagged_tsv,
     tag_sentence,
+    truncate,
     write_tagged_tsv,
 )
 
@@ -41,6 +43,23 @@ class TestTruncate:
         t = PosTag(full)
         assert t.truncated == full[:4]
         assert t.category == full[0]
+
+    @given(tags)
+    def test_derived_fields_leave_equality_hash_and_repr_alone(self, full):
+        t = PosTag(full)
+        assert (t.truncated, t.category) == (truncate(full), full[0])
+        assert t == PosTag(full)
+        assert hash(t) == hash((full,))
+        assert repr(t) == f"PosTag(full={full!r})"
+
+    def test_each_derived_field_is_worked_out_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(pos, "truncate", lambda t: calls.append(t) or t[:4])
+        tag = PosTag("NCMS000")
+        assert [tag.truncated, tag.truncated, tag.truncated] == ["NCMS"] * 3
+        assert [tag.category, tag.category] == ["N", "N"]
+        assert calls == ["NCMS000"]
+        assert vars(tag) == {"full": "NCMS000", "truncated": "NCMS", "category": "N"}
 
 
 class TestClassify:
@@ -92,6 +111,15 @@ class TestTagger:
 
 
 class TestTsvRoundTrip:
+    def test_one_tag_object_per_tag_string(self, sentences, tagger_lexicon, tmp_path):
+        tagged = [tag_sentence(s, tagger_lexicon) for s in sentences[:50]]
+        write_tagged_tsv(tagged, tmp_path / "tagged.tsv")
+        for corpus in (tagged, read_tagged_tsv(tmp_path / "tagged.tsv")):
+            seen: dict[str, PosTag] = {}
+            tags = [tag for ts in corpus for _, tag in ts.tokens]
+            assert all(seen.setdefault(tag.full, tag) is tag for tag in tags)
+            assert len(seen) < len(tags) / 5
+
     def test_round_trip(self, tagged, tmp_path):
         path = tmp_path / "tagged.tsv"
         write_tagged_tsv(tagged[:20], path)
