@@ -18,7 +18,7 @@ from . import model1, model2, model3
 from .errors import HomosyntaxError, ResourceError
 from .generation import GenerationResources
 from .markov import END, START
-from .pos import PosTag, TaggedSentence, is_content, read_tagged_tsv
+from .pos import TaggedSentence, is_content, read_tagged_tsv, tag_of
 from .resources import TAGGED, load_resources
 
 TOL = 1e-9  # largest |delta| a row sum or an oracle score may show
@@ -70,7 +70,7 @@ def check_resource_fit(res: GenerationResources) -> CheckResult:
         f"functional state {state!r} has no funcdict entry"
         for state in res.matrix.states
         if state not in (START, END)
-        and not is_content(PosTag(state))
+        and not is_content(tag_of(state))
         and not res.funcdict.table.get(state)
     ]
     slots = [

@@ -156,6 +156,8 @@ def read_document(path: str | Path) -> RawDocument:
 def read_documents(directory: str | Path) -> list[RawDocument]:
     """Read every ``*.txt`` file in a directory, sorted by name."""
     directory = Path(directory)
+    if not directory.is_dir():
+        raise IngestError(f"{directory}: not a directory", path=directory)
     docs = [read_document(p) for p in sorted(directory.glob("*.txt"))]
     ids = [d.id for d in docs]
     if len(set(ids)) != len(ids):

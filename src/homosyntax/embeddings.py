@@ -36,17 +36,15 @@ def _norms(vectors: np.ndarray) -> np.ndarray:
         return np.linalg.norm(vectors, axis=1, keepdims=True)
 
 
-def top_k(prox: np.ndarray, k: int, words: Sequence[str]) -> list[int]:
+def top_k(prox: np.ndarray, k: int, rank: np.ndarray) -> np.ndarray:
     """Positions of the k largest proximities, largest first, ties by
-    ``words[position]``; [] when k < 1. Only the values at or above the k-th
+    ``rank[position]``; empty when k < 1. Only the values at or above the k-th
     largest, found in linear time, are sorted: all that tie with it are kept."""
     k = min(k, prox.size)
     if k < 1:
-        return []
+        return np.empty(0, np.intp)
     tied = (prox >= np.partition(prox, -k)[-k]).nonzero()[0]
-    at = tied.tolist()
-    ranked = sorted(zip((-prox[tied]).tolist(), [words[i] for i in at], at))
-    return [i for _, _, i in ranked[:k]]
+    return tied[np.lexsort((rank[tied], -prox[tied]))[:k]]
 
 
 class EmbeddingStore:
@@ -58,13 +56,16 @@ class EmbeddingStore:
     def __init__(self, words: list[str], vectors: np.ndarray):
         if len(words) != vectors.shape[0]:
             raise FormatError("vocab size does not match vector count")
-        self.words = list(words)
+        self.words = words = list(words)
         self.index = {w: i for i, w in enumerate(self.words)}
         self.vectors = np.asarray(vectors, dtype=np.float64)
         norms = _norms(self.vectors)
         if not np.isfinite(norms).all():
             raise FormatError("non-finite vector component or norm")
         self._unit = self.vectors / np.maximum(norms, 1e-12)
+        # each row's place in the words' code-point order: every ranking's ties
+        self.word_rank = np.argsort(sorted(range(len(words)), key=words.__getitem__))
+        self.word_rank.flags.writeable = False
         self.memo: dict[tuple, object] = {}
         self.training_losses: list[float] = []
 
@@ -96,17 +97,17 @@ class EmbeddingStore:
         prox = _proximity(np.vecdot(self._unit[a], self._unit[b]))
         return float(prox) if prox.ndim == 0 else prox
 
-    def unit_block(self, words: Sequence[str]) -> np.ndarray:
-        """The unit vectors of in-vocabulary words, in their order, as one
-        new contiguous read-only array: the operand of ``block_proximity``."""
-        block = self._unit[[self.index[w] for w in words]]
+    def unit_block(self, rows: Sequence[int]) -> np.ndarray:
+        """The unit vectors of store rows, in their order, as one new
+        contiguous read-only array: the operand of ``block_proximity``."""
+        block = self._unit[rows]
         block.flags.writeable = False
         return block
 
     def block_proximity(self, a: int, block: np.ndarray) -> np.ndarray:
-        """``proximity(a, rows)`` for the rows of the words the block was
-        made from, without gathering them again: the same np.vecdot on the
-        same unit vectors, so equal bit for bit."""
+        """``proximity(a, rows)`` for the rows the block was made from,
+        without gathering them again: the same np.vecdot on the same unit
+        vectors, so equal bit for bit."""
         return _proximity(np.vecdot(self._unit[a], block))
 
     def neighbors(self, q: str, m: int) -> np.ndarray:
@@ -177,9 +178,7 @@ class EmbeddingStore:
         cuts = (kth - np.float64(bound)).astype(np.float32)
         for q, i, row, cut in zip(qs, iq.tolist(), coarse, cuts):
             near = (row >= cut).nonzero()[0]
-            names = [self.words[j] for j in near.tolist()]
-            top = top_k(self.proximity(i, near), k, names)
-            rows = near[top]
+            rows = near[top_k(self.proximity(i, near), k, self.word_rank[near])]
             rows.flags.writeable = False
             self.memo["neighbors", q, m] = rows
 

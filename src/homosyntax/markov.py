@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import (BuildError, ConfigError, FormatError, GenerationError,
                      load_rows, read_lines, write_lines)
-from .pos import PosTag, TaggedSentence
+from .pos import PosTag, TaggedSentence, tag_of
 
 START = "<s>"
 END = "</s>"
@@ -66,8 +66,7 @@ Draw = tuple[list[PosTag], list[float] | None]
 
 
 class Draws(NamedTuple):
-    """One decode policy's successor table over a matrix, with one PosTag
-    per state."""
+    """One decode policy's successor table over a matrix."""
 
     first: Draw  # START's every non-END successor, in state order
     steps: dict[str, Draw]  # state -> its draw; a state without one dead-ends
@@ -132,7 +131,7 @@ class TransitionMatrix:
             seen.add(state)
 
         load_rows(enumerate(states, start=2), path, "bad state line", add_state)
-        counts = np.zeros((n, n), dtype=np.int64)
+        counts = np.full((n, n), -1, dtype=np.int64)  # -1: a cell no row has set
         count_max = int(np.iinfo(counts.dtype).max)
         totals = [0] * n  # exact row sums: the int64 sum in __init__ would wrap
 
@@ -146,7 +145,9 @@ class TransitionMatrix:
                 raise ValueError(f"negative count {c}")
             if c > count_max:
                 raise ValueError(f"count {c} above {count_max}")
-            totals[i] += c - int(counts[i, j])  # a repeated cell is replaced
+            if counts[i, j] >= 0:
+                raise ValueError(f"cell {i} {j} repeats an earlier row")
+            totals[i] += c
             if totals[i] > count_max:
                 raise ValueError(f"row {i} sums to {totals[i]}, above {count_max}")
             counts[i, j] = c
@@ -154,7 +155,7 @@ class TransitionMatrix:
         body = enumerate(lines[1 + n :], start=2 + n)
         rows = ((i, line.split()) for i, line in body if line.strip())
         load_rows(rows, path, "bad count row", add)
-        return cls(states, counts)
+        return cls(states, np.maximum(counts, 0))
 
 
 def build_transition_matrix(corpus: list[TaggedSentence]) -> TransitionMatrix:
@@ -186,13 +187,11 @@ def _successors(m: TransitionMatrix, state: str) -> list[tuple[str, float]]:
 def _build_draws(m: TransitionMatrix, policy: DecodePolicy) -> Draws:
     """Each state keeps its top-k successors by (-p, state), with cumulative
     weights, or under argmax its successors tied at the highest p."""
-    tags = {s: PosTag(s) for s in m.states}
-
     # what Random.choices checks on each call holds by construction: a weight
     # list is as long as its tags, and its total, a sum of p in (0, 1], is
     # positive and finite
     def weighted(succ: list[tuple[str, float]]) -> Draw:
-        return [tags[s] for s, _ in succ], list(accumulate(p for _, p in succ))
+        return [tag_of(s) for s, _ in succ], list(accumulate(p for _, p in succ))
 
     steps: dict[str, Draw] = {}
     for state in m.states:
@@ -201,7 +200,7 @@ def _build_draws(m: TransitionMatrix, policy: DecodePolicy) -> Draws:
             continue
         if policy.kind == "argmax":
             best = max(p for _, p in succ)
-            steps[state] = ([tags[s] for s, p in succ if p >= best - 1e-12], None)
+            steps[state] = ([tag_of(s) for s, p in succ if p >= best - 1e-12], None)
         else:
             top = sorted(succ, key=lambda sp: (-sp[1], sp[0]))[: policy.k]
             steps[state] = weighted(top)

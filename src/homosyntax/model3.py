@@ -36,14 +36,13 @@ SEGMENT = 10  # neighbors per anchor word; |U| = 3 * SEGMENT
 @dataclass(frozen=True)
 class CandidateBlock:
     """What model 3 reuses in every slot with the same candidates: their
-    words, store rows and ranks in sorted word order, and each one's first-k
-    neighbor rows and its proximities to those, both (n, k), all read-only.
+    words and store rows, and each one's first-k neighbor rows and its
+    proximities to those, both (n, k), all read-only.
     ``profiles`` maps each anchor word a (a slot's o or q) from its first
     slot to two read-only (n, k): prox(w, N(a)) and prox(a, N(w)) per w."""
 
     words: tuple[str, ...]
     rows: np.ndarray
-    word_rank: np.ndarray
     neighbors: np.ndarray
     proximity: np.ndarray
     profiles: dict = field(default_factory=dict, compare=False, repr=False)
@@ -53,11 +52,10 @@ class CandidateBlock:
         """The block of vk; OovError names the first word with no vector."""
         nbrs = np.array(store.neighbors_many(vk, SEGMENT), dtype=np.intp)
         rows = np.array([store.index[w] for w in vk], dtype=np.intp)
-        rank = np.argsort(sorted(range(len(vk)), key=vk.__getitem__))
         prox = store.proximity(rows[:, None], nbrs)
-        for a in (rows, rank, nbrs, prox):
+        for a in (rows, nbrs, prox):
             a.flags.writeable = False
-        return cls(tuple(vk), rows, rank, nbrs, prox)
+        return cls(tuple(vk), rows, nbrs, prox)
 
     def __len__(self) -> int:
         return len(self.words)
@@ -69,7 +67,7 @@ def score_candidates(
 ) -> list[dict]:
     """Score every candidate of the block: a ``{"w", "theta", "beta", "s"}``
     record each, the form model 3's trace prints, sorted by descending s,
-    ties by w.
+    ties by ``store.word_rank``: by w.
 
     U's row for w is [N(o) N(q) N(w)]: o, q and each w meet the 2k shared
     columns once, o and q meet each N(w), and the block holds w against N(w).
@@ -120,7 +118,7 @@ def score_candidates(
         s = (mean_theta / theta) * (beta / mean_beta)
     scores, words = s.tolist(), block.words
     return [{"w": words[i], "theta": thetas[i], "beta": betas[i], "s": scores[i]}
-            for i in np.lexsort((block.word_rank, -s)).tolist()]
+            for i in np.lexsort((store.word_rank[block.rows], -s)).tolist()]
 
 
 def generate_model3(

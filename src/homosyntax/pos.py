@@ -11,6 +11,7 @@ hermetic use, and a reader for pre-tagged TSV produced by any external tool.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -32,6 +33,11 @@ class PosTag:
             raise TagError("empty POS tag")
         object.__setattr__(self, "truncated", truncate(self.full))
         object.__setattr__(self, "category", self.full[0])
+
+
+# The one PosTag of each tag string. A process-wide cache is fine here: a tag
+# is tiny and shared by value, and a tag inventory is small and closed.
+tag_of = functools.cache(PosTag)
 
 
 def truncate(full: str) -> str:
@@ -89,7 +95,6 @@ class TaggerLexicon:
 
     def __init__(self):
         self.entries: dict[str, list[tuple[str, float]]] = {}
-        self.tags: dict[str, PosTag] = {}  # one PosTag per full tag it assigned
 
     def add(self, surface: str, full: str, weight: float) -> None:
         """Record one weighted full tag for a surface form."""
@@ -128,8 +133,7 @@ def tag_sentence(s: SentenceRecord, lex: TaggerLexicon) -> TaggedSentence:
         full = lex.best_tag(surface)
         if full is None:
             full = "NCMS000" if surface[:1].isupper() else "NC0000"
-        tag = lex.tags.get(full) or lex.tags.setdefault(full, PosTag(full))
-        tagged.append((surface, tag))
+        tagged.append((surface, tag_of(full)))
     return TaggedSentence(tokens=tuple(tagged), source=s)
 
 
@@ -147,7 +151,6 @@ def read_tagged_tsv(path: str | Path) -> list[TaggedSentence]:
     path = Path(path)
     sentences: list[TaggedSentence] = []
     current: list[tuple[str, PosTag]] = []
-    tags: dict[str, PosTag] = {}  # one PosTag per tag string, shared by its tokens
 
     def flush():
         if current:
@@ -170,7 +173,6 @@ def read_tagged_tsv(path: str | Path) -> list[TaggedSentence]:
             raise FormatError("expected 'surface<TAB>fulltag'", i, path)
         if parts[1].split() != [parts[1]]:
             raise FormatError(f"tag {parts[1]!r} holds whitespace", i, path)
-        tag = tags.get(parts[1]) or tags.setdefault(parts[1], PosTag(parts[1]))
-        current.append((parts[0], tag))
+        current.append((parts[0], tag_of(parts[1])))
     flush()
     return sentences

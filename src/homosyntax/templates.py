@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import StoreError, TemplateError, load_rows, read_jsonl, write_jsonl
-from .pos import PosTag, TaggedSentence, is_content
+from .pos import PosTag, TaggedSentence, is_content, tag_of
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,7 @@ def extract_template(ts: TaggedSentence) -> EgpSkeleton:
     items: list[Slot | Literal] = []
     for surface, tag in ts.tokens:
         if is_content(tag):
-            items.append(Slot(PosTag(tag.truncated), surface))
+            items.append(Slot(tag_of(tag.truncated), surface))
         else:
             items.append(Literal(surface))
     source_id = f"{ts.source.doc_id}:{ts.source.index}"
@@ -98,7 +98,6 @@ class TemplateStore:
     @classmethod
     def load(cls, path: str | Path) -> "TemplateStore":
         templates: dict[str, EgpSkeleton] = {}
-        tags: dict[str, PosTag] = {}  # one PosTag per tag string, shared by its slots
 
         def text(obj, key: str) -> str:
             if not isinstance(obj[key], str):
@@ -109,10 +108,7 @@ class TemplateStore:
             items: list[Slot | Literal] = []
             for it in obj["items"]:
                 if it["t"] == "slot":
-                    tag = text(it, "tag")
-                    if tag not in tags:
-                        tags[tag] = PosTag(tag)
-                    items.append(Slot(tags[tag], text(it, "orig")))
+                    items.append(Slot(tag_of(text(it, "tag")), text(it, "orig")))
                 elif it["t"] == "lit":
                     items.append(Literal(text(it, "w")))
                 else:

@@ -586,6 +586,25 @@ class TestPipelineCommands:
         assert (diagnostic["path"], diagnostic["line"]) == (str(doc), 2)
         assert "not valid UTF-8" in diagnostic["message"]
 
+    @pytest.mark.parametrize("make", ["missing", "file"])
+    def test_ingest_of_a_path_that_is_not_a_directory(self, tmp_path, capsys, make):
+        raw = tmp_path / "raw"
+        if make == "file":
+            raw.write_text("El sol brilla en el cielo.\n", encoding="utf-8")
+        out = tmp_path / "sentences.txt"
+        code = main(["ingest", "--in", str(raw), "--out", str(out)])
+        diagnostic = json.loads(capsys.readouterr().err.splitlines()[0])
+        assert code == EXIT_RESOURCE
+        assert diagnostic["error"] == "IngestError"
+        assert diagnostic["path"] == str(raw)
+        assert not out.exists()
+
+    def test_ingest_of_a_directory_without_text_files(self, tmp_path, capsys):
+        out = tmp_path / "sentences.txt"
+        assert main(["ingest", "--in", str(tmp_path), "--out", str(out)]) == 0
+        assert "sentences: 0" in capsys.readouterr().out
+        assert out.read_text(encoding="utf-8") == ""
+
     def test_import_tagged_round_trip(self, resources_dir, tmp_path, capsys):
         out = tmp_path / "copy.tsv"
         code = main(["import-tagged", "--in",

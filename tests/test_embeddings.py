@@ -390,6 +390,7 @@ class TestTopK:
         words = data.draw(st.lists(st.text(alphabet="abc", min_size=1, max_size=3),
                                    max_size=12, unique=True))
         n = len(words)
+        rank = EmbeddingStore(words, np.ones((n, 2))).word_rank
         # values from a pool of at most three: ties at every rank
         pool = data.draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3))
         prox = data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
@@ -397,9 +398,21 @@ class TestTopK:
         if 0 < k < n:  # plant an exact tie with the k-th largest value
             prox[data.draw(st.integers(0, n - 1))] = sorted(prox)[-k]
         expected = sorted(range(n), key=lambda i: (-prox[i], words[i]))[:k]
-        got = top_k(np.array(prox), k, words)
-        assert got == expected
-        assert top_k(np.array(prox), -1, words) == []
+        got = top_k(np.array(prox), k, rank)
+        assert got.dtype == np.intp
+        assert got.tolist() == expected
+        assert top_k(np.array(prox), -1, rank).size == 0
+
+
+class TestWordRank:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.text(min_size=1, max_size=4) | st.sampled_from(
+        ["Sol", "sol", "sól", "año", "Año", "ano", "\U0001d11e", "\uffff", "z"]),
+        max_size=16, unique=True))
+    def test_ranks_rows_in_code_point_order(self, words):
+        store = EmbeddingStore(words, np.ones((len(words), 2)))
+        assert [store.words[i] for i in np.argsort(store.word_rank)] == sorted(words)
+        assert not store.word_rank.flags.writeable
 
 
 def _reference_train(corpus, dims, window, epochs, negatives, seed, min_count=2):

@@ -73,6 +73,7 @@ CASES = {
     }),
     "matrix": (TransitionMatrix.load, f"0 1 {2**62}", {
         "row-sum-above-int64": f"0 0 {2**62}",
+        "repeated-cell": "0 1 5",
     }),
     "matrix-states": (TransitionMatrix.load, "B", {
         "empty-state": "",
