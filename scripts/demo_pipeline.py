@@ -17,7 +17,7 @@ from homosyntax.cli import main as cli_main
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "tests" / "fixtures"
 
-# the fixture corpus is small, so model 1 needs a wide neighbor lexicon
+# the fixture corpus is small: at m = 60 model 1 fails far fewer requests
 NEIGHBORS = "60"
 
 

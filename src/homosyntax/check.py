@@ -9,7 +9,7 @@ sentences) and reports pass/fail per check.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -167,10 +167,6 @@ def check_novelty(res: GenerationResources) -> CheckResult:
     if not len(res.store):
         return CheckResult("novelty", False, "no query word: the vocabulary is empty")
     query = res.store.words[0]
-    # small vocabularies need a wider neighbor lexicon for model 1
-    res = replace(
-        res, neighbors_m=max(res.neighbors_m, min(60, len(res.store) - 1))
-    )
     failures = 0
     generated = 0
     for model_fn in (model1.generate_model1, model2.generate_model2,

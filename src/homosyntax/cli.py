@@ -119,8 +119,8 @@ def build_parser() -> CliParser:
     p.add_argument("--policy", default="topk:3",
                    help="EGV decoding: argmax or topk:K (model 1)")
     p.add_argument("--neighbors", type=int, default=generation.DEFAULT_NEIGHBORS,
-                   help="neighbor lexicon size m (model 1); small corpora "
-                        "need larger values")
+                   help="neighbor lexicon size m (model 1); on small corpora "
+                        "a larger m fails fewer requests")
     p.add_argument("--max-hops", type=int, default=generation.DEFAULT_MAX_HOPS,
                    help="query relaxation budget (model 1)")
     p.add_argument("--cap-m", type=int, default=generation.DEFAULT_CAP_M,
@@ -257,13 +257,16 @@ def _cmd_generate(args) -> int:
     }[args.model]
 
     traces = []
-    for i in range(args.count):
-        sentence = generate(args.seed + i)
-        print(sentence.text)
-        if args.trace:
-            traces += ({"sentence": i, **record} for record in sentence.trace)
-    if args.trace:
-        write_jsonl(args.trace, traces)
+    try:
+        for i in range(args.count):
+            sentence = generate(args.seed + i)
+            print(sentence.text)
+            if args.trace:
+                traces += ({"sentence": i, **record} for record in sentence.trace)
+    finally:
+        # the sentences printed keep their records when a later one fails
+        if traces:
+            write_jsonl(args.trace, traces)
     return EXIT_OK
 
 

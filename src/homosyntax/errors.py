@@ -152,8 +152,8 @@ class DictError(HomosyntaxError):
         self.tag = tag
 
 
-class RelaxationError(HomosyntaxError):
-    """Query relaxation exhausted its hop budget without finding a fit."""
+class RelaxationError(GenerationError):
+    """Query relaxation spent its hop budget without a fit: one attempt lost."""
 
     def __init__(self, message, visited=()):
         super().__init__(message)

@@ -159,9 +159,10 @@ def generate(
     ``skeleton(rng)`` returns the provenance and the items of one skeleton.
     ``Literal`` items are copied, every other item goes to
     ``fill_slot(position, item, rng)``, which returns the word and its trace
-    record. A ``GenerationError`` from either, such as a dead-end walk or a
-    slot without candidates, costs one attempt; any other error ends the
-    request.
+    record. A ``GenerationError`` from either (a dead-end walk, a slot without
+    candidates, a relaxation out of hops) costs one attempt; only a bad query
+    or a resource defect (``OovError``, ``TableError``, ``DictError``,
+    ``FormatError``) ends the request.
     """
     if q not in res.store:
         raise OovError(q)

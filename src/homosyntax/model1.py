@@ -5,7 +5,8 @@ EGV dead-end costs one attempt of the shared driver. Functional slots draw
 uniformly from the function-word dictionary, and a skeleton-final
 punctuation slot is a period. Content slots take the first neighbor of the
 query that fits the slot's tag, trying inflection before relaxing the query
-to its nearest unvisited neighbor.
+to its nearest unvisited neighbor; a slot that no relaxation fills costs
+one attempt too, and the next attempt draws a fresh skeleton.
 """
 
 from __future__ import annotations
@@ -36,13 +37,14 @@ def fill_content_with_relaxation(
 
     Returns (word, hops, visited queries). A word fits either directly
     (attested under the tag) or through inflection. An out-of-vocabulary q
-    raises OovError from the first neighbor query.
+    raises OovError from the first neighbor query; a spent hop budget raises
+    RelaxationError, which costs the request one attempt of the driver.
 
     The outcome depends only on (q, tag.truncated, m, max_hops), the store
     and the lexicon, and neither changes once loaded, so it is kept in
     ``store.memo`` under a key holding the lexicon, which the store keeps
-    alive: the word and hops, or the RelaxationError. Each call gets its own
-    visited list, or its own error with the same message and visited queries.
+    alive: the word (None when the budget ran out), the hops and the visited
+    queries. Each call gets its own visited list, or its own error.
     A cold fill reads each neighbor's fit under the tag from the entry
     ``("fit", forms, tag.truncated)``: per store row, whether it is attested
     under the tag and its inflected form or None, each worked out when a pass
@@ -51,15 +53,14 @@ def fill_content_with_relaxation(
     key = ("fill", forms, q, tag.truncated, m, max_hops)
     outcome = store.memo.get(key)
     if outcome is None:
-        try:
-            word, hops, visited = _relax(tag, q, store, forms, m, max_hops)
-            outcome = (word, hops, tuple(visited))
-        except RelaxationError as e:
-            outcome = e
-        store.memo[key] = outcome
-    if isinstance(outcome, RelaxationError):
-        raise RelaxationError(str(outcome), visited=outcome.visited)
+        outcome = store.memo[key] = _relax(tag, q, store, forms, m, max_hops)
     word, hops, visited = outcome
+    if word is None:
+        raise RelaxationError(
+            f"no word fitting tag {tag.truncated!r} within {max_hops} "
+            f"relaxations of query {q!r}",
+            visited=visited,
+        )
     return word, hops, list(visited)
 
 
@@ -70,7 +71,7 @@ def _relax(
     forms: FormsLexicon,
     m: int,
     max_hops: int,
-) -> tuple[str, int, list[str]]:
+) -> tuple[str | None, int, tuple[str, ...]]:
     attested, inflected = store.memo.setdefault(("fit", forms, tag.truncated), ({}, {}))
     words = store.words
     visited = [q]
@@ -81,23 +82,19 @@ def _relax(
             if i not in attested:
                 attested[i] = matches_tag(words[i], tag, forms)
             if attested[i]:
-                return words[i], hops, visited
+                return words[i], hops, tuple(visited)
         for i in rows:
             if i not in inflected:
                 inflected[i] = inflect(words[i], tag, forms)
             if inflected[i] is not None:
-                return inflected[i], hops, visited
+                return inflected[i], hops, tuple(visited)
         # relax: nearest neighbor of the current query not yet visited
         next_q = next((words[i] for i in rows if words[i] not in visited), None)
         if next_q is None:
             break
         visited.append(next_q)
         current = next_q
-    raise RelaxationError(
-        f"no word fitting tag {tag.truncated!r} within {max_hops} relaxations "
-        f"of query {q!r}",
-        visited=visited,
-    )
+    return None, max_hops, tuple(visited)
 
 
 def generate_model1(

@@ -15,6 +15,7 @@ def test_novelty_check_leaves_caller_resources_alone(resources):
     res = replace(resources, neighbors_m=20)
     result = check.check_novelty(res)
     assert result.passed
+    assert result.detail == "9 sentences generated, 0 corpus collisions"
     assert res.neighbors_m == 20
 
 

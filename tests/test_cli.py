@@ -393,6 +393,32 @@ class TestGenerate:
         assert all(r["sentence"] == 0 for r in records)
         assert all("chosen" in r for r in records)
 
+    def test_trace_kept_when_a_later_sentence_fails(self, resources_dir,
+                                                    tmp_path, capsys):
+        # the sixth sentence fails after 20 attempts: the five printed before
+        # it keep their records, and the exit code stays 3
+        trace = tmp_path / "trace.jsonl"
+        code = main(_gen(resources_dir, "--neighbors", "20", "--model", "1",
+                         "--query", "luna", "--len", "8", "--count", "6",
+                         "--seed", "0", "--trace", str(trace)))
+        captured = capsys.readouterr()
+        assert code == EXIT_GENERATION
+        assert len(captured.out.splitlines()) == 5
+        assert json.loads(captured.err.splitlines()[0])["message"].startswith(
+            "model 1 failed after 20 attempts: no word fitting tag"
+        )
+        records = [json.loads(line) for line in
+                   trace.read_text(encoding="utf-8").splitlines()]
+        assert sorted({r["sentence"] for r in records}) == [0, 1, 2, 3, 4]
+
+    def test_model1_retries_relaxation_failures(self, resources_dir, capsys):
+        # at the default --neighbors a relaxation failure costs one attempt
+        # (the parent exited 3 after the first sentence)
+        code = main(_gen(resources_dir, "--neighbors", "20", "--model", "1",
+                         "--query", "sol", "--len", "7", "--count", "3"))
+        assert code == EXIT_OK
+        assert len(capsys.readouterr().out.splitlines()) == 3
+
     def test_golden_stdout(self, resources_dir, capsys):
         # frozen from a verified run on the fixture resources
         code = main(_gen(resources_dir, "--model", "3", "--query", "sol",
@@ -438,6 +464,13 @@ GOLDEN_RUNS = {
         "624ce7396729e58d8e32c913e29d15c81f9337c01ecfa134b0f5d6c58f366de3",
         "042894bbdc67bac95d5c7d9cb79681fa11fd0235ecd9333635214bc66c7db70d",
     ),
+    # model 1 at the default --neighbors: 15 of its 20 sentences retry after
+    # 58 relaxation failures in all, each of which costs one attempt
+    ("--model", "1", "--neighbors", "20"): (
+        EXIT_OK,
+        "2044f306fcfdd1bcdb61e1db3399b8ba0d79fcb402693b9ce28fd3f9ad1f754a",
+        "cb7326bd018e29f7c0daeb11158c25e1ee423a76e985f87204ec1d466f9a6a23",
+    ),
     # no argmax walk on the fixture matrix reaches length 8: nothing is printed
     ("--model", "1", "--policy", "argmax"): (
         EXIT_GENERATION,
@@ -472,6 +505,8 @@ class TestCheck:
         assert code == EXIT_OK
         assert "FAIL" not in out
         assert out.count("PASS") >= 5
+        # at the default --neighbors 20, model 1 generates its three too
+        assert "PASS novelty: 9 sentences generated, 0 corpus collisions" in out
 
     def test_corrupted_matrix_fails(self, resources_dir, tmp_path, capsys):
         import shutil

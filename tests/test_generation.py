@@ -89,19 +89,39 @@ def test_template_reselection_without_adjectives(resources, model):
     )
 
 
-def test_model1_relaxation_error_ends_the_request(resources, monkeypatch):
-    # a content slot that relaxation cannot fill is not retried with a fresh
-    # skeleton: its error reaches the caller after the first walk
+def test_model1_relaxation_error_costs_one_attempt(resources, monkeypatch):
+    # a content slot that relaxation cannot fill costs one attempt, and the
+    # next attempt walks a fresh skeleton; only 20 failures end the request
     walks, walk = [], model1.generate_egv
+    relaxation_errors, fill = [], model1.fill_content_with_relaxation
 
     def counted(*args):
         walks.append(args)
         return walk(*args)
 
+    def counted_fill(*args):
+        try:
+            return fill(*args)
+        except RelaxationError as e:
+            relaxation_errors.append(e)
+            raise
+
     monkeypatch.setattr(model1, "generate_egv", counted)
-    with pytest.raises(RelaxationError):
-        generate_model1("sol", 8, replace(resources, neighbors_m=20), 1)
-    assert len(walks) == 1
+    monkeypatch.setattr(model1, "fill_content_with_relaxation", counted_fill)
+    res = replace(resources, neighbors_m=20)
+    sentence = generate_model1("sol", 8, res, 1)
+    assert sentence.text == "Bajo el sueño o los sueño profundo."
+    assert (len(walks), len(relaxation_errors)) == (3, 2)
+
+    walks.clear()
+    with pytest.raises(GenerationError) as exc:
+        generate_model1("sol", 11, res, 5)
+    assert type(exc.value) is GenerationError
+    assert str(exc.value) == (
+        "model 1 failed after 20 attempts: no word fitting tag 'NCFS' "
+        "within 5 relaxations of query 'sol'"
+    )
+    assert len(walks) == NOVELTY_RETRIES
 
 
 def test_model1_argmax_reports_dead_end(resources):
@@ -155,6 +175,7 @@ class TestDriver:
             (dead_end, self._fill, "dead-end 20"),
             (skeleton, fill_raising(EmptyRankError), "EmptyRankError 20"),
             (skeleton, fill_raising(DegenerateScoreError), "DegenerateScoreError 20"),
+            (skeleton, fill_raising(RelaxationError), "RelaxationError 20"),
         ]:
             calls.clear()
             with pytest.raises(GenerationError) as exc:
@@ -170,8 +191,8 @@ class TestDriver:
             drawn.append(rng)
             return "src", ("sol",)
 
-        for error in (RelaxationError("no fit"), TableError("no entry"),
-                      DictError("XXXX"), OovError("zzzqx"), FormatError("bad row")):
+        for error in (TableError("no entry"), DictError("XXXX"),
+                      OovError("zzzqx"), FormatError("bad row")):
             def fill(position, item, rng, error=error):
                 raise error
 
