@@ -11,6 +11,9 @@ proximity = (cosine + 1) / 2, so larger always means closer.
 
 from __future__ import annotations
 
+import contextlib
+import os
+import zlib
 from collections.abc import Sequence
 from pathlib import Path
 
@@ -22,6 +25,7 @@ from .errors import (FormatError, OovError, TableError, TrainError, load_rows,
 from .pos import TaggedSentence, is_content
 
 CHUNK = 64  # cold queries per float32 product: 64 x V values, 5 MB at V = 20k
+COPY_FORMAT = 1  # bump when the text parse changes what it returns
 
 
 def _proximity(cos: np.ndarray) -> np.ndarray:
@@ -200,8 +204,23 @@ class EmbeddingStore:
         row with its line. Nothing is sized by the header's dims before a row
         shows that width, and a row whose norm is not finite (a nan or inf
         component, or one too large to square) is an error at its line.
+
+        A parse that succeeds keeps a binary copy of the words and vectors
+        beside the file, ``.<file name>.npy``, keyed by the length and CRC-32
+        of the bytes parsed. A later load of the same bytes builds the store
+        from the copy instead; a missing, stale or damaged copy is ignored.
         """
-        lines = read_lines(path)
+        data = Path(path).read_bytes()
+        key = [COPY_FORMAT, len(data), zlib.crc32(data)]
+        copy = Path(path).with_name(f".{Path(path).name}.npy")
+        cached = _read_copy(copy, key)
+        if cached is not None:
+            return cls(*cached)
+        try:
+            lines = data.decode("utf-8").splitlines()
+        except UnicodeDecodeError:
+            read_lines(path)  # the FormatError at the bad byte's line
+            return cls.load(path)  # the file changed since it was read
         if not lines:
             raise FormatError("empty embedding file", 1, path)
         header = lines[0].split()
@@ -249,7 +268,42 @@ class EmbeddingStore:
         for i, line in enumerate(lines[1 + count :], start=2 + count):
             if line.strip():
                 raise FormatError(f"more than {count} vector rows", i, path)
+        _write_copy(copy, key, store)
         return store
+
+
+def _read_copy(path: Path, key: list[int]) -> tuple[list[str], np.ndarray] | None:
+    """Words and vectors of the copy at path, if it was written under key and
+    its arrays pass their checks; None otherwise."""
+    try:
+        with open(path, "rb") as f:
+            head, words, vectors = (np.load(f, allow_pickle=False) for _ in range(3))
+    except (OSError, ValueError, EOFError, MemoryError):  # missing, cut short, not .npy
+        return None
+    if (words.dtype.kind != "U" or vectors.dtype != np.float64 or vectors.ndim != 2
+            or vectors.shape[:1] != words.shape or not vectors.flags.c_contiguous
+            or head.tolist() != [*key, zlib.crc32(vectors, zlib.crc32(words))]):
+        return None
+    return words.tolist(), vectors
+
+
+def _write_copy(path: Path, key: list[int], store: EmbeddingStore) -> None:
+    """Write what ``_read_copy`` reads, under key and the arrays' own CRC-32,
+    through a temporary file; on an OSError, leave no file. Skipped when a
+    word would not come back, as numpy drops trailing NULs."""
+    table, vectors = np.array(store.words, dtype=str), store.vectors
+    if table.tolist() != store.words:
+        return
+    head = np.array([*key, zlib.crc32(vectors, zlib.crc32(table))], np.int64)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}")
+    with contextlib.suppress(OSError):
+        try:
+            with open(tmp, "wb") as f:
+                for array in (head, table, vectors):
+                    np.save(f, array, allow_pickle=False)
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
 
 
 def _parse_bulk(rows: list[str], dims: int) -> tuple[list[str], np.ndarray] | None:

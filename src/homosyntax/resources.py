@@ -6,7 +6,9 @@ A resource directory uses conventional filenames:
     tagged.tsv       tagged corpus (surface<TAB>fulltag, blank-line separated)
     matrix.txt       transition matrix (states header + sparse count triples)
     templates.jsonl  template store
-    vectors.txt      embeddings, word2vec text format
+    vectors.txt      embeddings, word2vec text format; loading it leaves a
+                     binary copy, .vectors.txt.npy, that later loads of
+                     the same bytes read instead (see EmbeddingStore.load)
     ta.jsonl         associative table
     funcdict.jsonl   function-word dictionary
     forms.tsv        morphology forms lexicon

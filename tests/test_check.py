@@ -8,7 +8,7 @@ import pytest
 from homosyntax import check
 from homosyntax.cli import main
 from homosyntax.markov import TransitionMatrix
-from homosyntax.resources import load_resources
+from homosyntax.resources import REQUIRED, load_resources
 
 
 def test_novelty_check_leaves_caller_resources_alone(resources):
@@ -95,3 +95,22 @@ def test_resource_fit_names_the_first_offender(
     capsys.readouterr()
     assert main(["check", "--resources", str(broken)]) == 1
     assert f"FAIL resource-fit: {offender}" in capsys.readouterr().out
+
+
+def test_resources_and_check_read_the_same_with_and_without_the_vectors_copy(
+        resources_dir, tmp_path):
+    d = tmp_path / "res"
+    shutil.copytree(resources_dir, d)
+    copy = d / ".vectors.txt.npy"
+    copy.unlink(missing_ok=True)
+    assert copy.name not in REQUIRED and not copy.name.endswith(".txt")
+    parsed = load_resources(d)
+    assert copy.is_file()
+    copied = load_resources(d)
+    assert copied.store.words == parsed.store.words
+    assert copied.store.vectors.tobytes() == parsed.store.vectors.tobytes()
+    with_copy = check.run_check(d)
+    copy.unlink()
+    assert check.run_check(d) == with_copy
+    assert all(r.passed for r in with_copy)
+    assert copy.is_file()

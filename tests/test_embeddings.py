@@ -1,8 +1,10 @@
 import hashlib
 import itertools
 import math
+import os
 import random
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -649,6 +651,137 @@ class TestSerialization:
         p = tmp_path / "v.txt"
         p.write_text("2 2\na 1.0 0.0\nb 0.0 1.0\n\n")
         assert len(EmbeddingStore.load(p)) == 2
+
+
+def _fail_to_parse(*args, **kwargs):
+    raise AssertionError("the text was parsed")
+
+
+def _copy_arrays(copy):
+    with open(copy, "rb") as f:
+        return [np.load(f) for _ in range(3)]
+
+
+class TestBinaryCopy:
+    """The copy ``EmbeddingStore.load`` keeps beside the text it parsed."""
+
+    @pytest.fixture
+    def path(self, store, tmp_path):
+        path = tmp_path / "vectors.txt"
+        store.save(path)
+        return path
+
+    def test_second_load_reads_the_copy_bit_for_bit(self, path, monkeypatch):
+        parsed = EmbeddingStore.load(path)
+        assert sorted(p.name for p in path.parent.iterdir()) == [
+            ".vectors.txt.npy", "vectors.txt"]
+        monkeypatch.setattr(np, "loadtxt", _fail_to_parse)
+        copied = EmbeddingStore.load(path)
+        assert copied.words == parsed.words
+        assert copied.index == parsed.index
+        for name in ("vectors", "_unit", "word_rank"):
+            a, b = getattr(copied, name), getattr(parsed, name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+    def test_edit_of_the_same_length_is_parsed_and_replaces_the_copy(self, path):
+        EmbeddingStore.load(path)
+        copy = path.with_name(".vectors.txt.npy")
+        before = copy.read_bytes()
+        lines = path.read_text(encoding="utf-8").splitlines()
+        word, first, *rest = lines[1].split(" ")
+        first = first[:-1] + ("2" if first.endswith("1") else "1")  # same length
+        lines[1] = " ".join([word, first, *rest])
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        store = EmbeddingStore.load(path)
+        assert store.vectors[0, 0] == float(first)
+        assert copy.read_bytes() != before
+        assert sorted(p.name for p in path.parent.iterdir()) == [
+            ".vectors.txt.npy", "vectors.txt"]
+        assert EmbeddingStore.load(path).vectors.tobytes() == store.vectors.tobytes()
+
+    @pytest.mark.parametrize("damage", [
+        lambda data, arrays: b"",
+        lambda data, arrays: b"not a numpy file" * 64,
+        lambda data, arrays: data[: len(data) // 2],
+        lambda data, arrays: data[:-1],
+        lambda data, arrays: data[:-9] + bytes([data[-9] ^ 1]) + data[-8:],
+        # the same bytes as other arrays: only the dtype or shape checks see it
+        lambda data, arrays: (arrays[0], arrays[1], arrays[2].view(np.int64)),
+        lambda data, arrays: (arrays[0], arrays[1].view(f"S{arrays[1].itemsize}"),
+                              arrays[2]),
+        lambda data, arrays: (arrays[0], arrays[1],
+                              arrays[2].reshape(len(arrays[1]), 2, -1)),
+        lambda data, arrays: (arrays[0], arrays[1], arrays[2].reshape(-1, 32)),
+        lambda data, arrays: (arrays[0], arrays[1], np.asfortranarray(arrays[2])),
+    ], ids=["empty", "garbage", "half", "last-byte-cut", "bit-flipped",
+            "int64-vectors", "bytes-words", "rows-folded", "rows-halved",
+            "fortran-order"])
+    def test_damaged_copy_is_ignored_and_rewritten(self, path, monkeypatch, damage):
+        parsed = EmbeddingStore.load(path)
+        copy = path.with_name(".vectors.txt.npy")
+        good = copy.read_bytes()
+        damaged = damage(good, _copy_arrays(copy))
+        if isinstance(damaged, bytes):
+            copy.write_bytes(damaged)
+        else:
+            with open(copy, "wb") as f:
+                for array in damaged:
+                    np.save(f, array)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            store = EmbeddingStore.load(path)
+        assert store.words == parsed.words
+        assert store.vectors.tobytes() == parsed.vectors.tobytes()
+        assert copy.read_bytes() == good
+        monkeypatch.setattr(np, "loadtxt", _fail_to_parse)
+        assert EmbeddingStore.load(path).words == parsed.words
+
+    def test_malformed_text_beside_a_copy_of_its_old_content_fails_as_before(
+            self, path, tmp_path):
+        EmbeddingStore.load(path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[3] = lines[3].rsplit(" ", 1)[0]  # one component short
+        bad = "".join(line + "\n" for line in lines)
+        path.write_text(bad, encoding="utf-8")
+        alone = tmp_path / "alone" / "vectors.txt"
+        alone.parent.mkdir()
+        alone.write_text(bad, encoding="utf-8")
+        errors = []
+        for p in (path, alone):
+            with pytest.raises(FormatError) as exc:
+                EmbeddingStore.load(p)
+            errors.append((str(exc.value).replace(str(p), "P"), exc.value.line))
+        assert errors[0] == errors[1] == (f"P: line 4: bad vector row: expected word + "
+                                          f"{len(lines[1].split()) - 1} floats", 4)
+
+    @pytest.mark.parametrize("owner, name", [(np, "save"), (os, "replace")],
+                             ids=["write", "rename"])
+    def test_failed_write_loads_and_leaves_no_file(self, path, monkeypatch, owner, name):
+        def fail(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(owner, name, fail)
+        store = EmbeddingStore.load(path)
+        assert len(store) == len(path.read_text(encoding="utf-8").splitlines()) - 1
+        assert [p.name for p in path.parent.iterdir()] == ["vectors.txt"]
+
+    def test_text_mended_after_a_bad_read_is_loaded_again(self, path, monkeypatch):
+        # a writer replaced a file that was not UTF-8 between the load's read
+        # and read_lines' read: the load starts over on the new bytes
+        good = path.read_bytes()
+        reads = iter([b"\xff" + good])
+        read_bytes = Path.read_bytes
+        monkeypatch.setattr(Path, "read_bytes",
+                            lambda self: next(reads, None) or read_bytes(self))
+        assert len(EmbeddingStore.load(path)) == len(good.splitlines()) - 1
+        monkeypatch.setattr(np, "loadtxt", _fail_to_parse)
+        assert len(EmbeddingStore.load(path)) == len(good.splitlines()) - 1
+
+    def test_word_with_a_trailing_nul_loads_every_time(self, tmp_path):
+        path = tmp_path / "vectors.txt"
+        path.write_text("2 2\nab\x00 1.0 2.0\ncd 3.0 4.0\n", encoding="utf-8")
+        for _ in range(3):
+            assert EmbeddingStore.load(path).words == ["ab\x00", "cd"]
 
 
 def _numpy_float(token):
