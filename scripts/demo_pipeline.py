@@ -3,9 +3,9 @@
 Usage:
     python3 scripts/demo_pipeline.py --out /tmp/homosyntax-demo
 
-The script runs the same steps as the CLI pipeline (tag, build-matrix,
-build-templates, train-emb, build-ta) against the bundled fixture corpus,
-then prints a few sentences from each model.
+The script runs the same steps as the CLI pipeline (tag, build, train-emb,
+check) against the bundled fixture corpus, then prints a few sentences from
+each model.
 """
 
 import argparse
@@ -42,15 +42,9 @@ def main():
     run(["tag", "--in", str(out / "sentences.txt"),
          "--lexicon", str(FIXTURES / "lexicon.tsv"),
          "--out", str(out / "tagged.tsv")])
-    run(["build-matrix", "--in", str(out / "tagged.tsv"),
-         "--out", str(out / "matrix.txt")])
-    run(["build-templates", "--in", str(out / "tagged.tsv"),
-         "--out", str(out / "templates.jsonl")])
+    run(["build", "--resources", str(out)])
     run(["train-emb", "--in", str(out / "sentences.txt"),
          "--out", str(out / "vectors.txt"), "--seed", "1"])
-    run(["build-ta", "--in", str(out / "tagged.tsv"),
-         "--out", str(out / "ta.jsonl"),
-         "--funcdict", str(out / "funcdict.jsonl")])
     run(["check", "--resources", str(out)])
 
     for model, query in (("1", "amor"), ("2", "guerra"), ("3", "sol")):

@@ -4,7 +4,8 @@ Exit codes are a stable contract:
 
     0   success
     1   invariant check failed
-    2   missing, unreadable or malformed resource or input file
+    2   missing, unreadable or malformed resource or input file, or input
+        a builder refuses (an empty tagged corpus, too few sentences to train)
     3   generation failed after retries
     64  bad flags or arguments
 
@@ -31,17 +32,19 @@ from . import corpus as corpus_mod
 from . import generation, model1, model2, model3
 from .embeddings import build_associative_table, train_embeddings
 from .errors import (
+    BuildError,
     ConfigError,
     FormatError,
     GenerationError,
     HomosyntaxError,
     IngestError,
     ResourceError,
+    TrainError,
     write_jsonl,
 )
 from .markov import DecodePolicy, MAX_LEN, MIN_LEN, build_transition_matrix
 from .pos import TaggerLexicon, read_tagged_tsv, tag_sentence, write_tagged_tsv
-from .resources import load_resources
+from .resources import FUNCDICT, MATRIX, TA, TAGGED, TEMPLATES, load_resources
 from .templates import TemplateStore
 
 RESOURCES_ENV = "HOMOSYNTAX_RESOURCES"
@@ -80,18 +83,10 @@ def build_parser() -> CliParser:
     p.add_argument("--lexicon", required=True)
     p.add_argument("--out", dest="out", required=True)
 
-    p = sub.add_parser("import-tagged", help="validate a pre-tagged TSV file")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", dest="out", default=None,
-                   help="optional normalized copy")
-
-    p = sub.add_parser("build-matrix", help="build the POS transition matrix")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", dest="out", required=True)
-
-    p = sub.add_parser("build-templates", help="extract canned-text templates")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", dest="out", required=True)
+    p = sub.add_parser("build", help="derive the matrix, templates, associative "
+                                     "table and function-word dictionary from "
+                                     "tagged.tsv")
+    p.add_argument("--resources", default=None)
 
     p = sub.add_parser("train-emb", help="train word embeddings")
     p.add_argument("--in", dest="infile", required=True)
@@ -103,12 +98,6 @@ def build_parser() -> CliParser:
     p.add_argument("--min-count", type=int, default=2)
     p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("build-ta", help="build the associative table")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", dest="out", required=True)
-    p.add_argument("--funcdict", default=None,
-                   help="also write the function-word dictionary here")
-
     p = sub.add_parser("generate", help="generate sentences")
     p.add_argument("--model", type=int, required=True, choices=(1, 2, 3))
     p.add_argument("--query", required=True)
@@ -116,7 +105,7 @@ def build_parser() -> CliParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=1)
     p.add_argument("--resources", default=None)
-    p.add_argument("--policy", default="topk:3",
+    p.add_argument("--policy", default=str(generation.DEFAULT_POLICY),
                    help="EGV decoding: argmax or topk:K (model 1)")
     p.add_argument("--neighbors", type=int, default=generation.DEFAULT_NEIGHBORS,
                    help="neighbor lexicon size m (model 1); on small corpora "
@@ -166,28 +155,23 @@ def _cmd_tag(args) -> int:
     return EXIT_OK
 
 
-def _cmd_import_tagged(args) -> int:
-    tagged = read_tagged_tsv(args.infile)
-    if args.out:
-        write_tagged_tsv(tagged, args.out)
-    tokens = sum(len(ts.tokens) for ts in tagged)
-    print(f"imported {len(tagged)} sentences, {tokens} tokens")
-    return EXIT_OK
-
-
-def _cmd_build_matrix(args) -> int:
-    corpus = read_tagged_tsv(args.infile)
+def _cmd_build(args) -> int:
+    directory = _resource_dir(args.resources)
+    corpus = read_tagged_tsv(directory / TAGGED)
+    # every object is derived before any file is written: a corpus a builder
+    # refuses leaves no file behind
     matrix = build_transition_matrix(corpus)
-    matrix.save(args.out)
-    print(f"matrix over {len(matrix.states)} states")
-    return EXIT_OK
-
-
-def _cmd_build_templates(args) -> int:
-    corpus = read_tagged_tsv(args.infile)
     store = TemplateStore.from_sentences(corpus)
-    store.save(args.out)
+    ta = build_associative_table(corpus)
+    fdict = generation.FunctionWordDictionary.from_sentences(corpus)
+    matrix.save(directory / MATRIX)
+    store.save(directory / TEMPLATES)
+    ta.save(directory / TA)
+    fdict.save(directory / FUNCDICT)
+    print(f"matrix over {len(matrix.states)} states")
     print(f"stored {len(store)} templates")
+    print(f"associative table with {len(ta.table)} tags")
+    print(f"function-word dictionary with {len(fdict.table)} tags")
     return EXIT_OK
 
 
@@ -215,18 +199,6 @@ def _cmd_train_emb(args) -> int:
     )
     store.save(args.out)
     print(f"trained {len(store)} x {store.dims} vectors")
-    return EXIT_OK
-
-
-def _cmd_build_ta(args) -> int:
-    corpus = read_tagged_tsv(args.infile)
-    ta = build_associative_table(corpus)
-    ta.save(args.out)
-    print(f"associative table with {len(ta.table)} tags")
-    if args.funcdict:
-        fdict = generation.FunctionWordDictionary.from_sentences(corpus)
-        fdict.save(args.funcdict)
-        print(f"function-word dictionary with {len(fdict.table)} tags")
     return EXIT_OK
 
 
@@ -282,11 +254,8 @@ def _cmd_check(args) -> int:
 COMMANDS = {
     "ingest": _cmd_ingest,
     "tag": _cmd_tag,
-    "import-tagged": _cmd_import_tagged,
-    "build-matrix": _cmd_build_matrix,
-    "build-templates": _cmd_build_templates,
+    "build": _cmd_build,
     "train-emb": _cmd_train_emb,
-    "build-ta": _cmd_build_ta,
     "generate": _cmd_generate,
     "check": _cmd_check,
 }
@@ -302,7 +271,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ResourceError, OSError) as e:
         _diagnostic("resource", str(e))
         return EXIT_RESOURCE
-    except (FormatError, IngestError) as e:
+    except (FormatError, IngestError, BuildError, TrainError) as e:
         path, line = getattr(e, "path", None), getattr(e, "line", None)
         _diagnostic(type(e).__name__, str(e), path=path, line=line)
         return EXIT_RESOURCE

@@ -20,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import SentenceRecord
-from .errors import (FormatError, OovError, TableError, TrainError, load_rows,
-                     read_jsonl, read_lines, write_jsonl, write_lines)
+from .errors import (FormatError, OovError, TableError, TrainError, decode_text,
+                     load_rows, read_jsonl, write_jsonl, write_lines)
 from .pos import TaggedSentence, is_content
 
 CHUNK = 64  # cold queries per float32 product: 64 x V values, 5 MB at V = 20k
@@ -216,11 +216,7 @@ class EmbeddingStore:
         cached = _read_copy(copy, key)
         if cached is not None:
             return cls(*cached)
-        try:
-            lines = data.decode("utf-8").splitlines()
-        except UnicodeDecodeError:
-            read_lines(path)  # the FormatError at the bad byte's line
-            return cls.load(path)  # the file changed since it was read
+        lines = decode_text(data, path).splitlines()
         if not lines:
             raise FormatError("empty embedding file", 1, path)
         header = lines[0].split()

@@ -63,15 +63,19 @@ class FormatError(HomosyntaxError):
         self.path = None if path is None else str(path)
 
 
-def read_text(path: str | Path) -> str:
-    """The text of a UTF-8 file; a byte that is not UTF-8 is a FormatError
-    at its line."""
-    data = Path(path).read_bytes()
+def decode_text(data: bytes, path: str | Path) -> str:
+    """``data`` read from ``path`` as UTF-8; a byte that is not UTF-8 is a
+    FormatError at its line."""
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as e:
         line = len(data[: e.start + 1].decode("utf-8", "replace").splitlines())
         raise FormatError(f"not valid UTF-8: {e.reason}", line, path) from e
+
+
+def read_text(path: str | Path) -> str:
+    """The text of a UTF-8 file (``decode_text``)."""
+    return decode_text(Path(path).read_bytes(), path)
 
 
 def read_lines(path: str | Path) -> list[str]:

@@ -36,6 +36,7 @@ _NO_SPACE_BEFORE = set(".,;:!?…)]}»")
 # tokens that attach to the following word
 _NO_SPACE_AFTER = set("([{«¿¡")
 
+DEFAULT_POLICY = DecodePolicy.topk(3)
 DEFAULT_NEIGHBORS = 20
 DEFAULT_MAX_HOPS = 5
 DEFAULT_CAP_M = 200
@@ -137,7 +138,7 @@ class GenerationResources:
     funcdict: FunctionWordDictionary
     forms: FormsLexicon
     corpus_norms: frozenset[str]  # normalized corpus sentences, for novelty
-    policy: DecodePolicy = field(default_factory=lambda: DecodePolicy.topk(3))
+    policy: DecodePolicy = DEFAULT_POLICY
     neighbors_m: int = DEFAULT_NEIGHBORS
     max_hops: int = DEFAULT_MAX_HOPS
     cap_m: int = DEFAULT_CAP_M

@@ -87,9 +87,7 @@ class TransitionMatrix:
         self.index = {s: i for i, s in enumerate(states)}
         self.counts = counts
         totals = counts.sum(axis=1, keepdims=True)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            probs = np.where(totals > 0, counts / np.maximum(totals, 1), 0.0)
-        self.probs = probs
+        self.probs = counts / np.maximum(totals, 1)  # a row without counts stays 0
         self._draws: dict[DecodePolicy, Draws] = {}
 
     def draws(self, policy: DecodePolicy) -> Draws:

@@ -12,6 +12,8 @@ from homosyntax.cli import (
     RESOURCES_ENV,
     main,
 )
+from homosyntax.pos import read_tagged_tsv
+from homosyntax.templates import TemplateStore
 
 from conftest import FIXTURE_NEIGHBORS_M
 
@@ -240,43 +242,78 @@ class TestExitCodes:
             diagnostic["message"]
         )
 
-    @pytest.mark.parametrize("command", [
-        "tag", "import-tagged", "build-matrix", "build-templates", "train-emb",
-        "build-ta",
-    ])
+    @pytest.mark.parametrize("command", ["tag", "build", "train-emb"])
     def test_input_not_utf8_exits_2_at_its_line(self, resources_dir, fixdir,
                                                 tmp_path, capsys, command):
-        name = {"tag": "sentences.txt", "train-emb": "sentences.txt"}.get(
-            command, "tagged.tsv")
+        name = "tagged.tsv" if command == "build" else "sentences.txt"
         lines = (resources_dir / name).read_bytes().splitlines(keepends=True)
         lines[6] = b"\xff" + lines[6]
         infile = tmp_path / name
         infile.write_bytes(b"".join(lines))
-        argv = [command, "--in", str(infile), "--out", str(tmp_path / "out")]
-        if command == "tag":
-            argv += ["--lexicon", str(fixdir / "lexicon.tsv")]
+        argv = {
+            "tag": ["tag", "--in", str(infile), "--out", str(tmp_path / "out"),
+                    "--lexicon", str(fixdir / "lexicon.tsv")],
+            "build": ["build", "--resources", str(tmp_path)],
+            "train-emb": ["train-emb", "--in", str(infile),
+                          "--out", str(tmp_path / "out")],
+        }[command]
         code = main(argv)
         diagnostic = json.loads(capsys.readouterr().err.splitlines()[0])
         assert code == EXIT_RESOURCE
         assert diagnostic["error"] == "FormatError"
         assert (diagnostic["path"], diagnostic["line"]) == (str(infile), 7)
         assert "not valid UTF-8" in diagnostic["message"]
+        assert [p.name for p in tmp_path.iterdir()] == [name]
 
-    @pytest.mark.parametrize("command", [
-        "import-tagged", "build-matrix", "build-templates", "build-ta",
-    ])
-    def test_tag_holding_whitespace_exits_2_at_its_line(self, tmp_path, capsys,
-                                                        command):
+    def test_tag_holding_whitespace_exits_2_at_its_line(self, tmp_path, capsys):
         # a matrix built from it would hold a state line its loader rejects
         infile = tmp_path / "tagged.tsv"
         infile.write_text("El\tDA0MS0\nsol\tNC MS000\n", encoding="utf-8")
-        code = main([command, "--in", str(infile), "--out", str(tmp_path / "out")])
+        code = main(["build", "--resources", str(tmp_path)])
         diagnostic = json.loads(capsys.readouterr().err.splitlines()[0])
         assert code == EXIT_RESOURCE
         assert diagnostic["error"] == "FormatError"
         assert (diagnostic["path"], diagnostic["line"]) == (str(infile), 2)
         assert "'NC MS000' holds whitespace" in diagnostic["message"]
-        assert not (tmp_path / "out").exists()
+        assert [p.name for p in tmp_path.iterdir()] == ["tagged.tsv"]
+
+    @pytest.mark.parametrize("command, name, kept, error", [
+        ("build", "tagged.tsv", 0, "BuildError"),  # an empty tagged corpus
+        ("train-emb", "sentences.txt", 99, "TrainError"),  # below 100 sentences
+    ], ids=["build", "train-emb"])
+    def test_input_a_builder_refuses_exits_2(self, resources_dir, tmp_path, capsys,
+                                             command, name, kept, error):
+        lines = (resources_dir / name).read_bytes().splitlines(keepends=True)
+        (tmp_path / name).write_bytes(b"".join(lines[:kept]))
+        argv = {
+            "build": ["build", "--resources", str(tmp_path)],
+            "train-emb": ["train-emb", "--in", str(tmp_path / name),
+                          "--out", str(tmp_path / "vectors.txt")],
+        }[command]
+        code = main(argv)
+        diagnostic = json.loads(capsys.readouterr().err.splitlines()[0])
+        assert code == EXIT_RESOURCE
+        assert diagnostic["error"] == error
+        assert [p.name for p in tmp_path.iterdir()] == [name]
+
+    def test_build_without_tagged_corpus_exits_2(self, tmp_path, capsys):
+        code = main(["build", "--resources", str(tmp_path)])
+        diagnostic = json.loads(capsys.readouterr().err.splitlines()[0])
+        assert code == EXIT_RESOURCE
+        assert diagnostic["error"] == "resource"
+        assert str(tmp_path / "tagged.tsv") in diagnostic["message"]
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", [
+        "import-tagged", "build-matrix", "build-templates", "build-ta",
+    ])
+    def test_removed_command_exits_64(self, resources_dir, tmp_path, capsys,
+                                      command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--in", str(resources_dir / "tagged.tsv"),
+                  "--out", str(tmp_path / "out")])
+        assert exc.value.code == EXIT_USAGE
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["train-emb", "generate"])
     def test_directory_for_a_file_exits_2(self, resources_dir, tmp_path,
@@ -581,7 +618,7 @@ class TestCheck:
 
 
 class TestPipelineCommands:
-    def test_ingest_tag_build(self, fixdir, tmp_path, capsys):
+    def test_ingest_tag_build(self, fixdir, tmp_path, capsys, monkeypatch):
         raw = tmp_path / "raw"
         raw.mkdir()
         (raw / "doc.txt").write_text(
@@ -589,23 +626,38 @@ class TestPipelineCommands:
             "Los mares duermen bajo la noche eterna.",
             encoding="utf-8",
         )
-        sents = tmp_path / "sentences.txt"
+        res = tmp_path / "res"
+        res.mkdir()
+        sents = res / "sentences.txt"
         assert main(["ingest", "--in", str(raw), "--out", str(sents)]) == 0
-        tagged = tmp_path / "tagged.tsv"
+        tagged = res / "tagged.tsv"
         assert main(["tag", "--in", str(sents), "--lexicon",
                      str(fixdir / "lexicon.tsv"), "--out", str(tagged)]) == 0
-        matrix = tmp_path / "matrix.txt"
-        assert main(["build-matrix", "--in", str(tagged), "--out",
-                     str(matrix)]) == 0
-        templates = tmp_path / "templates.jsonl"
-        assert main(["build-templates", "--in", str(tagged), "--out",
-                     str(templates)]) == 0
-        ta = tmp_path / "ta.jsonl"
-        fdict = tmp_path / "funcdict.jsonl"
-        assert main(["build-ta", "--in", str(tagged), "--out", str(ta),
-                     "--funcdict", str(fdict)]) == 0
-        for p in (sents, tagged, matrix, templates, ta, fdict):
-            assert p.exists() and p.stat().st_size > 0
+        capsys.readouterr()
+        monkeypatch.setenv(RESOURCES_ENV, str(res))
+        assert main(["build"]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines() == [
+            "matrix over 12 states", "stored 3 templates",
+            "associative table with 6 tags", "function-word dictionary with 4 tags",
+        ]
+        for name in ("matrix.txt", "templates.jsonl", "ta.jsonl", "funcdict.jsonl"):
+            assert (res / name).stat().st_size > 0
+
+    def test_build_writes_the_bytes_the_library_builders_save(
+        self, resources_dir, tmp_path, capsys
+    ):
+        tagged = tmp_path / "tagged.tsv"
+        tagged.write_bytes((resources_dir / "tagged.tsv").read_bytes())
+        assert main(["build", "--resources", str(tmp_path)]) == EXIT_OK
+        # a template names the stem of the file its sentence was read from
+        expected = tmp_path / "expected"
+        expected.mkdir()
+        TemplateStore.from_sentences(read_tagged_tsv(tagged)).save(
+            expected / "templates.jsonl")
+        for name in ("matrix.txt", "ta.jsonl", "funcdict.jsonl"):
+            (expected / name).write_bytes((resources_dir / name).read_bytes())
+        for path in expected.iterdir():
+            assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name
 
     def test_ingest_names_the_document_and_line_of_a_bad_byte(self, tmp_path,
                                                              capsys):
@@ -640,11 +692,3 @@ class TestPipelineCommands:
         assert "sentences: 0" in capsys.readouterr().out
         assert out.read_text(encoding="utf-8") == ""
 
-    def test_import_tagged_round_trip(self, resources_dir, tmp_path, capsys):
-        out = tmp_path / "copy.tsv"
-        code = main(["import-tagged", "--in",
-                     str(resources_dir / "tagged.tsv"), "--out", str(out)])
-        assert code == EXIT_OK
-        assert out.read_text(encoding="utf-8") == (
-            resources_dir / "tagged.tsv"
-        ).read_text(encoding="utf-8")

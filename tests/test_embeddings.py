@@ -4,7 +4,6 @@ import math
 import os
 import random
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -766,13 +765,13 @@ class TestBinaryCopy:
         assert [p.name for p in path.parent.iterdir()] == ["vectors.txt"]
 
     def test_text_mended_after_a_bad_read_is_loaded_again(self, path, monkeypatch):
-        # a writer replaced a file that was not UTF-8 between the load's read
-        # and read_lines' read: the load starts over on the new bytes
         good = path.read_bytes()
-        reads = iter([b"\xff" + good])
-        read_bytes = Path.read_bytes
-        monkeypatch.setattr(Path, "read_bytes",
-                            lambda self: next(reads, None) or read_bytes(self))
+        path.write_bytes(b"\xff" + good)
+        with pytest.raises(FormatError, match="not valid UTF-8") as exc:
+            EmbeddingStore.load(path)
+        assert exc.value.line == 1
+        assert [p.name for p in path.parent.iterdir()] == ["vectors.txt"]
+        path.write_bytes(good)
         assert len(EmbeddingStore.load(path)) == len(good.splitlines()) - 1
         monkeypatch.setattr(np, "loadtxt", _fail_to_parse)
         assert len(EmbeddingStore.load(path)) == len(good.splitlines()) - 1
