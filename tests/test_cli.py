@@ -27,6 +27,31 @@ def _gen(resources_dir, *extra):
     ]
 
 
+# The commands `build` replaced, each with the derived files it used to write.
+# A case named after one runs `build` on a directory that already holds stale
+# copies of those files: a refused tagged corpus must leave them as they were.
+# import-tagged's case is external tagger output copied over the tagged.tsv of
+# a directory that is already built.
+_STALE_ON_BUILD = {
+    "build-matrix": ("matrix.txt",),
+    "build-templates": ("templates.jsonl",),
+    "build-ta": ("ta.jsonl", "funcdict.jsonl"),
+    "import-tagged": ("matrix.txt", "templates.jsonl", "ta.jsonl",
+                      "funcdict.jsonl"),
+}
+
+
+def _write_stale(directory, names):
+    stale = {name: f"stale {name}\n".encode() for name in names}
+    for name, data in stale.items():
+        (directory / name).write_bytes(data)
+    return stale
+
+
+def _files(directory):
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
 class TestExitCodes:
     def test_ok(self, resources_dir, capsys):
         code = main(_gen(resources_dir, "--model", "2", "--query", "sol",
@@ -242,40 +267,46 @@ class TestExitCodes:
             diagnostic["message"]
         )
 
-    @pytest.mark.parametrize("command", ["tag", "build", "train-emb"])
+    @pytest.mark.parametrize("command", [
+        "tag", "train-emb", "build", *_STALE_ON_BUILD,
+    ])
     def test_input_not_utf8_exits_2_at_its_line(self, resources_dir, fixdir,
                                                 tmp_path, capsys, command):
-        name = "tagged.tsv" if command == "build" else "sentences.txt"
+        name = {"tag": "sentences.txt", "train-emb": "sentences.txt"}.get(
+            command, "tagged.tsv")
         lines = (resources_dir / name).read_bytes().splitlines(keepends=True)
         lines[6] = b"\xff" + lines[6]
         infile = tmp_path / name
         infile.write_bytes(b"".join(lines))
+        stale = _write_stale(tmp_path, _STALE_ON_BUILD.get(command, ()))
         argv = {
             "tag": ["tag", "--in", str(infile), "--out", str(tmp_path / "out"),
                     "--lexicon", str(fixdir / "lexicon.tsv")],
-            "build": ["build", "--resources", str(tmp_path)],
             "train-emb": ["train-emb", "--in", str(infile),
                           "--out", str(tmp_path / "out")],
-        }[command]
+        }.get(command, ["build", "--resources", str(tmp_path)])
         code = main(argv)
         diagnostic = json.loads(capsys.readouterr().err.splitlines()[0])
         assert code == EXIT_RESOURCE
         assert diagnostic["error"] == "FormatError"
         assert (diagnostic["path"], diagnostic["line"]) == (str(infile), 7)
         assert "not valid UTF-8" in diagnostic["message"]
-        assert [p.name for p in tmp_path.iterdir()] == [name]
+        assert _files(tmp_path) == {name: infile.read_bytes(), **stale}
 
-    def test_tag_holding_whitespace_exits_2_at_its_line(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["build", *_STALE_ON_BUILD])
+    def test_tag_holding_whitespace_exits_2_at_its_line(self, tmp_path, capsys,
+                                                        command):
         # a matrix built from it would hold a state line its loader rejects
         infile = tmp_path / "tagged.tsv"
         infile.write_text("El\tDA0MS0\nsol\tNC MS000\n", encoding="utf-8")
+        stale = _write_stale(tmp_path, _STALE_ON_BUILD.get(command, ()))
         code = main(["build", "--resources", str(tmp_path)])
         diagnostic = json.loads(capsys.readouterr().err.splitlines()[0])
         assert code == EXIT_RESOURCE
         assert diagnostic["error"] == "FormatError"
         assert (diagnostic["path"], diagnostic["line"]) == (str(infile), 2)
         assert "'NC MS000' holds whitespace" in diagnostic["message"]
-        assert [p.name for p in tmp_path.iterdir()] == ["tagged.tsv"]
+        assert _files(tmp_path) == {"tagged.tsv": infile.read_bytes(), **stale}
 
     @pytest.mark.parametrize("command, name, kept, error", [
         ("build", "tagged.tsv", 0, "BuildError"),  # an empty tagged corpus
