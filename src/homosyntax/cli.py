@@ -236,8 +236,9 @@ def _cmd_generate(args) -> int:
             if args.trace:
                 traces += ({"sentence": i, **record} for record in sentence.trace)
     finally:
-        # the sentences printed keep their records when a later one fails
-        if traces:
+        # the file holds this run's records, none left from an earlier run;
+        # the sentences printed keep theirs when a later one fails
+        if args.trace:
             write_jsonl(args.trace, traces)
     return EXIT_OK
 

@@ -198,12 +198,12 @@ class EmbeddingStore:
         """Read a word2vec text file: a ``<count> <dims>`` header, then one
         ``word v1 … v_dims`` row per word, split on whitespace.
 
-        Well-formed rows are parsed in one numpy call. Rows it refuses are
-        read again one at a time, which loads what ``float()`` reads and
-        numpy does not (``1_0``, a non-ASCII digit) or stops at the first bad
-        row with its line. Nothing is sized by the header's dims before a row
-        shows that width, and a row whose norm is not finite (a nan or inf
-        component, or one too large to square) is an error at its line.
+        Each row is split by ``str.split`` and its components read by
+        ``float()``, so ``1_0`` and non-ASCII digits load; the first bad row
+        stops the load with its line. Nothing is sized by the header's dims
+        before a row shows that width, and a row whose norm is not finite (a
+        nan or inf component, or one too large to square) is an error at its
+        line.
 
         A parse that succeeds keeps a binary copy of the words and vectors
         beside the file, ``.<file name>.npy``, keyed by the length and CRC-32
@@ -232,28 +232,26 @@ class EmbeddingStore:
             )
         if len(lines) - 1 < count:
             raise FormatError(f"expected {count} vector rows", path=path)
-        parsed = _parse_bulk(lines[1 : 1 + count], dims)
-        if parsed is None:
-            row_of: dict[str, int] = {}  # word -> row index, in file order
-            vectors: list[list[float]] = []
+        row_of: dict[str, int] = {}  # word -> row index, in file order
+        vectors: list[float] = []  # the components of every row, in order
 
-            def add(parts: list[str]) -> None:
-                if len(parts) != dims + 1:
-                    raise ValueError(f"expected word + {dims} floats")
-                word = parts[0]
-                if word in row_of:
-                    raise ValueError(
-                        f"duplicate word {word!r}, first at line {row_of[word] + 2}"
-                    )
-                vectors.append([float(p) for p in parts[1:]])
-                row_of[word] = len(row_of)
+        def add(parts: list[str]) -> None:
+            if len(parts) != dims + 1:
+                raise ValueError(f"expected word + {dims} floats")
+            word = parts[0]
+            if word in row_of:
+                raise ValueError(
+                    f"duplicate word {word!r}, first at line {row_of[word] + 2}"
+                )
+            vectors.extend(map(float, parts[1:]))
+            row_of[word] = len(row_of)
 
-            rows = enumerate((line.split() for line in lines[1 : 1 + count]), start=2)
-            load_rows(rows, path, "bad vector row", add)
-            try:
-                parsed = list(row_of), np.array(vectors).reshape(count, dims)
-            except ValueError as e:  # no row, and no array is dims wide
-                raise FormatError(f"bad header {lines[0]!r}: {e}", 1, path) from e
+        rows = enumerate((line.split() for line in lines[1 : 1 + count]), start=2)
+        load_rows(rows, path, "bad vector row", add)
+        try:
+            parsed = list(row_of), np.array(vectors, np.float64).reshape(count, dims)
+        except ValueError as e:  # no row, and no array is dims wide
+            raise FormatError(f"bad header {lines[0]!r}: {e}", 1, path) from e
         try:
             store = cls(*parsed)
         except FormatError:  # a norm that is not finite: find its row
@@ -300,27 +298,6 @@ def _write_copy(path: Path, key: list[int], store: EmbeddingStore) -> None:
             os.replace(tmp, path)
         finally:
             tmp.unlink(missing_ok=True)
-
-
-def _parse_bulk(rows: list[str], dims: int) -> tuple[list[str], np.ndarray] | None:
-    """Words and vectors of the rows in one numpy call, which splits where
-    ``str.split`` does and converts as ``float()`` does; None when numpy
-    refuses a row or the rows repeat a word."""
-    # numpy sizes its buffer from the dtype, not the rows, and warns on no
-    # rows: call it only when the first row is as wide as the header says
-    if not rows or len(rows[0].split()) != dims + 1:
-        return None
-    try:
-        table = np.loadtxt(rows, dtype=[("w", object), ("v", np.float64, (dims,))],
-                           comments=None, ndmin=1)
-    except ValueError:
-        return None
-    words = table["w"].tolist()
-    vectors = np.ascontiguousarray(table["v"])
-    # numpy skips a blank row
-    if len(words) != len(rows) or len(set(words)) != len(words):
-        return None
-    return words, vectors
 
 
 LEARNING_RATE = 0.025  # initial SGD step, decayed linearly to 1e-4 of it

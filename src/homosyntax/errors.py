@@ -37,10 +37,6 @@ class GenerationError(HomosyntaxError):
     """An attempt or a request could not be completed (e.g. dead-end state,
     a slot without candidates, retries exhausted)."""
 
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
-
 
 class TemplateError(HomosyntaxError):
     """Sentence cannot be turned into a template (no content-word slots)."""
@@ -158,10 +154,6 @@ class DictError(HomosyntaxError):
 
 class RelaxationError(GenerationError):
     """Query relaxation spent its hop budget without a fit: one attempt lost."""
-
-    def __init__(self, message, visited=()):
-        super().__init__(message)
-        self.visited = tuple(visited)
 
 
 class TableError(HomosyntaxError):

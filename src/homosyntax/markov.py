@@ -241,9 +241,8 @@ def generate_egv(
         )
 
     steps = draws.steps
-    seq: list[PosTag] = []
     for _ in range(RESTARTS):
-        seq = []
+        seq: list[PosTag] = []
         draw = draws.first
         while draw is not None:
             tags, cum = draw
@@ -255,7 +254,4 @@ def generate_egv(
             if len(seq) == n:
                 return tuple(seq)
             draw = steps.get(tag.full)
-    raise GenerationError(
-        f"dead-end before length {n} after {RESTARTS} restarts",
-        partial=tuple(t.full for t in seq),
-    )
+    raise GenerationError(f"dead-end before length {n} after {RESTARTS} restarts")

@@ -58,8 +58,7 @@ def fill_content_with_relaxation(
     if word is None:
         raise RelaxationError(
             f"no word fitting tag {tag.truncated!r} within {max_hops} "
-            f"relaxations of query {q!r}",
-            visited=visited,
+            f"relaxations of query {q!r}"
         )
     return word, hops, list(visited)
 

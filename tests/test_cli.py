@@ -479,6 +479,17 @@ class TestGenerate:
                    trace.read_text(encoding="utf-8").splitlines()]
         assert sorted({r["sentence"] for r in records}) == [0, 1, 2, 3, 4]
 
+    def test_trace_of_an_earlier_run_is_replaced_when_no_sentence_succeeds(
+            self, resources_dir, tmp_path, capsys):
+        # no argmax walk on the fixture matrix reaches length 8
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text('{"sentence": 0}\n', encoding="utf-8")
+        code = main(_gen(resources_dir, "--model", "1", "--policy", "argmax",
+                         "--query", "sol", "--len", "8", "--trace", str(trace)))
+        assert code == EXIT_GENERATION
+        assert capsys.readouterr().out == ""
+        assert trace.read_bytes() == b""
+
     def test_model1_retries_relaxation_failures(self, resources_dir, capsys):
         # at the default --neighbors a relaxation failure costs one attempt
         # (the parent exited 3 after the first sentence)
@@ -501,7 +512,7 @@ class TestGenerate:
         assert code == EXIT_OK
 
 
-# exit code, sha256 of stdout and of the --trace file (None: not written) for
+# exit code, sha256 of stdout and of the --trace file for
 # `generate --query sol --len 8 --count 20 --seed 0`, frozen from the fixture
 # resources before the three models shared one generation driver
 GOLDEN_RUNS = {
@@ -539,11 +550,12 @@ GOLDEN_RUNS = {
         "2044f306fcfdd1bcdb61e1db3399b8ba0d79fcb402693b9ce28fd3f9ad1f754a",
         "cb7326bd018e29f7c0daeb11158c25e1ee423a76e985f87204ec1d466f9a6a23",
     ),
-    # no argmax walk on the fixture matrix reaches length 8: nothing is printed
+    # no argmax walk on the fixture matrix reaches length 8: nothing is
+    # printed, and the trace file is empty
     ("--model", "1", "--policy", "argmax"): (
         EXIT_GENERATION,
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        None,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
 }
 
@@ -557,12 +569,10 @@ class TestGoldenRuns:
                          "--count", "20", "--seed", "0",
                          "--trace", str(trace)))
         out = capsys.readouterr().out
-        trace_digest = (
-            hashlib.sha256(trace.read_bytes()).hexdigest()
-            if trace.exists() else None
-        )
         assert (
-            code, hashlib.sha256(out.encode("utf-8")).hexdigest(), trace_digest
+            code,
+            hashlib.sha256(out.encode("utf-8")).hexdigest(),
+            hashlib.sha256(trace.read_bytes()).hexdigest(),
         ) == GOLDEN_RUNS[flags]
 
 

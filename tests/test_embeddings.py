@@ -674,7 +674,7 @@ class TestBinaryCopy:
         parsed = EmbeddingStore.load(path)
         assert sorted(p.name for p in path.parent.iterdir()) == [
             ".vectors.txt.npy", "vectors.txt"]
-        monkeypatch.setattr(np, "loadtxt", _fail_to_parse)
+        monkeypatch.setattr("homosyntax.embeddings.load_rows", _fail_to_parse)
         copied = EmbeddingStore.load(path)
         assert copied.words == parsed.words
         assert copied.index == parsed.index
@@ -732,7 +732,7 @@ class TestBinaryCopy:
         assert store.words == parsed.words
         assert store.vectors.tobytes() == parsed.vectors.tobytes()
         assert copy.read_bytes() == good
-        monkeypatch.setattr(np, "loadtxt", _fail_to_parse)
+        monkeypatch.setattr("homosyntax.embeddings.load_rows", _fail_to_parse)
         assert EmbeddingStore.load(path).words == parsed.words
 
     def test_malformed_text_beside_a_copy_of_its_old_content_fails_as_before(
@@ -773,7 +773,7 @@ class TestBinaryCopy:
         assert [p.name for p in path.parent.iterdir()] == ["vectors.txt"]
         path.write_bytes(good)
         assert len(EmbeddingStore.load(path)) == len(good.splitlines()) - 1
-        monkeypatch.setattr(np, "loadtxt", _fail_to_parse)
+        monkeypatch.setattr("homosyntax.embeddings.load_rows", _fail_to_parse)
         assert len(EmbeddingStore.load(path)) == len(good.splitlines()) - 1
 
     def test_word_with_a_trailing_nul_loads_every_time(self, tmp_path):
@@ -781,87 +781,6 @@ class TestBinaryCopy:
         path.write_text("2 2\nab\x00 1.0 2.0\ncd 3.0 4.0\n", encoding="utf-8")
         for _ in range(3):
             assert EmbeddingStore.load(path).words == ["ab\x00", "cd"]
-
-
-def _numpy_float(token):
-    """A vector component as the loader's numpy call reads it; None where
-    numpy refuses the token."""
-    try:
-        table = np.loadtxt([f"w {token}"], dtype=[("w", object), ("v", np.float64, (1,))],
-                           comments=None, ndmin=1)
-    except ValueError:
-        return None
-    return table["v"][0, 0]
-
-
-def _bits(x):
-    return np.float64(x).tobytes()
-
-
-_SIGNS = st.sampled_from(["", "+", "-"])
-_DIGITS = st.text(alphabet="0123456789", max_size=30)
-
-
-@st.composite
-def _decimal_spellings(draw):
-    """Signed decimals with an optional fraction (``.5`` and ``5.`` too) and
-    an optional ``e``/``E`` exponent with or without a sign."""
-    whole, frac = draw(_DIGITS), draw(_DIGITS)
-    if not whole + frac:
-        whole = draw(st.text(alphabet="0123456789", min_size=1, max_size=30))
-    dot = draw(st.booleans()) or not whole
-    exponent = ""
-    if draw(st.booleans()):
-        exponent = (draw(st.sampled_from("eE")) + draw(_SIGNS)
-                    + str(draw(st.integers(0, 400))))
-    return draw(_SIGNS) + whole + ("." + frac if dot else "") + exponent
-
-
-_SMALLEST_NORMAL = 2.2250738585072014e-308
-_FLOAT_SPELLINGS = st.one_of(
-    _decimal_spellings(),
-    # at least 20 significant digits, past what a double can hold
-    st.builds(lambda s, d, e: f"{s}{d[0]}.{d[1:]}e{e}", _SIGNS,
-              st.text(alphabet="0123456789", min_size=20, max_size=60),
-              st.integers(-330, 310)),
-    st.floats(allow_nan=False, allow_infinity=False).map(repr),
-    # subnormals up to the smallest normal, in long and short spellings
-    st.floats(min_value=0.0, max_value=_SMALLEST_NORMAL).flatmap(
-        lambda x: st.sampled_from([repr(x), f"{x:.25e}", f"-{x:.17g}"])),
-    st.sampled_from(["2.2250738585072014e-308", "2.2250738585072011e-308",
-                     "4.9e-324", "2.4703282292062328e-324",
-                     "2.4703282292062327e-324", "1e-400", "1.7976931348623159e308"]),
-    # inf and nan as float() spells them, any case, with or without a sign
-    st.builds(lambda s, w, flips: s + "".join(
-        c.upper() if f else c for c, f in zip(w, flips)),
-        _SIGNS, st.sampled_from(["inf", "infinity", "nan"]),
-        st.lists(st.booleans(), min_size=8, max_size=8)),
-)
-
-
-class TestNumpyFloatParse:
-    """The vector loader trusts numpy's string-to-float64 conversion to give
-    what ``float()`` gives, bit for bit, on every token numpy accepts."""
-
-    @settings(max_examples=1500)
-    @given(token=_FLOAT_SPELLINGS)
-    def test_float_spellings_convert_as_float_does(self, token):
-        parsed = _numpy_float(token)
-        assert parsed is not None, token
-        assert _bits(parsed) == _bits(float(token)), token
-
-    @settings(max_examples=500)
-    @given(token=st.text(alphabet="0123456789+-.eEinfatyINFATY_xX٣１ ", min_size=1,
-                         max_size=12))
-    def test_a_token_numpy_accepts_converts_as_float_does(self, token):
-        parsed = _numpy_float(token)
-        if parsed is not None:
-            assert _bits(parsed) == _bits(float(token)), token
-
-    @pytest.mark.parametrize("token", ["1_0", "٣", "１"])
-    def test_numpy_refuses_what_only_float_reads(self, token):
-        assert _numpy_float(token) is None
-        float(token)
 
 
 def _reference_vectors(text):
@@ -877,8 +796,8 @@ def _reference_vectors(text):
 
 
 class TestVectorParsing:
-    """``EmbeddingStore.load`` reads what an independent reader reads,
-    whether numpy takes the rows in one call or the row loop reads them."""
+    """``EmbeddingStore.load`` reads what an independent reader reads, both
+    when it parses the text and when it reads the copy that parse left."""
 
     @pytest.mark.parametrize("text", [
         "0 3\n",
@@ -892,16 +811,18 @@ class TestVectorParsing:
     ], ids=["count-0", "count-1", "hash-word", "tab-and-spaces",
             "ideographic-and-nbsp", "outer-space-short-floats", "underscore",
             "arabic-indic-digit"])
-    def test_loads_as_the_reference_reads(self, tmp_path, text):
+    def test_loads_as_the_reference_reads(self, tmp_path, monkeypatch, text):
         p = tmp_path / "v.txt"
         p.write_text(text, encoding="utf-8")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            store = EmbeddingStore.load(p)
         words, vectors = _reference_vectors(text)
-        assert store.words == words
-        assert store.vectors.tobytes() == vectors.tobytes()
-        assert store.vectors.shape == vectors.shape
+        for _ in range(2):  # the parse, then the copy it wrote
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                store = EmbeddingStore.load(p)
+            assert store.words == words
+            assert store.vectors.tobytes() == vectors.tobytes()
+            assert store.vectors.shape == vectors.shape
+            monkeypatch.setattr("homosyntax.embeddings.load_rows", _fail_to_parse)
 
     def test_blank_row_within_the_count_rejected_at_its_line(self, tmp_path):
         p = tmp_path / "v.txt"
@@ -909,24 +830,6 @@ class TestVectorParsing:
         with pytest.raises(FormatError, match="expected word \\+ 2 floats") as exc:
             EmbeddingStore.load(p)
         assert exc.value.line == 3
-
-    def test_numpy_parses_only_rows_as_wide_as_the_header(self, tmp_path,
-                                                          monkeypatch):
-        calls = []
-        loadtxt = np.loadtxt
-        monkeypatch.setattr(np, "loadtxt",
-                            lambda rows, **kw: calls.append(rows) or loadtxt(rows, **kw))
-        p = tmp_path / "v.txt"
-        p.write_text("2 2\nsol 1.0 2.0\nluna 3.0 4.0\n")
-        assert EmbeddingStore.load(p).words == ["sol", "luna"]
-        assert calls == [["sol 1.0 2.0", "luna 3.0 4.0"]]
-        # numpy would size its buffer for 10^8 components before it saw
-        # that the row holds one
-        p.write_text("1 100000000\nsol 1.0\n")
-        with pytest.raises(FormatError, match="expected word \\+ 100000000 floats") as exc:
-            EmbeddingStore.load(p)
-        assert exc.value.line == 2
-        assert len(calls) == 1
 
     @settings(max_examples=300)
     @given(data=st.data())

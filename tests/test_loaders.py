@@ -213,7 +213,9 @@ def test_bad_header_names_file_and_line_1(tmp_path, name):
     ("2 100000000000000000000\nsol 1.0 2.0\nluna 3.0 4.0\n", 2),
     ("2 4611686018427387904\nsol 1.0 2.0\nluna 3.0 4.0\n", 2),
     ("0 100000000000000000000\n", 1),
-], ids=["dims-past-int64", "dims-past-any-array", "no-row-to-show-the-width"])
+    ("1 100000000\nsol 1.0\n", 2),
+], ids=["dims-past-int64", "dims-past-any-array", "no-row-to-show-the-width",
+        "dims-wider-than-the-row"])
 def test_dims_too_wide_to_allocate_is_a_format_error(tmp_path, text, line):
     p = tmp_path / "vectors.txt"
     p.write_text(text, encoding="utf-8")
@@ -225,10 +227,9 @@ def test_dims_too_wide_to_allocate_is_a_format_error(tmp_path, text, line):
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("row", ["luna 1e200 1e200", "luna -1e155 1e155",
                                  "luna 1_0 1e200"],
-                         ids=["bulk-parse", "bulk-parse-square-overflows",
-                              "row-by-row-parse"])
+                         ids=["large-components", "components-that-cancel",
+                              "underscore-component"])
 def test_row_whose_norm_overflows_is_an_error_at_its_line(tmp_path, row):
-    # "1_0" is read by float() but not by numpy: the row-by-row path
     p = tmp_path / "vectors.txt"
     p.write_text(f"3 2\nsol 1.0 2.0\n{row}\nmar 1e150 1e150\n", encoding="utf-8")
     with pytest.raises(FormatError, match="non-finite vector component or norm"

@@ -81,7 +81,7 @@ class TestGenerate:
             with pytest.raises(ConfigError):
                 generate_egv(matrix, n, DecodePolicy.topk(3), random.Random(0))
 
-    def test_dead_end_carries_partial(self):
+    def test_dead_end_fails_after_the_restarts(self):
         # NCMS only leads to END; the rare AQ0M loops, so length 5 is
         # reachable, but seed 0 takes NCMS in all ten restarts
         m = _chain_matrix([["DA0M", "NCMS"]] * 99 + [["DA0M", "AQ0M", "AQ0M"]])
@@ -89,7 +89,6 @@ class TestGenerate:
         with pytest.raises(GenerationError) as exc:
             generate_egv(m, 5, policy, random.Random(0))
         assert str(exc.value) == "dead-end before length 5 after 10 restarts"
-        assert exc.value.partial == ("DA0M", "NCMS")
         walks = [_walk(m, 5, policy, seed) for seed in range(100)]
         assert ("DA0M", "AQ0M", "AQ0M", "AQ0M", "AQ0M") in walks
 
@@ -103,7 +102,6 @@ class TestGenerate:
             assert str(exc.value) == (
                 f"no walk of length 6 under policy {policy}: the longest is 5"
             )
-            assert exc.value.partial is None
             assert rng.getstate() == state
             assert len(generate_egv(matrix, 5, policy, rng)) == 5
         for k in (2, 3):
@@ -166,7 +164,6 @@ def _reference_step(m, state, policy, rng):
 def _reference_egv(m, n, policy, rng):
     """The walk as it was before the successor tables: every step rebuilds
     and re-sorts the state's successors."""
-    partial = []
     for _ in range(10):
         succ = _reference_successors(m, START)
         if not succ:
@@ -179,19 +176,16 @@ def _reference_egv(m, n, policy, rng):
             seq.append(nxt)
         if len(seq) == n:
             return tuple(PosTag(t) for t in seq)
-        partial = seq
-    raise GenerationError(
-        f"dead-end before length {n} after 10 restarts", partial=tuple(partial)
-    )
+    raise GenerationError(f"dead-end before length {n} after 10 restarts")
 
 
 def _walk(m, n, policy, seed):
-    """The skeleton's tags, or the error's message and partial walk."""
+    """The skeleton's tags, or the error's message."""
     rng = random.Random(seed)
     try:
         return tuple(t.truncated for t in generate_egv(m, n, policy, rng))
     except GenerationError as e:
-        return str(e), e.partial
+        return str(e)
 
 
 def _reachable(m, policy, n):
@@ -223,20 +217,19 @@ def _compare_with_reference(m, policy, n, seed):
     try:
         got = tuple(generate_egv(m, n, policy, new_rng))
     except GenerationError as e:
-        got = (str(e), e.partial)
+        got = str(e)
     try:
         want = _reference_egv(m, n, policy, ref_rng)
     except GenerationError as e:
-        want = (str(e), e.partial)
-    if _reachable(m, policy, n) or want == ("START state has no successors", None):
+        want = str(e)
+    if _reachable(m, policy, n) or want == "START state has no successors":
         assert got == want
         assert new_rng.getstate() == ref_rng.getstate()
     else:
-        assert want[0].startswith("dead-end")  # the reference never gets there
+        assert want.startswith("dead-end")  # the reference never gets there
         longest = max(k for k in range(1, n) if _reachable(m, policy, k))
         assert got == (
-            f"no walk of length {n} under policy {policy}: the longest is {longest}",
-            None,
+            f"no walk of length {n} under policy {policy}: the longest is {longest}"
         )
         assert new_rng.getstate() == random.Random(seed).getstate()
 

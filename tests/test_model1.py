@@ -96,7 +96,9 @@ class TestRelaxation:
             fill_content_with_relaxation(
                 PosTag("VMIP"), "q", store, forms, m=2, max_hops=3
             )
-        assert "q" in exc.value.visited
+        assert str(exc.value) == (
+            "no word fitting tag 'VMIP' within 3 relaxations of query 'q'"
+        )
 
     def test_visited_grows_strictly(self, resources):
         word, hops, visited = fill_content_with_relaxation(
@@ -141,8 +143,7 @@ def _reference_fill(tag, q, store, forms, m, max_hops):
         current = next_q
     raise RelaxationError(
         f"no word fitting tag {tag.truncated!r} within {max_hops} relaxations "
-        f"of query {q!r}",
-        visited=visited,
+        f"of query {q!r}"
     )
 
 
@@ -150,7 +151,7 @@ def _outcome(fill, *args):
     try:
         return fill(*args)
     except (RelaxationError, OovError) as e:
-        return type(e).__name__, str(e), getattr(e, "visited", None)
+        return type(e).__name__, str(e)
 
 
 WORDS = ("sol", "luna", "mar", "profesor", "profesora", "canta", "cantan", "Rojo")
@@ -208,7 +209,6 @@ class TestKeptFills:
             errors.append(exc.value)
         assert errors[0] is not errors[1]
         assert str(errors[0]) == str(errors[1])
-        assert errors[0].visited == errors[1].visited == ("q", "a", "b")
 
     def test_every_fixture_fill_equals_the_reference(self, resources):
         # at the benchmark's setting, every store word as the query under
