@@ -214,29 +214,27 @@ def _cmd_generate(args) -> int:
         ("--cap-m", args.cap_m, 2),  # model 3 scores at least two candidates
     )
     policy = DecodePolicy.parse(args.policy)
-    res = load_resources(_resource_dir(args.resources))
-    res.policy = policy
-    res.neighbors_m = args.neighbors
-    res.max_hops = args.max_hops
-    res.cap_m = args.cap_m
-
-    generate = {
-        1: lambda seed: model1.generate_model1(args.query, args.length, res, seed),
-        2: lambda seed: model2.generate_model2(args.query, args.length, res, seed),
-        3: lambda seed: model3.generate_model3(
-            args.query, args.length, res, seed, invert=args.invert_score
-        ),
-    }[args.model]
-
     traces = []
     try:
+        res = load_resources(_resource_dir(args.resources))
+        res.policy = policy
+        res.neighbors_m = args.neighbors
+        res.max_hops = args.max_hops
+        res.cap_m = args.cap_m
+        generate = {
+            1: lambda seed: model1.generate_model1(args.query, args.length, res, seed),
+            2: lambda seed: model2.generate_model2(args.query, args.length, res, seed),
+            3: lambda seed: model3.generate_model3(
+                args.query, args.length, res, seed, invert=args.invert_score
+            ),
+        }[args.model]
         for i in range(args.count):
             sentence = generate(args.seed + i)
             print(sentence.text)
             if args.trace:
                 traces += ({"sentence": i, **record} for record in sentence.trace)
     finally:
-        # the file holds this run's records, none left from an earlier run;
+        # this run's records, none left from an earlier run or a failed load;
         # the sentences printed keep theirs when a later one fails
         if args.trace:
             write_jsonl(args.trace, traces)

@@ -30,7 +30,7 @@ COPY_FORMAT = 1  # bump when the text parse changes what it returns
 
 def _proximity(cos: np.ndarray) -> np.ndarray:
     """(cosine + 1) / 2, clipped to [0, 1]: the one proximity formula."""
-    return np.clip((cos + 1.0) / 2.0, 0.0, 1.0)
+    return ((cos + 1.0) / 2.0).clip(0.0, 1.0)  # the clip ufunc, no wrapper chain
 
 
 def _norms(vectors: np.ndarray) -> np.ndarray:
@@ -52,10 +52,11 @@ def top_k(prox: np.ndarray, k: int, rank: np.ndarray) -> np.ndarray:
 
 
 class EmbeddingStore:
-    """Word vectors and their unit rows. Nothing changes once built, so each
-    result derived from the store is kept in ``memo`` on first use; a result
-    that also depends on a table or lexicon holds it in its key, so two owners
-    never share an entry, and the store keeps that owner alive with it."""
+    """Word vectors and their unit rows. Nothing changes once built, so what
+    the models reuse is kept in ``memo`` on first use: neighbor lists, model
+    1's fills and fits, model 2's tag blocks and rankings, model 3's
+    candidate blocks. An entry that also depends on a table or lexicon holds
+    it in its key, so two owners never share one; the store keeps it alive."""
 
     def __init__(self, words: list[str], vectors: np.ndarray):
         if len(words) != vectors.shape[0]:
@@ -444,19 +445,10 @@ class AssociativeTable:
 
     def words(self, tag: str, store: EmbeddingStore) -> tuple[str, ...]:
         """The tag's attested words that have a vector, in table order (most
-        frequent first).
-
-        Resolved once per store and kept in ``store.memo``, which keeps this
-        table alive with the store; the tuple is shared between calls.
-        TableError if the tag is absent.
-        """
-        key = ("words", self, tag)
-        words = store.memo.get(key)
-        if words is None:
-            if tag not in self.table:
-                raise TableError(f"no associative-table entry for tag {tag!r}")
-            words = store.memo[key] = tuple(w for w, _ in self.table[tag] if w in store)
-        return words
+        frequent first). TableError if the tag is absent."""
+        if tag not in self.table:
+            raise TableError(f"no associative-table entry for tag {tag!r}")
+        return tuple(w for w, _ in self.table[tag] if w in store)
 
     def save(self, path: str | Path) -> None:
         write_jsonl(path, (

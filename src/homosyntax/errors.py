@@ -141,7 +141,6 @@ class OovError(HomosyntaxError):
 
     def __init__(self, word):
         super().__init__(f"out-of-vocabulary word: {word!r}")
-        self.word = word
 
 
 class DictError(HomosyntaxError):
@@ -149,7 +148,6 @@ class DictError(HomosyntaxError):
 
     def __init__(self, tag):
         super().__init__(f"no function-word entry for tag {tag!r}")
-        self.tag = tag
 
 
 class RelaxationError(GenerationError):

@@ -28,24 +28,25 @@ def rank_vocabulary(
     descending proximity to q, ties by word, as (word, proximity) pairs.
 
     Only the top three are ever drawn from, so ``top_k`` sorts only the words
-    at or above the third. The tag's ``ta.words`` keep their unit vectors and
-    ``store.word_rank`` as one block, made on the tag's first rank, so a new q
-    reads them without a gather. The table and the store never change after
-    load, so the block and each (tag, q) result are kept in ``store.memo`` on
-    first success, under keys holding the table, which the store keeps alive.
+    at or above the third. The tag's ``ta.words``, their unit vectors and
+    ``store.word_rank`` form one block, made on the tag's first rank, so a new
+    q reads them without a gather; model 3 cuts its candidates from the same
+    ``ta.words``. The table and the store never change after load, so the
+    block and each (tag, q) result are kept in ``store.memo`` on first
+    success, under keys holding the table, which the store keeps alive.
     """
     memo, key = store.memo, ("top3", ta, tag.truncated, q)
     if key in memo:
         return memo[key]
     iq = store.row(q)
-    words = ta.words(tag.truncated, store)  # TableError if the tag is absent
-    if not words:
-        raise EmptyRankError(f"no in-vocabulary candidate for tag {tag.truncated!r}")
     unit_key = "unit", ta, tag.truncated
     if unit_key not in memo:
+        words = ta.words(tag.truncated, store)  # TableError if the tag is absent
+        if not words:
+            raise EmptyRankError(f"no in-vocabulary candidate for tag {tag.truncated!r}")
         rows = [store.index[w] for w in words]
-        memo[unit_key] = store.unit_block(rows), store.word_rank[rows]
-    block, rank = memo[unit_key]
+        memo[unit_key] = words, store.unit_block(rows), store.word_rank[rows]
+    words, block, rank = memo[unit_key]
     prox = store.block_proximity(iq, block)
     top = top_k(prox, 3, rank)
     memo[key] = tuple(zip([words[i] for i in top.tolist()], prox[top].tolist()))

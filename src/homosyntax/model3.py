@@ -38,8 +38,8 @@ class CandidateBlock:
     """What model 3 reuses in every slot with the same candidates: their
     words and store rows, and each one's first-k neighbor rows and its
     proximities to those, both (n, k), all read-only.
-    ``profiles`` maps each anchor word a (a slot's o or q) from its first
-    slot to two read-only (n, k): prox(w, N(a)) and prox(a, N(w)) per w."""
+    ``profiles`` maps each anchor word a (a slot's o or q) to its
+    ``profile``, made on a's first use."""
 
     words: tuple[str, ...]
     rows: np.ndarray
@@ -60,6 +60,19 @@ class CandidateBlock:
     def __len__(self) -> int:
         return len(self.words)
 
+    def profile(self, a: str, n_a: np.ndarray,
+                store: EmbeddingStore) -> tuple[np.ndarray, np.ndarray]:
+        """prox(w, N(a)) and prox(a, N(w)) for every candidate w, two
+        read-only (n, k), where n_a holds N(a): made on a's first use, then
+        kept in ``profiles``."""
+        if a not in self.profiles:
+            halves = (store.proximity(self.rows[:, None], n_a),
+                      store.proximity(store.index[a], self.neighbors))
+            for half in halves:
+                half.flags.writeable = False
+            self.profiles[a] = halves
+        return self.profiles[a]
+
 
 def score_candidates(
     o: str, q: str, block: CandidateBlock, store: EmbeddingStore,
@@ -69,10 +82,9 @@ def score_candidates(
     record each, the form model 3's trace prints, sorted by descending s,
     ties by ``store.word_rank``: by w.
 
-    U's row for w is [N(o) N(q) N(w)]: o, q and each w meet the 2k shared
-    columns once, o and q meet each N(w), and the block holds w against N(w).
-    The block keeps each anchor's part of those rows as its profile, made in
-    the first slot that lacks it; a slot with both computes only the 2 x 2k.
+    U's row for w is [N(o) N(q) N(w)]: one call gives o and q against the 2k
+    shared columns, and the block gives the rest: w against N(w), and each
+    anchor's ``profile`` (w against N(a), a against N(w)).
     Each value is the one-pair proximity, and each cosine runs over the same
     contiguous 3k-float rows as when U is built row by row."""
     if len(block) < 2:
@@ -80,25 +92,12 @@ def score_candidates(
     # OovError for o, then q; the block holds no OOV candidate
     oq = np.concatenate(store.neighbors_many([o, q], SEGMENT))
     n, k = block.neighbors.shape
-    anchors = np.array([store.index[o], store.index[q]])
-    profiles = block.profiles
-    missing = [a for a in dict.fromkeys((o, q)) if a not in profiles]
-    heads = np.concatenate([anchors, block.rows]) if missing else anchors
-    shared = store.proximity(heads[:, None], oq)
-    if missing:
-        # anchors[lo:hi] lack a profile: o, q or both
-        lo, hi = (o, q).index(missing[0]), (o, q).index(missing[-1]) + 1
-        to_a = shared[2:, lo * k : hi * k].copy()
-        from_a = store.proximity(anchors[lo:hi, None, None], block.neighbors)
-        to_a.setflags(write=False)
-        from_a.setflags(write=False)
-        for j, a in enumerate(missing):
-            profiles[a] = to_a[:, j * k : (j + 1) * k], from_a[j]
+    shared = store.proximity(np.array([store.index[o], store.index[q]])[:, None], oq)
     # the o, q and candidate profiles against U: x, qv, wv
     p = np.empty((3, n, 3 * k))
-    p[:2, :, : 2 * k] = shared[:2, None]
-    p[2, :, :k], p[0, :, 2 * k :] = profiles[o]
-    p[2, :, k : 2 * k], p[1, :, 2 * k :] = profiles[q]
+    p[:2, :, : 2 * k] = shared[:, None]
+    p[2, :, :k], p[0, :, 2 * k :] = block.profile(o, oq[:k], store)
+    p[2, :, k : 2 * k], p[1, :, 2 * k :] = block.profile(q, oq[k:], store)
     p[2, :, 2 * k :] = block.proximity
     norms = np.sqrt(np.vecdot(p, p))
     if not norms.all():

@@ -481,14 +481,30 @@ class TestGenerate:
 
     def test_trace_of_an_earlier_run_is_replaced_when_no_sentence_succeeds(
             self, resources_dir, tmp_path, capsys):
-        # no argmax walk on the fixture matrix reaches length 8
-        trace = tmp_path / "trace.jsonl"
-        trace.write_text('{"sentence": 0}\n', encoding="utf-8")
-        code = main(_gen(resources_dir, "--model", "1", "--policy", "argmax",
-                         "--query", "sol", "--len", "8", "--trace", str(trace)))
-        assert code == EXIT_GENERATION
-        assert capsys.readouterr().out == ""
-        assert trace.read_bytes() == b""
+        import shutil
+
+        broken = tmp_path / "broken"
+        shutil.copytree(resources_dir, broken)
+        (broken / "matrix.txt").write_text("states -1\n", encoding="utf-8")
+        trace, earlier = tmp_path / "trace.jsonl", b'{"sentence": 0}\n'
+        # no argmax walk on the fixture matrix reaches length 8; a missing or
+        # malformed resource fails the load; a refused flag exits before it
+        for directory, extra, code, left in [
+            (resources_dir, ("--policy", "argmax"), EXIT_GENERATION, b""),
+            (tmp_path / "missing", (), EXIT_RESOURCE, b""),
+            (broken, (), EXIT_RESOURCE, b""),
+            (resources_dir, ("--len", "99"), EXIT_USAGE, earlier),
+        ]:
+            trace.write_bytes(earlier)
+            argv = _gen(directory, "--model", "1", "--query", "sol", "--len", "8",
+                        *extra, "--trace", str(trace))
+            try:
+                got = main(argv)
+            except SystemExit as e:
+                got = e.code
+            assert got == code, extra
+            assert capsys.readouterr().out == ""
+            assert trace.read_bytes() == left, extra
 
     def test_model1_retries_relaxation_failures(self, resources_dir, capsys):
         # at the default --neighbors a relaxation failure costs one attempt

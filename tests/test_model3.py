@@ -169,7 +169,7 @@ class TestScoring:
         # named when its block is built, before o and q are looked at
         with pytest.raises(OovError) as exc:
             _score(o, q, vk, resources.store)
-        assert exc.value.word == named
+        assert str(exc.value) == f"out-of-vocabulary word: {named!r}"
 
 
 def _reference_records(o, q, vk, store, invert=False):
@@ -264,18 +264,24 @@ class TestCandidateBlock:
         kept = {id(a): a for a in (h if h.base is None else h.base for h in halves)}
         assert sum(a.size for a in kept.values()) == len(halves) * halves[0].size
 
-    def test_a_slot_with_both_profiles_makes_one_proximity_call(self, resources):
+    def test_each_profile_is_made_once_at_two_proximity_calls(self, resources):
         store = EmbeddingStore(resources.store.words, resources.store.vectors)
         block = CandidateBlock.of(["mar", "cielo", "noche", "amor"], store)
         # the neighbor scans call proximity too: make them first
         store.neighbors_many(["sol", "luna", "paz", "guerra"], SEGMENT)
         counted = _CountedProximity(store)
-        for o, q, calls in [("sol", "luna", 2), ("sol", "luna", 1),
-                            ("luna", "sol", 1), ("sol", "paz", 2),
-                            ("paz", "paz", 1), ("guerra", "guerra", 2)]:
+        made = {}
+        # one call for o and q against N(o) and N(q), two per new anchor
+        for o, q, calls in [("sol", "luna", 5), ("sol", "luna", 1),
+                            ("luna", "sol", 1), ("sol", "paz", 3),
+                            ("paz", "paz", 1), ("guerra", "guerra", 3)]:
             before = counted.calls
             score_candidates(o, q, block, store)
             assert counted.calls - before == calls, (o, q)
+            for a in (o, q):
+                made.setdefault(a, block.profiles[a])
+        assert block.profiles.keys() == made.keys()
+        assert all(block.profiles[a] is made[a] for a in made)
 
     def test_profiles_stay_out_of_the_store_memo(self, resources):
         # a block made outside model 3 keeps its profiles itself: once the
