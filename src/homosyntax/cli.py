@@ -72,7 +72,7 @@ def build_parser() -> CliParser:
     parser = CliParser(prog="homosyntax")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ingest", parents=[], help="segment and filter raw text")
+    p = sub.add_parser("ingest", help="segment and filter raw text")
     p.add_argument("--in", dest="indir", required=True)
     p.add_argument("--out", dest="out", required=True)
     p.add_argument("--min-words", type=int, default=4)
@@ -135,6 +135,9 @@ def _resource_dir(arg: str | None) -> Path:
 
 
 def _cmd_ingest(args) -> int:
+    # checked before the documents are read: below 1 word keeps blank lines
+    _check_least(("--min-words", args.min_words, 1),
+                 ("--max-words", args.max_words, args.min_words))
     docs = corpus_mod.read_documents(args.indir)
     sentences = []
     for doc in docs:
@@ -221,15 +224,11 @@ def _cmd_generate(args) -> int:
         res.neighbors_m = args.neighbors
         res.max_hops = args.max_hops
         res.cap_m = args.cap_m
-        generate = {
-            1: lambda seed: model1.generate_model1(args.query, args.length, res, seed),
-            2: lambda seed: model2.generate_model2(args.query, args.length, res, seed),
-            3: lambda seed: model3.generate_model3(
-                args.query, args.length, res, seed, invert=args.invert_score
-            ),
-        }[args.model]
+        res.invert = args.invert_score
+        generate = {1: model1.generate_model1, 2: model2.generate_model2,
+                    3: model3.generate_model3}[args.model]
         for i in range(args.count):
-            sentence = generate(args.seed + i)
+            sentence = generate(args.query, args.length, res, args.seed + i)
             print(sentence.text)
             if args.trace:
                 traces += ({"sentence": i, **record} for record in sentence.trace)

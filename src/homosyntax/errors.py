@@ -25,10 +25,6 @@ class ConfigError(HomosyntaxError):
     """Invalid configuration or parameter combination."""
 
 
-class TagError(HomosyntaxError):
-    """Malformed POS tag."""
-
-
 class BuildError(HomosyntaxError):
     """A statistical resource could not be built from the given corpus."""
 
@@ -150,20 +146,8 @@ class DictError(HomosyntaxError):
         super().__init__(f"no function-word entry for tag {tag!r}")
 
 
-class RelaxationError(GenerationError):
-    """Query relaxation spent its hop budget without a fit: one attempt lost."""
-
-
 class TableError(HomosyntaxError):
     """Associative table has no entry for a tag."""
-
-
-class EmptyRankError(GenerationError):
-    """No in-vocabulary candidate available for a slot."""
-
-
-class DegenerateScoreError(GenerationError):
-    """Cosine scoring hit a zero similarity or zero mean."""
 
 
 class ResourceError(HomosyntaxError):

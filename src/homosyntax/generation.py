@@ -142,6 +142,7 @@ class GenerationResources:
     neighbors_m: int = DEFAULT_NEIGHBORS
     max_hops: int = DEFAULT_MAX_HOPS
     cap_m: int = DEFAULT_CAP_M
+    invert: bool = False  # model 3 scores in the prose direction
 
     def is_novel(self, tokens: tuple[str, ...]) -> bool:
         return normalize_tokens(tokens) not in self.corpus_norms
@@ -160,10 +161,10 @@ def generate(
     ``skeleton(rng)`` returns the provenance and the items of one skeleton.
     ``Literal`` items are copied, every other item goes to
     ``fill_slot(position, item, rng)``, which returns the word and its trace
-    record. A ``GenerationError`` from either (a dead-end walk, a slot without
-    candidates, a relaxation out of hops) costs one attempt; only a bad query
-    or a resource defect (``OovError``, ``TableError``, ``DictError``,
-    ``FormatError``) ends the request.
+    record. A ``GenerationError`` from either (a dead-end walk, a relaxation
+    out of hops, a slot without candidates or with degenerate scores) costs
+    one attempt; only a bad query or a resource defect (``OovError``,
+    ``TableError``, ``DictError``, ``FormatError``) ends the request.
     """
     if q not in res.store:
         raise OovError(q)

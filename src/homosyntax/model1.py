@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 
 from .embeddings import EmbeddingStore
-from .errors import RelaxationError
+from .errors import GenerationError
 from .generation import (
     GeneratedSentence,
     GenerationResources,
@@ -38,7 +38,7 @@ def fill_content_with_relaxation(
     Returns (word, hops, visited queries). A word fits either directly
     (attested under the tag) or through inflection. An out-of-vocabulary q
     raises OovError from the first neighbor query; a spent hop budget raises
-    RelaxationError, which costs the request one attempt of the driver.
+    GenerationError, which costs the request one attempt of the driver.
 
     The outcome depends only on (q, tag.truncated, m, max_hops), the store
     and the lexicon, and neither changes once loaded, so it is kept in
@@ -56,7 +56,7 @@ def fill_content_with_relaxation(
         outcome = store.memo[key] = _relax(tag, q, store, forms, m, max_hops)
     word, hops, visited = outcome
     if word is None:
-        raise RelaxationError(
+        raise GenerationError(
             f"no word fitting tag {tag.truncated!r} within {max_hops} "
             f"relaxations of query {q!r}"
         )

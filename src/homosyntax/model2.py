@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 
 from .embeddings import AssociativeTable, EmbeddingStore, top_k
-from .errors import EmptyRankError
+from .errors import GenerationError
 from .generation import GeneratedSentence, GenerationResources, generate
 from .pos import PosTag
 from .templates import Literal, Slot, select_template
@@ -43,7 +43,7 @@ def rank_vocabulary(
     if unit_key not in memo:
         words = ta.words(tag.truncated, store)  # TableError if the tag is absent
         if not words:
-            raise EmptyRankError(f"no in-vocabulary candidate for tag {tag.truncated!r}")
+            raise GenerationError(f"no in-vocabulary candidate for tag {tag.truncated!r}")
         rows = [store.index[w] for w in words]
         memo[unit_key] = words, store.unit_block(rows), store.word_rank[rows]
     words, block, rank = memo[unit_key]

@@ -10,10 +10,10 @@ cosines theta = cos(Qv, Wv) and beta = cos(X, Wv) are combined into
 
 as printed in the source formulation. Because the printed formula appears
 inverted relative to its stated intent (reward closeness to q, distance
-from o), an `invert` switch computes (theta_i / mean(theta)) * (mean(beta)
-/ beta_i) instead. The replacement is drawn uniformly from the top three
-scores. Templates are drawn as in model 2, and a slot whose original word is
-out of vocabulary falls back to model 2's ranking.
+from o), the resources' ``invert`` setting computes (theta_i / mean(theta))
+* (mean(beta) / beta_i) instead. The replacement is drawn uniformly from the
+top three scores. Templates are drawn as in model 2, and a slot whose
+original word is out of vocabulary falls back to model 2's ranking.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .embeddings import EmbeddingStore
-from .errors import DegenerateScoreError, EmptyRankError
+from .errors import GenerationError
 from .generation import GeneratedSentence, GenerationResources, generate
 from .model2 import fill_by_rank, template_skeleton
 from .templates import Literal, Slot
@@ -88,7 +88,7 @@ def score_candidates(
     Each value is the one-pair proximity, and each cosine runs over the same
     contiguous 3k-float rows as when U is built row by row."""
     if len(block) < 2:
-        raise EmptyRankError(f"need >= 2 candidates, got {len(block)}")
+        raise GenerationError(f"need >= 2 candidates, got {len(block)}")
     # OovError for o, then q; the block holds no OOV candidate
     oq = np.concatenate(store.neighbors_many([o, q], SEGMENT))
     n, k = block.neighbors.shape
@@ -101,15 +101,15 @@ def score_candidates(
     p[2, :, 2 * k :] = block.proximity
     norms = np.sqrt(np.vecdot(p, p))
     if not norms.all():
-        raise DegenerateScoreError("zero-norm distance vector")
+        raise GenerationError("zero-norm distance vector")
     beta, theta = np.vecdot(p[:2], p[2]) / (norms[:2] * norms[2])
     betas, thetas = beta.tolist(), theta.tolist()
 
     mean_theta, mean_beta = sum(thetas) / n, sum(betas) / n
     if 0.0 in thetas or mean_beta == 0.0:
-        raise DegenerateScoreError("zero similarity in scoring")
+        raise GenerationError("zero similarity in scoring")
     if invert and (0.0 in betas or mean_theta == 0.0):
-        raise DegenerateScoreError("zero similarity in inverted scoring")
+        raise GenerationError("zero similarity in inverted scoring")
 
     if invert:
         s = (theta / mean_theta) * (mean_beta / beta)
@@ -121,11 +121,7 @@ def score_candidates(
 
 
 def generate_model3(
-    q: str,
-    n: int,
-    res: GenerationResources,
-    seed: int,
-    invert: bool = False,
+    q: str, n: int, res: GenerationResources, seed: int
 ) -> GeneratedSentence:
     def fill_slot(pos: int, slot: Slot, rng: random.Random) -> tuple[str, dict]:
         o = slot.original.lower()
@@ -137,11 +133,11 @@ def generate_model3(
             # the cap keeps the most frequent: the table lists them first
             vk = res.ta.words(key[2], res.store)[: res.cap_m]
             if len(vk) < 2:
-                raise EmptyRankError(
+                raise GenerationError(
                     f"fewer than 2 in-vocabulary candidates for {key[2]!r}"
                 )
             memo[key] = CandidateBlock.of(vk, res.store)
-        scored = score_candidates(o, q, memo[key], res.store, invert=invert)
+        scored = score_candidates(o, q, memo[key], res.store, res.invert)
         word = rng.choice([c["w"] for c in scored[:3]])
         return word, {
             "position": pos,

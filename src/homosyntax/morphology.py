@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .errors import FormatError, TagError, load_rows, read_tsv
+from .errors import FormatError, load_rows, read_tsv
 from .pos import PosTag, truncate
 
 
@@ -29,7 +29,7 @@ class FormsLexicon:
         """Record one form while the lexicon is built; a repeated (lemma,
         surface, fulltag) is ignored."""
         if not fulltag:
-            raise TagError(f"empty tag for form {surface!r}")
+            raise ValueError(f"empty tag for form {surface!r}")
         if freq < 0:
             raise FormatError(f"negative frequency for form {surface!r}")
         key = (lemma, surface, fulltag)

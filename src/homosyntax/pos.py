@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .corpus import SentenceRecord
-from .errors import FormatError, TagError, load_rows, read_lines, read_tsv, write_lines
+from .errors import FormatError, load_rows, read_lines, read_tsv, write_lines
 
 
 @dataclass(frozen=True)
@@ -30,7 +30,7 @@ class PosTag:
 
     def __post_init__(self):
         if not self.full:
-            raise TagError("empty POS tag")
+            raise ValueError("empty POS tag")
         object.__setattr__(self, "truncated", truncate(self.full))
         object.__setattr__(self, "category", self.full[0])
 
@@ -99,7 +99,7 @@ class TaggerLexicon:
     def add(self, surface: str, full: str, weight: float) -> None:
         """Record one weighted full tag for a surface form."""
         if not full:
-            raise TagError(f"empty tag for {surface!r}")
+            raise ValueError(f"empty tag for {surface!r}")
         if weight <= 0:
             raise FormatError(f"non-positive weight for {surface!r}")
         if not math.isfinite(weight):

@@ -407,6 +407,30 @@ class TestExitCodes:
                                   "message": f"{flag} must be >= {least}"}
             assert not out.exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        pytest.param(("--min-words", "0"), "--min-words must be >= 1",
+                     id="min-words-0"),
+        pytest.param(("--min-words", "5", "--max-words", "3"),
+                     "--max-words must be >= 5", id="max-below-min"),
+    ])
+    def test_bad_ingest_setting_is_usage_error_before_reading(
+        self, tmp_path, capsys, flags, message
+    ):
+        raw = tmp_path / "raw"
+        raw.mkdir()
+        (raw / "doc.txt").write_text("La luna brilla sobre el mar. ONU OTAN",
+                                     encoding="utf-8")
+        out = tmp_path / "sentences.txt"
+        for indir in (raw, tmp_path / "missing"):
+            argv = ["ingest", "--in", str(indir), "--out", str(out), *flags]
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == EXIT_USAGE
+            err = capsys.readouterr().err.splitlines()
+            diagnostic = json.loads(next(ln for ln in err if ln.startswith("{")))
+            assert diagnostic == {"error": "usage", "message": message}
+            assert not out.exists()
+
     def test_oov_query_is_generation_failure(self, resources_dir, capsys):
         code = main(_gen(resources_dir, "--model", "2", "--query", "zzzqx",
                          "--len", "6"))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from homosyntax.embeddings import AssociativeTable, EmbeddingStore
-from homosyntax.errors import EmptyRankError, OovError, TableError
+from homosyntax.errors import GenerationError, OovError, TableError
 from homosyntax.model2 import fill_by_rank, generate_model2, rank_vocabulary
 from homosyntax.pos import PosTag
 from homosyntax.templates import Slot
@@ -48,7 +48,8 @@ class TestRank:
     def test_all_out_of_vocabulary(self):
         store = _angled_store()
         ta = _ta("NCMS", ["fantasma"])
-        with pytest.raises(EmptyRankError):
+        with pytest.raises(GenerationError,
+                           match="^no in-vocabulary candidate for tag 'NCMS'$"):
             rank_vocabulary(PosTag("NCMS"), "q", ta, store)
 
     def test_unknown_tag(self):
@@ -84,7 +85,7 @@ def _reference_rank(tag, q, ta, store):
         raise TableError(f"no associative-table entry for tag {tag.truncated!r}")
     words = [w for w, _ in ta.table[tag.truncated] if w in store]
     if not words:
-        raise EmptyRankError(f"no in-vocabulary candidate for tag {tag.truncated!r}")
+        raise GenerationError(f"no in-vocabulary candidate for tag {tag.truncated!r}")
     prox = store.proximity(iq, [store.index[w] for w in words])
     ranked = list(zip(words, prox.tolist()))
     ranked.sort(key=lambda wp: (-wp[1], wp[0]))
@@ -94,7 +95,7 @@ def _reference_rank(tag, q, ta, store):
 def _outcome(rank, *args):
     try:
         return rank(*args)
-    except (EmptyRankError, OovError, TableError) as e:
+    except (GenerationError, OovError, TableError) as e:
         return type(e), str(e)
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from homosyntax.embeddings import AssociativeTable, EmbeddingStore
-from homosyntax.errors import EmptyRankError, HomosyntaxError, OovError
+from homosyntax.errors import GenerationError, HomosyntaxError, OovError
 from homosyntax.model2 import generate_model2, rank_vocabulary
 from homosyntax.model3 import (SEGMENT, CandidateBlock, generate_model3,
                                score_candidates)
@@ -148,7 +148,7 @@ class TestScoring:
         assert ss == sorted(ss)
 
     def test_too_few_candidates(self, resources):
-        with pytest.raises(EmptyRankError):
+        with pytest.raises(GenerationError, match="^need >= 2 candidates, got 1$"):
             _score("sol", "luna", ["mar"], resources.store)
 
     def test_oov_candidate(self, resources):
@@ -304,9 +304,9 @@ class TestCandidateBlock:
         for _ in ("miss", "hit"):
             runs.append([])
             for cap_m in (2, 5, 200):
-                res = replace(resources, ta=ta, cap_m=cap_m)
                 for seed in range(3):
-                    s = generate_model3("luna", 8, res, seed, invert=seed == 1)
+                    res = replace(resources, ta=ta, cap_m=cap_m, invert=seed == 1)
+                    s = generate_model3("luna", 8, res, seed)
                     runs[-1].append((s.tokens, s.trace))
         assert runs[0] == runs[1]
         blocks = {k: b for k, b in resources.store.memo.items()
@@ -400,7 +400,7 @@ class TestGenerate:
 
     def test_invert_flag_changes_only_ranking(self, resources):
         a = generate_model3("sol", 6, resources, seed=3)
-        b = generate_model3("sol", 6, resources, seed=3, invert=True)
+        b = generate_model3("sol", 6, replace(resources, invert=True), seed=3)
         assert len(a.tokens) == len(b.tokens) == 6
 
     def test_oov_query(self, resources):

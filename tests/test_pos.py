@@ -2,7 +2,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from homosyntax.corpus import SentenceRecord
-from homosyntax.errors import TagError
 from homosyntax import pos
 from homosyntax.pos import (
     PosTag,
@@ -29,7 +28,7 @@ class TestTruncate:
         assert PosTag("VMIP3S0").truncated == "VMIP"
 
     def test_empty_rejected(self):
-        with pytest.raises(TagError):
+        with pytest.raises(ValueError, match="^empty POS tag$"):
             PosTag("")
 
     @given(tags)
