@@ -1,13 +1,16 @@
 """Command-line entry point.
 
-Exit codes are a stable contract:
+Exit codes, and the ``error`` kind of the diagnostic, are a stable
+contract; a kind in quotes stands for the classes beside it:
 
     0   success
     1   invariant check failed
-    2   missing, unreadable or malformed resource or input file, or input
-        a builder refuses (an empty tagged corpus, too few sentences to train)
-    3   generation failed after retries
-    64  bad flags or arguments
+    2   "resource" (ResourceError, OSError): a path missing, unreadable or of
+        the wrong type; FormatError: a malformed or undecodable file, with its
+        path and line; BuildError: input a builder refuses (path, line null)
+    3   "generation" (GenerationError): every attempt failed; OovError: a
+        query with no vector; TableError: a resource lacks what it needs
+    64  "usage" (ConfigError): bad flags or arguments
 
 All randomness flows from the single ``--seed`` flag; with ``--count K``
 sentence i uses seed ``seed + i``. Diagnostics go to stderr as one JSON
@@ -37,9 +40,7 @@ from .errors import (
     FormatError,
     GenerationError,
     HomosyntaxError,
-    IngestError,
     ResourceError,
-    TrainError,
     write_jsonl,
 )
 from .markov import DecodePolicy, MAX_LEN, MIN_LEN, build_transition_matrix
@@ -269,7 +270,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ResourceError, OSError) as e:
         _diagnostic("resource", str(e))
         return EXIT_RESOURCE
-    except (FormatError, IngestError, BuildError, TrainError) as e:
+    except (FormatError, BuildError) as e:
         path, line = getattr(e, "path", None), getattr(e, "line", None)
         _diagnostic(type(e).__name__, str(e), path=path, line=line)
         return EXIT_RESOURCE

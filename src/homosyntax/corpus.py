@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from importlib import resources as importlib_resources
 from pathlib import Path
 
-from .errors import (ConfigError, FormatError, IngestError, read_lines,
-                     read_text, write_lines)
+from .errors import (ConfigError, ResourceError, read_lines, read_text,
+                     write_lines)
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,6 @@ class SentenceRecord:
     doc_id: str
     index: int
     tokens: tuple[str, ...]
-    char_len: int
 
 
 @dataclass(frozen=True)
@@ -81,8 +80,6 @@ def _is_abbreviation(text: str, dot_pos: int) -> bool:
 
 def segment_sentences(doc: RawDocument) -> list[SentenceRecord]:
     """Split a document into sentence records with punctuation kept as tokens."""
-    if not isinstance(doc.text, str):
-        raise IngestError(f"document {doc.id!r} is not text")
     text = unicodedata.normalize("NFC", doc.text)
     if not text.strip():
         return []
@@ -99,18 +96,9 @@ def segment_sentences(doc: RawDocument) -> list[SentenceRecord]:
 
     records = []
     for piece in pieces:
-        piece = piece.strip()
         tokens = tuple(_TOKEN.findall(piece))
-        if not tokens:
-            continue
-        records.append(
-            SentenceRecord(
-                doc_id=doc.id,
-                index=len(records),
-                tokens=tokens,
-                char_len=len(piece),
-            )
-        )
+        if tokens:
+            records.append(SentenceRecord(doc.id, len(records), tokens))
     return records
 
 
@@ -119,10 +107,7 @@ def filter_tokens(s: SentenceRecord) -> SentenceRecord:
     kept = tuple(
         t for t in s.tokens if not any(p.match(t) for p in _FILTER_PATTERNS)
     )
-    if kept == s.tokens:
-        return s
-    char_len = len(" ".join(kept))
-    return SentenceRecord(s.doc_id, s.index, kept, char_len)
+    return s if kept == s.tokens else SentenceRecord(s.doc_id, s.index, kept)
 
 
 def length_filter(
@@ -135,34 +120,26 @@ def length_filter(
 
 
 def compute_stats(sentences: list[SentenceRecord]) -> CorpusStats:
+    """Counts over the sentences; chars are those of the lines
+    ``write_sentences`` writes, without their newlines."""
     sentence_count = len(sentences)
     word_count = sum(len(s.tokens) for s in sentences)
-    char_count = sum(s.char_len for s in sentences)
+    char_count = sum(len(" ".join(s.tokens)) for s in sentences)
     mean = word_count / sentence_count if sentence_count else 0.0
     return CorpusStats(sentence_count, word_count, char_count, mean)
 
 
 def read_document(path: str | Path) -> RawDocument:
     path = Path(path)
-    try:
-        text = read_text(path)
-    except FormatError as e:  # a byte that is not UTF-8, at its line
-        raise IngestError(str(e), e.line, e.path) from e
-    except OSError as e:
-        raise IngestError(f"{path}: {e}", path=path) from e
-    return RawDocument(id=path.stem, text=text)
+    return RawDocument(path.stem, read_text(path))
 
 
 def read_documents(directory: str | Path) -> list[RawDocument]:
     """Read every ``*.txt`` file in a directory, sorted by name."""
     directory = Path(directory)
     if not directory.is_dir():
-        raise IngestError(f"{directory}: not a directory", path=directory)
-    docs = [read_document(p) for p in sorted(directory.glob("*.txt"))]
-    ids = [d.id for d in docs]
-    if len(set(ids)) != len(ids):
-        raise IngestError(f"duplicate document ids in {directory}")
-    return docs
+        raise ResourceError(f"{directory}: not a directory")
+    return [read_document(p) for p in sorted(directory.glob("*.txt"))]
 
 
 def write_sentences(sentences: list[SentenceRecord], path: str | Path) -> None:
@@ -177,7 +154,7 @@ def read_sentences(path: str | Path) -> list[SentenceRecord]:
     for i, line in enumerate(read_lines(path)):
         tokens = tuple(line.split())
         if tokens:
-            records.append(SentenceRecord(path.stem, i, tokens, len(line)))
+            records.append(SentenceRecord(path.stem, i, tokens))
     return records
 
 

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import SentenceRecord
-from .errors import (FormatError, OovError, TableError, TrainError, decode_text,
+from .errors import (BuildError, FormatError, OovError, TableError, decode_text,
                      load_rows, read_jsonl, write_jsonl, write_lines)
 from .pos import TaggedSentence, is_content
 
@@ -330,9 +330,9 @@ def train_embeddings(
     applies both updates to that row one after the other.
     """
     if len(corpus) < 100:
-        raise TrainError(f"need >= 100 sentences, got {len(corpus)}")
+        raise BuildError(f"need >= 100 sentences, got {len(corpus)}")
     if dims < 8:
-        raise TrainError(f"need dims >= 8, got {dims}")
+        raise BuildError(f"need dims >= 8, got {dims}")
 
     sentences = [lowercase_words(s.tokens) for s in corpus]
     freq: dict[str, int] = {}
@@ -344,7 +344,7 @@ def train_embeddings(
         key=lambda w: (-freq[w], w),
     )
     if len(vocab) < 2:
-        raise TrainError("vocabulary too small after min_count filtering")
+        raise BuildError("vocabulary too small after min_count filtering")
     index = {w: i for i, w in enumerate(vocab)}
     encoded = [
         [index[t] for t in sent if t in index] for sent in sentences

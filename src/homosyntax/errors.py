@@ -12,21 +12,13 @@ class HomosyntaxError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class IngestError(HomosyntaxError):
-    """Raw document could not be read or decoded."""
-
-    def __init__(self, message, line=None, path=None):
-        super().__init__(message)
-        self.line = line
-        self.path = None if path is None else str(path)
-
-
 class ConfigError(HomosyntaxError):
     """Invalid configuration or parameter combination."""
 
 
 class BuildError(HomosyntaxError):
-    """A statistical resource could not be built from the given corpus."""
+    """Input a builder refuses: an empty tagged corpus for ``build``, too few
+    sentences or too small a vocabulary for ``train_embeddings``."""
 
 
 class GenerationError(HomosyntaxError):
@@ -34,16 +26,8 @@ class GenerationError(HomosyntaxError):
     a slot without candidates, retries exhausted)."""
 
 
-class TemplateError(HomosyntaxError):
-    """Sentence cannot be turned into a template (no content-word slots)."""
-
-
-class StoreError(HomosyntaxError):
-    """Template store is empty or inconsistent."""
-
-
 class FormatError(HomosyntaxError):
-    """Malformed resource file."""
+    """A malformed or undecodable file, resource or input alike."""
 
     def __init__(self, message, line=None, path=None):
         if line is not None:
@@ -128,10 +112,6 @@ def load_rows(
             raise FormatError(f"{prefix}: {detail}", lineno, path) from e
 
 
-class TrainError(HomosyntaxError):
-    """Embedding training preconditions not met."""
-
-
 class OovError(HomosyntaxError):
     """Word not present in the embedding vocabulary."""
 
@@ -139,15 +119,10 @@ class OovError(HomosyntaxError):
         super().__init__(f"out-of-vocabulary word: {word!r}")
 
 
-class DictError(HomosyntaxError):
-    """Function-word dictionary has no entry for a tag."""
-
-    def __init__(self, tag):
-        super().__init__(f"no function-word entry for tag {tag!r}")
-
-
 class TableError(HomosyntaxError):
-    """Associative table has no entry for a tag."""
+    """A loaded resource lacks what a request needs: a tag missing from the
+    associative table or the function-word dictionary, or an empty template
+    store."""
 
 
 class ResourceError(HomosyntaxError):

@@ -19,9 +19,9 @@ from typing import Any, Callable, Sequence
 
 from .embeddings import AssociativeTable, EmbeddingStore, lowercase_words
 from .errors import (
-    DictError,
     GenerationError,
     OovError,
+    TableError,
     load_rows,
     read_jsonl,
     write_jsonl,
@@ -87,7 +87,7 @@ class FunctionWordDictionary:
     def forms_for(self, tag: PosTag) -> list[str]:
         forms = self.table.get(tag.truncated)
         if not forms:
-            raise DictError(tag.truncated)
+            raise TableError(f"no function-word entry for tag {tag.truncated!r}")
         return forms
 
     def save(self, path: str | Path) -> None:
@@ -163,8 +163,8 @@ def generate(
     ``fill_slot(position, item, rng)``, which returns the word and its trace
     record. A ``GenerationError`` from either (a dead-end walk, a relaxation
     out of hops, a slot without candidates or with degenerate scores) costs
-    one attempt; only a bad query or a resource defect (``OovError``,
-    ``TableError``, ``DictError``, ``FormatError``) ends the request.
+    one attempt. Any other error ends the request: a query with no vector
+    (``OovError``), a resource that lacks a tag or a template (``TableError``).
     """
     if q not in res.store:
         raise OovError(q)

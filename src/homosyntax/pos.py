@@ -155,12 +155,8 @@ def read_tagged_tsv(path: str | Path) -> list[TaggedSentence]:
     def flush():
         if current:
             tokens = tuple(current)
-            record = SentenceRecord(
-                doc_id=path.stem,
-                index=len(sentences),
-                tokens=tuple(w for w, _ in tokens),
-                char_len=len(" ".join(w for w, _ in tokens)),
-            )
+            record = SentenceRecord(path.stem, len(sentences),
+                                    tuple(w for w, _ in tokens))
             sentences.append(TaggedSentence(tokens=tokens, source=record))
             current.clear()
 

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import StoreError, TemplateError, load_rows, read_jsonl, write_jsonl
+from .errors import TableError, load_rows, read_jsonl, write_jsonl
 from .pos import PosTag, TaggedSentence, is_content, tag_of
 
 
@@ -49,7 +49,7 @@ class EgpSkeleton:
 
 
 def extract_template(ts: TaggedSentence) -> EgpSkeleton:
-    """Hollow out content words; error if the sentence has none."""
+    """Hollow out content words; ValueError if the sentence has none."""
     items: list[Slot | Literal] = []
     for surface, tag in ts.tokens:
         if is_content(tag):
@@ -58,7 +58,7 @@ def extract_template(ts: TaggedSentence) -> EgpSkeleton:
             items.append(Literal(surface))
     source_id = f"{ts.source.doc_id}:{ts.source.index}"
     if not any(isinstance(it, Slot) for it in items):
-        raise TemplateError(f"sentence {source_id} has no content words")
+        raise ValueError(f"sentence {source_id} has no content words")
     return EgpSkeleton(items=tuple(items), source_id=source_id)
 
 
@@ -74,14 +74,11 @@ class TemplateStore:
 
     @classmethod
     def from_sentences(cls, corpus: list[TaggedSentence]) -> "TemplateStore":
-        """Build a store, silently skipping untemplatable sentences."""
+        """Build a store, skipping sentences without a content word."""
         templates: dict[str, EgpSkeleton] = {}
         for ts in corpus:
-            try:
-                template = extract_template(ts)
-            except TemplateError:
-                continue
-            templates[f"t{len(templates):06d}"] = template
+            if any(is_content(tag) for _, tag in ts.tokens):
+                templates[f"t{len(templates):06d}"] = extract_template(ts)
         return cls(templates)
 
     def save(self, path: str | Path) -> None:
@@ -117,7 +114,7 @@ class TemplateStore:
                 raise ValueError("template has no slot")
             tid = text(obj, "id")
             if tid in templates:
-                raise StoreError(f"duplicate template id {tid!r}")
+                raise ValueError(f"duplicate template id {tid!r}")
             templates[tid] = EgpSkeleton(tuple(items), text(obj, "source_id"))
 
         load_rows(read_jsonl(path), path, "bad template row", add)
@@ -129,7 +126,7 @@ def select_template(
 ) -> EgpSkeleton:
     """Uniform pick among length-n templates, nearest length as fallback."""
     if not len(store):
-        raise StoreError("template store is empty")
+        raise TableError("template store is empty")
     ids = store.by_length.get(n)
     if not ids:
         # nearest available length; ties resolve to the smaller one

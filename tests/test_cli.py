@@ -4,6 +4,7 @@ import json
 import pytest
 
 from homosyntax.cli import (
+    COMMANDS,
     EXIT_CHECK_FAILED,
     EXIT_GENERATION,
     EXIT_OK,
@@ -11,6 +12,16 @@ from homosyntax.cli import (
     EXIT_USAGE,
     RESOURCES_ENV,
     main,
+)
+from homosyntax.errors import (
+    BuildError,
+    ConfigError,
+    FormatError,
+    GenerationError,
+    HomosyntaxError,
+    OovError,
+    ResourceError,
+    TableError,
 )
 from homosyntax.pos import read_tagged_tsv
 from homosyntax.templates import TemplateStore
@@ -268,18 +279,21 @@ class TestExitCodes:
         )
 
     @pytest.mark.parametrize("command", [
-        "tag", "train-emb", "build", *_STALE_ON_BUILD,
+        "ingest", "tag", "train-emb", "build", *_STALE_ON_BUILD,
     ])
     def test_input_not_utf8_exits_2_at_its_line(self, resources_dir, fixdir,
                                                 tmp_path, capsys, command):
-        name = {"tag": "sentences.txt", "train-emb": "sentences.txt"}.get(
-            command, "tagged.tsv")
+        # ingest reads the sentence file as the one raw document of tmp_path
+        name = "sentences.txt" if command in ("ingest", "tag", "train-emb") else (
+            "tagged.tsv")
         lines = (resources_dir / name).read_bytes().splitlines(keepends=True)
         lines[6] = b"\xff" + lines[6]
         infile = tmp_path / name
         infile.write_bytes(b"".join(lines))
         stale = _write_stale(tmp_path, _STALE_ON_BUILD.get(command, ()))
         argv = {
+            "ingest": ["ingest", "--in", str(tmp_path),
+                       "--out", str(tmp_path / "out")],
             "tag": ["tag", "--in", str(infile), "--out", str(tmp_path / "out"),
                     "--lexicon", str(fixdir / "lexicon.tsv")],
             "train-emb": ["train-emb", "--in", str(infile),
@@ -310,7 +324,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command, name, kept, error", [
         ("build", "tagged.tsv", 0, "BuildError"),  # an empty tagged corpus
-        ("train-emb", "sentences.txt", 99, "TrainError"),  # below 100 sentences
+        ("train-emb", "sentences.txt", 99, "BuildError"),  # below 100 sentences
     ], ids=["build", "train-emb"])
     def test_input_a_builder_refuses_exits_2(self, resources_dir, tmp_path, capsys,
                                              command, name, kept, error):
@@ -334,6 +348,64 @@ class TestExitCodes:
         assert diagnostic["error"] == "resource"
         assert str(tmp_path / "tagged.tsv") in diagnostic["message"]
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", [
+        "ingest", "tag", "train-emb", "build", "generate", "check",
+    ])
+    def test_missing_input_exits_2_as_resource(self, fixdir, tmp_path, capsys,
+                                               command):
+        missing = tmp_path / "missing"
+        argv = {
+            "ingest": ["ingest", "--in", str(missing),
+                       "--out", str(tmp_path / "out")],
+            "tag": ["tag", "--in", str(missing), "--out", str(tmp_path / "out"),
+                    "--lexicon", str(fixdir / "lexicon.tsv")],
+            "train-emb": ["train-emb", "--in", str(missing),
+                          "--out", str(tmp_path / "out")],
+            "build": ["build", "--resources", str(missing)],
+            "generate": _gen(missing, "--model", "2", "--query", "sol",
+                             "--len", "6"),
+            "check": ["check", "--resources", str(missing)],
+        }[command]
+        code = main(argv)
+        diagnostic = json.loads(capsys.readouterr().err.splitlines()[0])
+        assert code == EXIT_RESOURCE
+        assert diagnostic.keys() == {"error", "message"}
+        assert diagnostic["error"] == "resource"
+        assert str(missing) in diagnostic["message"]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_each_error_class_has_one_exit_code_and_kind(self, capsys,
+                                                         monkeypatch):
+        # (error, exit code, diagnostic kind, fields beside the message)
+        table = [
+            (ConfigError("x"), EXIT_USAGE, "usage", {}),
+            (ResourceError("x"), EXIT_RESOURCE, "resource", {}),
+            (OSError("x"), EXIT_RESOURCE, "resource", {}),
+            (FormatError("x", 3, "f.txt"), EXIT_RESOURCE, "FormatError",
+             {"path": "f.txt", "line": 3}),
+            (BuildError("x"), EXIT_RESOURCE, "BuildError",
+             {"path": None, "line": None}),
+            (GenerationError("x"), EXIT_GENERATION, "generation", {}),
+            (OovError("x"), EXIT_GENERATION, "OovError", {}),
+            (TableError("x"), EXIT_GENERATION, "TableError", {}),
+        ]
+        # a new class needs a row here, and a decided code and kind
+        assert set(HomosyntaxError.__subclasses__()) == {
+            type(error) for error, *_ in table} - {OSError}
+        for error, code, kind, fields in table:
+            def command(args, error=error):
+                raise error
+
+            monkeypatch.setitem(COMMANDS, "check", command)
+            try:
+                got = main(["check"])
+            except SystemExit as e:
+                got = e.code
+            err = capsys.readouterr().err.splitlines()
+            diagnostic = json.loads(next(ln for ln in err if ln.startswith("{")))
+            assert got == code, kind
+            assert diagnostic == {"error": kind, "message": str(error), **fields}
 
     @pytest.mark.parametrize("command", [
         "import-tagged", "build-matrix", "build-templates", "build-ta",
@@ -740,19 +812,18 @@ class TestPipelineCommands:
         for path in expected.iterdir():
             assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name
 
-    def test_ingest_names_the_document_and_line_of_a_bad_byte(self, tmp_path,
-                                                             capsys):
+    def test_ingest_counts_the_lines_it_writes(self, fixdir, tmp_path, capsys):
         raw = tmp_path / "raw"
         raw.mkdir()
-        doc = raw / "doc.txt"
-        doc.write_bytes(b"El sol brilla.\nLa luna \xff canta.\n")
-        code = main(["ingest", "--in", str(raw), "--out",
-                     str(tmp_path / "sentences.txt")])
-        diagnostic = json.loads(capsys.readouterr().err.splitlines()[0])
-        assert code == EXIT_RESOURCE
-        assert diagnostic["error"] == "IngestError"
-        assert (diagnostic["path"], diagnostic["line"]) == (str(doc), 2)
-        assert "not valid UTF-8" in diagnostic["message"]
+        (raw / "8kf.txt").write_bytes((fixdir / "8kf-sample.txt").read_bytes())
+        out = tmp_path / "sentences.txt"
+        assert main(["ingest", "--in", str(raw), "--out", str(out)]) == EXIT_OK
+        lines = out.read_text(encoding="utf-8").splitlines()
+        stats = dict(ln.split(": ") for ln in capsys.readouterr().out.splitlines())
+        assert int(stats["sentences"]) == len(lines)
+        assert int(stats["words"]) == sum(len(ln.split()) for ln in lines)
+        # a sentence that lost a filtered token and one that did not alike
+        assert int(stats["chars"]) == sum(len(ln) for ln in lines)
 
     @pytest.mark.parametrize("make", ["missing", "file"])
     def test_ingest_of_a_path_that_is_not_a_directory(self, tmp_path, capsys, make):
@@ -763,8 +834,8 @@ class TestPipelineCommands:
         code = main(["ingest", "--in", str(raw), "--out", str(out)])
         diagnostic = json.loads(capsys.readouterr().err.splitlines()[0])
         assert code == EXIT_RESOURCE
-        assert diagnostic["error"] == "IngestError"
-        assert diagnostic["path"] == str(raw)
+        assert diagnostic == {"error": "resource",
+                              "message": f"{raw}: not a directory"}
         assert not out.exists()
 
     def test_ingest_of_a_directory_without_text_files(self, tmp_path, capsys):

@@ -10,7 +10,7 @@ from homosyntax.corpus import (
     read_document,
     segment_sentences,
 )
-from homosyntax.errors import ConfigError, IngestError
+from homosyntax.errors import ConfigError, FormatError
 
 
 def _texts(records):
@@ -61,19 +61,19 @@ class TestSegmentation:
 
 class TestFilterTokens:
     def test_bare_number_removed(self):
-        s = SentenceRecord("d", 0, ("Cap", "3", "amanece"), 13)
+        s = SentenceRecord("d", 0, ("Cap", "3", "amanece"))
         assert filter_tokens(s).tokens == ("Cap", "amanece")
 
     def test_time_and_acronym(self):
-        s = SentenceRecord("d", 0, ("Son", "las", "12:30", "hrs", "ONU"), 21)
+        s = SentenceRecord("d", 0, ("Son", "las", "12:30", "hrs", "ONU"))
         assert filter_tokens(s).tokens == ("Son", "las", "hrs")
 
     def test_identity_when_clean(self):
-        s = SentenceRecord("d", 0, ("amor", "eterno"), 11)
+        s = SentenceRecord("d", 0, ("amor", "eterno"))
         assert filter_tokens(s) is s
 
     def test_date_and_decimal(self):
-        s = SentenceRecord("d", 0, ("el", "12/10/1492", "y", "3,14"), 20)
+        s = SentenceRecord("d", 0, ("el", "12/10/1492", "y", "3,14"))
         assert filter_tokens(s).tokens == ("el", "y")
 
     @given(
@@ -85,14 +85,14 @@ class TestFilterTokens:
         )
     )
     def test_idempotent(self, tokens):
-        s = SentenceRecord("d", 0, tuple(tokens), 0)
+        s = SentenceRecord("d", 0, tuple(tokens))
         once = filter_tokens(s)
         assert filter_tokens(once).tokens == once.tokens
 
 
 class TestLengthFilter:
     def _rec(self, n):
-        return SentenceRecord("d", 0, tuple(f"w{i}" for i in range(n)), n * 3)
+        return SentenceRecord("d", 0, tuple(f"w{i}" for i in range(n)))
 
     def test_short_dropped(self):
         assert length_filter([self._rec(3)]) == []
@@ -114,7 +114,7 @@ class TestLengthFilter:
     @given(st.lists(st.integers(min_value=1, max_value=40), max_size=20))
     def test_subset_and_order(self, lengths):
         recs = [
-            SentenceRecord("d", i, tuple("w" * 1 for _ in range(n)), n)
+            SentenceRecord("d", i, tuple("w" * 1 for _ in range(n)))
             for i, n in enumerate(lengths)
         ]
         kept = length_filter(recs)
@@ -130,8 +130,8 @@ class TestStats:
 
     def test_small_arithmetic(self):
         recs = [
-            SentenceRecord("d", 0, ("a", "b", "c"), 5),
-            SentenceRecord("d", 1, ("a", "b", "c", "d", "e"), 9),
+            SentenceRecord("d", 0, ("a", "b", "c")),
+            SentenceRecord("d", 1, ("a", "b", "c", "d", "e")),
         ]
         got = compute_stats(recs)
         assert got.sentence_count == 2
@@ -144,21 +144,23 @@ class TestStats:
         lines = (fixdir / "8kf-sample.txt").read_text(encoding="utf-8").splitlines()
         words = sum(len(line.split()) for line in lines)
         recs = [
-            SentenceRecord("8kf", i, tuple(line.split()), len(line))
+            SentenceRecord("8kf", i, tuple(line.split()))
             for i, line in enumerate(lines)
         ]
         got = compute_stats(recs)
         assert got.sentence_count == len(lines)
         assert got.word_count == words
 
-    def test_totals_equal_per_sentence_sums(self, sentences):
+    def test_totals_equal_per_sentence_sums(self, fixdir, sentences):
+        # the fixture's lines are single-spaced, as write_sentences writes them
+        lines = (fixdir / "sentences.txt").read_text(encoding="utf-8").splitlines()
         got = compute_stats(sentences)
         assert got.word_count == sum(len(s.tokens) for s in sentences)
-        assert got.char_count == sum(s.char_len for s in sentences)
+        assert got.char_count == sum(len(line) for line in lines)
 
 
 def test_non_utf8_rejected(tmp_path):
     p = tmp_path / "bad.txt"
     p.write_bytes(b"caf\xe9 latin-1")
-    with pytest.raises(IngestError):
+    with pytest.raises(FormatError, match="bad.txt: line 1: not valid UTF-8"):
         read_document(p)

@@ -19,7 +19,7 @@ from homosyntax.embeddings import (
     top_k,
     train_embeddings,
 )
-from homosyntax.errors import FormatError, OovError, TableError, TrainError
+from homosyntax.errors import BuildError, FormatError, OovError, TableError
 from homosyntax.pos import PosTag, TaggedSentence
 
 from conftest import EMB_PARAMS
@@ -512,7 +512,7 @@ def _training_runs(draw):
         [words[next(picks)] for _ in range(n)] for n in lengths
     ]
     corpus = [
-        SentenceRecord("h", i, tuple(s), len(s)) for i, s in enumerate(sentences)
+        SentenceRecord("h", i, tuple(s)) for i, s in enumerate(sentences)
     ]
     params = dict(
         dims=8,
@@ -552,12 +552,12 @@ class TestTrainingOracle:
 
 class TestTraining:
     def test_below_floor(self):
-        recs = [SentenceRecord("d", i, ("a", "b"), 3) for i in range(50)]
-        with pytest.raises(TrainError):
+        recs = [SentenceRecord("d", i, ("a", "b")) for i in range(50)]
+        with pytest.raises(BuildError, match="need >= 100 sentences, got 50"):
             train_embeddings(recs)
 
     def test_small_dims(self, sentences):
-        with pytest.raises(TrainError):
+        with pytest.raises(BuildError, match="need dims >= 8, got 4"):
             train_embeddings(sentences, dims=4)
 
     def test_loss_decreases(self, store):
@@ -877,7 +877,7 @@ class TestVectorParsing:
 
 def _ts(pairs):
     tokens = tuple((w, PosTag(t)) for w, t in pairs)
-    src = SentenceRecord("d", 0, tuple(w for w, _ in tokens), 0)
+    src = SentenceRecord("d", 0, tuple(w for w, _ in tokens))
     return TaggedSentence(tokens=tokens, source=src)
 
 

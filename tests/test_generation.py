@@ -8,7 +8,6 @@ import pytest
 from homosyntax import model1
 from homosyntax.embeddings import AssociativeTable, EmbeddingStore
 from homosyntax.errors import (
-    DictError,
     FormatError,
     GenerationError,
     HomosyntaxError,
@@ -184,8 +183,8 @@ class TestDriver:
             drawn.append(rng)
             return "src", ("sol",)
 
-        for error in (TableError("no entry"), DictError("XXXX"),
-                      OovError("zzzqx"), FormatError("bad row")):
+        for error in (TableError("no entry"), OovError("zzzqx"),
+                      FormatError("bad row")):
             def fill(position, item, rng, error=error):
                 raise error
 

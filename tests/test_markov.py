@@ -19,7 +19,7 @@ from homosyntax.pos import PosTag, TaggedSentence
 
 def _ts(tags):
     tokens = tuple((f"w{i}", PosTag(t)) for i, t in enumerate(tags))
-    src = SentenceRecord("d", 0, tuple(w for w, _ in tokens), 0)
+    src = SentenceRecord("d", 0, tuple(w for w, _ in tokens))
     return TaggedSentence(tokens=tokens, source=src)
 
 

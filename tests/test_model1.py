@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from homosyntax.embeddings import EmbeddingStore
-from homosyntax.errors import DictError, GenerationError, OovError
+from homosyntax.errors import GenerationError, OovError, TableError
 from homosyntax.generation import (
     DEFAULT_MAX_HOPS,
     DEFAULT_NEIGHBORS,
@@ -32,7 +32,8 @@ class TestFillFunctional:
         assert fdict.forms_for(PosTag("CC")) == ["y"]
 
     def test_missing_tag(self):
-        with pytest.raises(DictError):
+        with pytest.raises(TableError,
+                           match="no function-word entry for tag 'XX'"):
             FunctionWordDictionary({}).forms_for(PosTag("XX"))
 
     def test_seeded_draw_frozen(self):

@@ -81,19 +81,19 @@ class TestClassify:
 
 class TestTagger:
     def test_profesor(self, tagger_lexicon):
-        s = SentenceRecord("d", 0, ("Profesor",), 8)
+        s = SentenceRecord("d", 0, ("Profesor",))
         ts = tag_sentence(s, tagger_lexicon)
         assert ts.tokens[0][1].full == "NCMS000"
 
     def test_preposition_classified_functional(self, tagger_lexicon):
-        s = SentenceRecord("d", 0, ("de",), 2)
+        s = SentenceRecord("d", 0, ("de",))
         ts = tag_sentence(s, tagger_lexicon)
         tag = ts.tokens[0][1]
         assert tag.category == "S"
         assert not is_content(tag)
 
     def test_unknown_token_total(self, tagger_lexicon):
-        s = SentenceRecord("d", 0, ("zzzqx", "Zzzqx", "el"), 14)
+        s = SentenceRecord("d", 0, ("zzzqx", "Zzzqx", "el"))
         ts = tag_sentence(s, tagger_lexicon)
         assert len(ts.tokens) == 3
         assert all(tag.full for _, tag in ts.tokens)

@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from homosyntax.corpus import SentenceRecord
-from homosyntax.errors import StoreError, TemplateError
+from homosyntax.errors import TableError
 from homosyntax.pos import PosTag, TaggedSentence, is_content
 from homosyntax.templates import (
     Literal,
@@ -25,7 +25,7 @@ FIXTURE_TEMPLATES_SHA256 = (
 
 def _ts(pairs, doc_id="d", index=0):
     tokens = tuple((w, PosTag(t)) for w, t in pairs)
-    src = SentenceRecord(doc_id, index, tuple(w for w, _ in tokens), 0)
+    src = SentenceRecord(doc_id, index, tuple(w for w, _ in tokens))
     return TaggedSentence(tokens=tokens, source=src)
 
 
@@ -43,7 +43,7 @@ class TestExtract:
 
     def test_all_functional_fails(self):
         ts = _ts([("de", "SPS00"), ("la", "DA0FS0"), ("a", "SPS00")])
-        with pytest.raises(TemplateError):
+        with pytest.raises(ValueError, match="sentence d:0 has no content words"):
             extract_template(ts)
 
     def test_identity_fill_round_trip(self, tagged):
@@ -90,7 +90,7 @@ class TestStore:
         assert len(got) == 4
 
     def test_empty_store(self):
-        with pytest.raises(StoreError):
+        with pytest.raises(TableError, match="template store is empty"):
             select_template(TemplateStore({}), 5, random.Random(0))
 
     def test_ids_in_build_order_by_length(self):
