@@ -10,35 +10,38 @@ from __future__ import annotations
 from pathlib import Path
 
 from .errors import FormatError, load_rows, read_tsv
-from .pos import PosTag, truncate
+from .pos import PosTag, tag_of, truncate
 
 
 class FormsLexicon:
+    """A forms lexicon, each value kept once, in tuples: ``forms`` maps a
+    lemma to its (surface, fulltag, freq) rows in file order, ``lemmas_of`` a
+    surface to its lemmas and ``attested`` a surface to its truncated tags.
+    Tags are ``tag_of``'s strings and a surface equal to its lemma is the
+    lemma's string. A repeated (lemma, surface, fulltag) keeps its first frequency."""
+
     def __init__(self, entries: list[tuple[str, str, str, int]]):
-        # lemma -> [(surface, fulltag, freq)]
-        self.forms: dict[str, list[tuple[str, str, int]]] = {}
-        # surface -> lemmas it belongs to
-        self.lemmas_of: dict[str, set[str]] = {}
-        # surface -> truncated tags it is attested under
-        self.attested: dict[str, set[str]] = {}
-        self._seen: set[tuple[str, str, str]] = set()
+        self.forms: dict[str, tuple[tuple[str, str, int], ...]] = {}
+        self.lemmas_of: dict[str, tuple[str, ...]] = {}
+        self.attested: dict[str, tuple[str, ...]] = {}
         for entry in entries:
             self._add(*entry)
 
     def _add(self, lemma: str, surface: str, fulltag: str, freq: int) -> None:
         """Record one form while the lexicon is built; a repeated (lemma,
         surface, fulltag) is ignored."""
-        if not fulltag:
-            raise ValueError(f"empty tag for form {surface!r}")
+        tag = tag_of(fulltag)  # ValueError for an empty tag or one with whitespace
         if freq < 0:
             raise FormatError(f"negative frequency for form {surface!r}")
-        key = (lemma, surface, fulltag)
-        if key in self._seen:
+        rows = self.forms.get(lemma, ())
+        if rows and any(s == surface and t == tag.full for s, t, _ in rows):
             return
-        self._seen.add(key)
-        self.forms.setdefault(lemma, []).append((surface, fulltag, freq))
-        self.lemmas_of.setdefault(surface, set()).add(lemma)
-        self.attested.setdefault(surface, set()).add(truncate(fulltag))
+        surface = lemma if surface == lemma else surface
+        self.forms[lemma] = (*rows, (surface, tag.full, freq))
+        for table, value in ((self.lemmas_of, lemma), (self.attested, tag.truncated)):
+            held = table.get(surface, ())
+            if value not in held:
+                table[surface] = (*held, value)
 
     @classmethod
     def load(cls, path: str | Path) -> "FormsLexicon":

@@ -31,6 +31,8 @@ class PosTag:
     def __post_init__(self):
         if not self.full:
             raise ValueError("empty POS tag")
+        if self.full.split() != [self.full]:
+            raise ValueError(f"tag {self.full!r} holds whitespace")
         object.__setattr__(self, "truncated", truncate(self.full))
         object.__setattr__(self, "category", self.full[0])
 
@@ -98,8 +100,7 @@ class TaggerLexicon:
 
     def add(self, surface: str, full: str, weight: float) -> None:
         """Record one weighted full tag for a surface form."""
-        if not full:
-            raise ValueError(f"empty tag for {surface!r}")
+        full = tag_of(full).full  # ValueError for an empty tag or one with whitespace
         if weight <= 0:
             raise FormatError(f"non-positive weight for {surface!r}")
         if not math.isfinite(weight):

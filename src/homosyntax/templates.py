@@ -48,14 +48,19 @@ class EgpSkeleton:
         )
 
 
-def extract_template(ts: TaggedSentence) -> EgpSkeleton:
-    """Hollow out content words; ValueError if the sentence has none."""
+def extract_template(ts: TaggedSentence, shared: dict | None = None) -> EgpSkeleton:
+    """Hollow out content words; ValueError if the sentence has none. An item
+    is made once per ``shared``, keyed by its strings."""
+    shared = {} if shared is None else shared
     items: list[Slot | Literal] = []
     for surface, tag in ts.tokens:
         if is_content(tag):
-            items.append(Slot(tag_of(tag.truncated), surface))
+            key = tag.truncated, surface
+            item = shared.get(key) or Slot(tag_of(tag.truncated), surface)
         else:
-            items.append(Literal(surface))
+            key = surface
+            item = shared.get(key) or Literal(surface)
+        items.append(shared.setdefault(key, item))
     source_id = f"{ts.source.doc_id}:{ts.source.index}"
     if not any(isinstance(it, Slot) for it in items):
         raise ValueError(f"sentence {source_id} has no content words")
@@ -76,9 +81,10 @@ class TemplateStore:
     def from_sentences(cls, corpus: list[TaggedSentence]) -> "TemplateStore":
         """Build a store, skipping sentences without a content word."""
         templates: dict[str, EgpSkeleton] = {}
+        shared: dict[tuple[str, str] | str, Slot | Literal] = {}
         for ts in corpus:
             if any(is_content(tag) for _, tag in ts.tokens):
-                templates[f"t{len(templates):06d}"] = extract_template(ts)
+                templates[f"t{len(templates):06d}"] = extract_template(ts, shared)
         return cls(templates)
 
     def save(self, path: str | Path) -> None:
@@ -95,6 +101,7 @@ class TemplateStore:
     @classmethod
     def load(cls, path: str | Path) -> "TemplateStore":
         templates: dict[str, EgpSkeleton] = {}
+        shared: dict[tuple[str, str] | str, Slot | Literal] = {}
 
         def text(obj, key: str) -> str:
             if not isinstance(obj[key], str):
@@ -103,13 +110,16 @@ class TemplateStore:
 
         def add(obj) -> None:
             items: list[Slot | Literal] = []
-            for it in obj["items"]:
+            for it in obj["items"]:  # one object per (tag, orig) or surface
                 if it["t"] == "slot":
-                    items.append(Slot(tag_of(text(it, "tag")), text(it, "orig")))
+                    key = text(it, "tag"), text(it, "orig")
+                    item = shared.get(key) or Slot(tag_of(key[0]), key[1])
                 elif it["t"] == "lit":
-                    items.append(Literal(text(it, "w")))
+                    key = text(it, "w")
+                    item = shared.get(key) or Literal(key)
                 else:
                     raise ValueError(f"unknown item type {it['t']!r}")
+                items.append(shared.setdefault(key, item))
             if not any(isinstance(it, Slot) for it in items):
                 raise ValueError("template has no slot")
             tid = text(obj, "id")

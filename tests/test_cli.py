@@ -322,6 +322,22 @@ class TestExitCodes:
         assert "'NC MS000' holds whitespace" in diagnostic["message"]
         assert _files(tmp_path) == {"tagged.tsv": infile.read_bytes(), **stale}
 
+    def test_tagger_lexicon_tag_holding_whitespace_exits_2_at_its_line(
+        self, fixdir, tmp_path, capsys
+    ):
+        # tagged.tsv written from it would be refused by build
+        lexicon = tmp_path / "lexicon.tsv"
+        lexicon.write_text("el\tDA0MS0\t1.0\nsol\tNC MS000\t1.0\n", encoding="utf-8")
+        out = tmp_path / "tagged.tsv"
+        code = main(["tag", "--in", str(fixdir / "sentences.txt"),
+                     "--lexicon", str(lexicon), "--out", str(out)])
+        diagnostic = json.loads(capsys.readouterr().err.splitlines()[0])
+        assert code == EXIT_RESOURCE
+        assert diagnostic["error"] == "FormatError"
+        assert (diagnostic["path"], diagnostic["line"]) == (str(lexicon), 2)
+        assert "'NC MS000' holds whitespace" in diagnostic["message"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, name, kept, error", [
         ("build", "tagged.tsv", 0, "BuildError"),  # an empty tagged corpus
         ("train-emb", "sentences.txt", 99, "BuildError"),  # below 100 sentences

@@ -35,6 +35,8 @@ CASES = {
                               '[{"t": "lit", "w": null}]}',
         "no-slot": '{"id": "t1", "source_id": "d:1", "items": '
                    '[{"t": "lit", "w": "el"}, {"t": "lit", "w": "."}]}',
+        "slot-tag-with-whitespace": '{"id": "t1", "source_id": "d:1", "items": '
+                                    '[{"t": "slot", "tag": "NC MS000", "orig": "sol"}]}',
     }),
     "ta": (AssociativeTable.load, '{"tag": "NCMS", "words": [["sol", 2]]}', {
         "bad-row": '{"tag": "NCFS", "words": [["luna", "x"]]}',
@@ -62,6 +64,7 @@ CASES = {
         "unreadable-row": "luna\tluna\tNCFS000",
         "empty-tag": "luna\tluna\t\t3",
         "negative-freq": "luna\tluna\tNCFS000\t-7",
+        "tag-with-whitespace": "sol\tsol\tNC MS000\t1",
     }),
     "lexicon": (TaggerLexicon.load, "sol\tNCMS000\t1.0", {
         "bad-row": "luna\tNCFS000\theavy",
@@ -70,6 +73,7 @@ CASES = {
         "non-positive-weight": "luna\tNCFS000\t0",
         "nan-weight": "luna\tNCFS000\tnan",
         "infinite-weight": "luna\tNCFS000\tinf",
+        "tag-with-whitespace": "sol\tNC MS000\t1.0",
     }),
     "matrix": (TransitionMatrix.load, f"0 1 {2**62}", {
         "row-sum-above-int64": f"0 0 {2**62}",

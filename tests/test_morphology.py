@@ -1,8 +1,9 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from homosyntax.errors import FormatError
 from homosyntax.morphology import FormsLexicon, inflect, matches_tag
-from homosyntax.pos import PosTag
+from homosyntax.pos import PosTag, tag_of
 
 
 class TestInflect:
@@ -71,3 +72,86 @@ class TestLoad:
         lex = FormsLexicon.load(p)
         # highest frequency wins, then lexicographic
         assert inflect("x", PosTag("NCFS"), lex) == "xb"
+
+
+# "ir" and "mar" head entries without being listed as a surface of any lemma;
+# NCMS000 and NCMS001 share a truncation
+LEMMAS = ("sol", "luna", "ir", "mar")
+SURFACES = ("sol", "soles", "luna", "lunas", "va", "van")
+FULLTAGS = ("NCMS000", "NCMS001", "NCFS000", "NCMP000", "VMIP3S0", "AQ0MS00")
+
+
+@st.composite
+def form_entries(draw):
+    """Forms rows, some (lemma, surface, fulltag) repeated with another
+    frequency, before or after the row they repeat."""
+    rows = draw(st.lists(st.tuples(st.sampled_from(LEMMAS), st.sampled_from(SURFACES),
+                                   st.sampled_from(FULLTAGS), st.integers(0, 5)),
+                         max_size=20))
+    for _ in range(draw(st.integers(0, 6)) if rows else 0):
+        lemma, surface, fulltag, _ = draw(st.sampled_from(rows))
+        rows.insert(draw(st.integers(0, len(rows))),
+                    (lemma, surface, fulltag, draw(st.integers(0, 5))))
+    return rows
+
+
+class SetLexicon:
+    """Reference: the lexicon in sets, a repeated (lemma, surface, fulltag)
+    dropped through a seen-set, so that its first frequency stays."""
+
+    def __init__(self, entries):
+        self.forms, self.lemmas_of, self.attested, seen = {}, {}, {}, set()
+        for lemma, surface, fulltag, freq in entries:
+            if (lemma, surface, fulltag) not in seen:
+                seen.add((lemma, surface, fulltag))
+                self.forms.setdefault(lemma, []).append((surface, fulltag, freq))
+                self.lemmas_of.setdefault(surface, set()).add(lemma)
+                self.attested.setdefault(surface, set()).add(fulltag[:4])
+
+    def matches_tag(self, word, truncated):
+        return truncated in self.attested.get(word.lower(), set())
+
+    def inflect(self, word, truncated):
+        low = word.lower()
+        if self.matches_tag(low, truncated):
+            return low
+        lemmas = self.lemmas_of.get(low) or ({low} if low in self.forms else set())
+        candidates = {(s, f) for lemma in lemmas for s, t, f in self.forms[lemma]
+                      if t[:4] == truncated}
+        if not candidates:
+            return None
+        return min(candidates, key=lambda sf: (-sf[1], sf[0]))[0]
+
+
+class TestAgainstSetReference:
+    @settings(max_examples=300, deadline=None)
+    @given(form_entries())
+    def test_answers_and_rows_match_the_reference(self, entries):
+        lex, ref = FormsLexicon(entries), SetLexicon(entries)
+        # each (lemma, surface, fulltag) once, at its first row and frequency
+        assert lex.forms == {lemma: tuple(rows) for lemma, rows in ref.forms.items()}
+        for table, want in ((lex.lemmas_of, ref.lemmas_of), (lex.attested, ref.attested)):
+            assert {k: set(v) for k, v in table.items()} == want
+            assert all(len(set(v)) == len(v) for v in table.values())
+        words = LEMMAS + SURFACES + ("Sol", "LUNAS", "zzz")
+        for word in words:
+            for target in map(tag_of, FULLTAGS + ("NCFP000", "AQ0FS00")):
+                assert matches_tag(word, target, lex) == ref.matches_tag(
+                    word, target.truncated)
+                assert inflect(word, target, lex) == ref.inflect(word, target.truncated)
+
+    def test_repeated_form_keeps_its_first_frequency(self):
+        lex = FormsLexicon([("x", "xa", "NCFS000", 1), ("x", "xb", "NCFS000", 3),
+                            ("x", "xa", "NCFS000", 9)])
+        assert lex.forms == {"x": (("xa", "NCFS000", 1), ("xb", "NCFS000", 3))}
+        assert inflect("x", PosTag("NCFS"), lex) == "xb"
+
+    def test_rows_share_tag_strings(self, forms_lexicon):
+        rows = [row for forms in forms_lexicon.forms.values() for row in forms]
+        assert all(fulltag is tag_of(fulltag).full for _, fulltag, _ in rows)
+
+    def test_surface_equal_to_its_lemma_is_the_lemma_string(self):
+        lemma, surface = "sol", "".join(["s", "ol"])  # equal, not one object
+        lex = FormsLexicon([("sol", "soles", "NCMP000", 1), (lemma, surface, "NCMS000", 3)])
+        assert lex.forms["sol"][1][0] is lemma
+        assert next(k for k in lex.lemmas_of if k == "sol") is lemma

@@ -140,3 +140,29 @@ class TestSerialization:
         assert hashlib.sha256(data).hexdigest() == FIXTURE_TEMPLATES_SHA256
         TemplateStore.load(path).save(tmp_path / "again.jsonl")
         assert (tmp_path / "again.jsonl").read_bytes() == data
+
+
+def _items(store):
+    return [it for t in store.templates.values() for it in t.items]
+
+
+class TestSharedItems:
+    """Equal items of one store are one object, and stores share none."""
+
+    def test_one_object_per_distinct_item(self, template_store, tmp_path):
+        path = tmp_path / "templates.jsonl"
+        template_store.save(path)
+        for store in (template_store, TemplateStore.load(path)):
+            items = _items(store)
+            assert len(items) == 4856
+            assert len({id(it) for it in items}) == len(set(items)) == 152
+
+    def test_two_stores_share_no_item(self, template_store, tagged, tmp_path):
+        path = tmp_path / "templates.jsonl"
+        template_store.save(path)
+        stores = (template_store, TemplateStore.from_sentences(tagged),
+                  TemplateStore.load(path), TemplateStore.load(path))
+        ids = [{id(it) for it in _items(store)} for store in stores]
+        for i, a in enumerate(ids):
+            for b in ids[i + 1:]:
+                assert not a & b
