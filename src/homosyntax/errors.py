@@ -22,8 +22,8 @@ class BuildError(HomosyntaxError):
 
 
 class GenerationError(HomosyntaxError):
-    """An attempt or a request could not be completed (e.g. dead-end state,
-    a slot without candidates, retries exhausted)."""
+    """An attempt or a request could not be completed (e.g. no walk of the
+    length ends a sentence, a slot without candidates, retries exhausted)."""
 
 
 class FormatError(HomosyntaxError):

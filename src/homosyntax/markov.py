@@ -12,7 +12,6 @@ from bisect import bisect
 from dataclasses import dataclass
 from itertools import accumulate
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -25,7 +24,6 @@ END = "</s>"
 
 MIN_LEN = 3
 MAX_LEN = 15
-RESTARTS = 10  # fresh walks before a dead-end is an error
 
 
 @dataclass(frozen=True)
@@ -61,25 +59,19 @@ class DecodePolicy:
 
 
 # a state's draw: the tags it may pick, and their cumulative weights for a
-# bisect on one rng.random(), or None for a uniform rng.choice (argmax ties)
-Draw = tuple[list[PosTag], list[float] | None]
-
-
-class Draws(NamedTuple):
-    """One decode policy's successor table over a matrix."""
-
-    first: Draw  # START's every non-END successor, in state order
-    steps: dict[str, Draw]  # state -> its draw; a state without one dead-ends
-    longest: int  # the longest walk from a first tag, at most MAX_LEN
+# bisect on one rng.random()
+Draw = tuple[list[PosTag], list[float]]
 
 
 class TransitionMatrix:
     """MLE bigram probabilities over the states, and per-policy draw tables.
 
-    ``draws(policy)`` builds a policy's table for every state on the
-    policy's first use and keeps it: the sets and weights ``generate_egv``
-    draws from depend only on the counts, which never change after
-    construction, so a kept table gives exactly the draws a fresh one would.
+    ``draws(policy)`` builds a policy's table for every state and every
+    number of tags left on the policy's first use and keeps it: the sets and
+    weights ``generate_egv`` draws from depend only on the counts, which
+    never change after construction, so a kept table gives exactly the draws
+    a fresh one would. Nothing enters START and nothing leaves END: ``load``
+    refuses such a count and ``build_transition_matrix`` never makes one.
     """
 
     def __init__(self, states: tuple[str, ...], counts: np.ndarray):
@@ -88,9 +80,9 @@ class TransitionMatrix:
         self.counts = counts
         totals = counts.sum(axis=1, keepdims=True)
         self.probs = counts / np.maximum(totals, 1)  # a row without counts stays 0
-        self._draws: dict[DecodePolicy, Draws] = {}
+        self._draws: dict[DecodePolicy, list[dict[str, Draw]]] = {}
 
-    def draws(self, policy: DecodePolicy) -> Draws:
+    def draws(self, policy: DecodePolicy) -> list[dict[str, Draw]]:
         table = self._draws.get(policy)
         if table is None:
             table = self._draws[policy] = _build_draws(self, policy)
@@ -139,6 +131,8 @@ class TransitionMatrix:
             i, j, c = int(parts[0]), int(parts[1]), int(parts[2])
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError("state index out of range")
+            if states[j] == START or states[i] == END:
+                raise ValueError(f"a count into {START!r} or out of {END!r}")
             if c < 0:
                 raise ValueError(f"negative count {c}")
             if c > count_max:
@@ -171,46 +165,43 @@ def build_transition_matrix(corpus: list[TaggedSentence]) -> TransitionMatrix:
     return TransitionMatrix(states, counts)
 
 
-def _successors(m: TransitionMatrix, state: str) -> list[tuple[str, float]]:
-    """Non-END successors with positive probability, by state order."""
-    row = m.probs[m.index[state]]
+def _build_draws(m: TransitionMatrix, policy: DecodePolicy) -> list[dict[str, Draw]]:
+    """``table[r][s]``: the draw of the tag after s when r tags follow it,
+    conditioned on the sentence ending right after the last.
+
+    A step's weight w(s, t) is the unconditioned walk's: under ``topk:K``, p
+    renormalized over s's top K non-END successors by (-p, t); under argmax,
+    uniform over the successors tied at the highest p; from START, every
+    non-END successor at p, renormalized. ``ends[t]``, the chance that the
+    r tags after t and then END follow, starts at P(t -> END) and is each
+    entry's total. An entry keeps the t with w(s, t) * ends[t] > 0, with
+    cumulative weights, and a state with none has no entry."""
     end_i = m.index[END]
-    return [
-        (m.states[j], float(row[j]))
-        for j in np.nonzero(row)[0].tolist()
-        if j != end_i
-    ]
-
-
-def _build_draws(m: TransitionMatrix, policy: DecodePolicy) -> Draws:
-    """Each state keeps its top-k successors by (-p, state), with cumulative
-    weights, or under argmax its successors tied at the highest p."""
-    # what Random.choices checks on each call holds by construction: a weight
-    # list is as long as its tags, and its total, a sum of p in (0, 1], is
-    # positive and finite
-    def weighted(succ: list[tuple[str, float]]) -> Draw:
-        return [tag_of(s) for s, _ in succ], list(accumulate(p for _, p in succ))
-
-    steps: dict[str, Draw] = {}
-    for state in m.states:
-        succ = _successors(m, state)
-        if not succ:
-            continue
-        if policy.kind == "argmax":
-            best = max(p for _, p in succ)
-            steps[state] = ([tag_of(s) for s, p in succ if p >= best - 1e-12], None)
-        else:
-            top = sorted(succ, key=lambda sp: (-sp[1], sp[0]))[: policy.k]
-            steps[state] = weighted(top)
-    # longest[s]: the longest walk from s, capped at MAX_LEN tags
-    longest = dict.fromkeys(m.states, 1)
-    for _ in range(MAX_LEN - 1):
-        longest = {
-            s: 1 + max(longest[t.full] for t in steps[s][0]) if s in steps else 1
-            for s in m.states
-        }
-    first = _successors(m, START)
-    return Draws(weighted(first), steps, max((longest[s] for s, _ in first), default=0))
+    weights: dict[str, list[tuple[str, float]]] = {}
+    for i, state in enumerate(m.states):
+        row = m.probs[i]
+        succ = [(m.states[j], float(row[j])) for j in np.nonzero(row)[0].tolist()
+                if j != end_i]
+        if succ and state != START:
+            if policy.kind == "argmax":
+                best = max(p for _, p in succ)
+                succ = [(t, 1.0) for t, p in succ if p >= best - 1e-12]
+            else:
+                succ = sorted(succ, key=lambda tp: (-tp[1], tp[0]))[: policy.k]
+        total = sum(p for _, p in succ)
+        weights[state] = [(t, p / total) for t, p in succ]
+    ends = dict(zip(m.states, m.probs[:, end_i].tolist()))
+    table = []
+    for _ in range(MAX_LEN):
+        entries: dict[str, Draw] = {}
+        for state, succ in weights.items():
+            kept = [(t, w * ends[t]) for t, w in succ if w * ends[t] > 0]
+            if kept:
+                entries[state] = ([tag_of(t) for t, _ in kept],
+                                  list(accumulate(x for _, x in kept)))
+        table.append(entries)
+        ends = {s: entries[s][1][-1] if s in entries else 0.0 for s in m.states}
+    return table
 
 
 def generate_egv(
@@ -220,38 +211,25 @@ def generate_egv(
     rng: random.Random,
 ) -> tuple[PosTag, ...]:
     """Generate an n-tag skeleton by walking the transition matrix from
-    START: the first tag is drawn by its sentence-initial probability.
+    START, conditioned on the sentence ending right after tag n.
 
-    The walk draws from ``m.draws(policy)``, the policy's kept successor
-    table, and returns its PosTag objects. A weighted draw is the bisect at
-    one ``rng.random()`` that ``rng.choices(tags, cum_weights=cum)`` makes,
-    so the walk takes the same numbers from ``rng`` as drawing from each
-    state's successors afresh. A length longer than any walk the policy
-    allows fails before anything is drawn.
+    The walk draws each tag from ``m.draws(policy)``, the policy's kept
+    table, and returns its PosTag objects. A draw is the bisect at one
+    ``rng.random()`` that ``rng.choices(tags, cum_weights=cum)`` makes, so
+    a walk takes exactly n numbers from ``rng``. A length that no walk
+    under the policy ends a sentence at fails before anything is drawn.
     """
     if not (MIN_LEN <= n <= MAX_LEN):
         raise ConfigError(f"length must be in [{MIN_LEN}, {MAX_LEN}], got {n}")
-    draws = m.draws(policy)
-    if not draws.first[0]:
-        raise GenerationError("START state has no successors")
-    if n > draws.longest:
+    table = m.draws(policy)
+    if START not in table[n - 1]:
+        lengths = [k for k in range(MIN_LEN, MAX_LEN + 1) if START in table[k - 1]]
         raise GenerationError(
-            f"no walk of length {n} under policy {policy}: "
-            f"the longest is {draws.longest}"
+            f"no walk of length {n} under policy {policy} ends a sentence; "
+            f"lengths that do: {', '.join(map(str, lengths)) or 'none'}"
         )
-
-    steps = draws.steps
-    for _ in range(RESTARTS):
-        seq: list[PosTag] = []
-        draw = draws.first
-        while draw is not None:
-            tags, cum = draw
-            if cum is None:
-                tag = rng.choice(tags)
-            else:
-                tag = tags[bisect(cum, rng.random() * cum[-1], 0, len(cum) - 1)]
-            seq.append(tag)
-            if len(seq) == n:
-                return tuple(seq)
-            draw = steps.get(tag.full)
-    raise GenerationError(f"dead-end before length {n} after {RESTARTS} restarts")
+    seq: list[PosTag] = []
+    for r in range(n - 1, -1, -1):  # r: the tags that follow the one drawn
+        tags, cum = table[r][seq[-1].full if seq else START]
+        seq.append(tags[bisect(cum, rng.random() * cum[-1], 0, len(cum) - 1)])
+    return tuple(seq)

@@ -1,8 +1,9 @@
 """Model 1: Markov-generated skeleton filled from embedding neighborhoods.
 
-The skeleton is a tag sequence decoded from the POS transition matrix; an
-EGV dead-end costs one attempt of the shared driver. Functional slots draw
-uniformly from the function-word dictionary, and a skeleton-final
+The skeleton is a tag sequence decoded from the POS transition matrix: one
+walk, conditioned on the sentence ending after its last tag. A length that
+no such walk has costs one attempt of the shared driver. Functional slots
+draw uniformly from the function-word dictionary, and a skeleton-final
 punctuation slot is a period. Content slots take the first neighbor of the
 query that fits the slot's tag, trying inflection before relaxing the query
 to its nearest unvisited neighbor; a slot that no relaxation fills costs

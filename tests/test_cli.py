@@ -575,21 +575,21 @@ class TestGenerate:
 
     def test_trace_kept_when_a_later_sentence_fails(self, resources_dir,
                                                     tmp_path, capsys):
-        # the sixth sentence fails after 20 attempts: the five printed before
-        # it keep their records, and the exit code stays 3
+        # the seventh sentence fails after 20 attempts: the six printed
+        # before it keep their records, and the exit code stays 3
         trace = tmp_path / "trace.jsonl"
         code = main(_gen(resources_dir, "--neighbors", "20", "--model", "1",
-                         "--query", "luna", "--len", "8", "--count", "6",
+                         "--query", "luna", "--len", "8", "--count", "7",
                          "--seed", "0", "--trace", str(trace)))
         captured = capsys.readouterr()
         assert code == EXIT_GENERATION
-        assert len(captured.out.splitlines()) == 5
+        assert len(captured.out.splitlines()) == 6
         assert json.loads(captured.err.splitlines()[0])["message"].startswith(
             "model 1 failed after 20 attempts: no word fitting tag"
         )
         records = [json.loads(line) for line in
                    trace.read_text(encoding="utf-8").splitlines()]
-        assert sorted({r["sentence"] for r in records}) == [0, 1, 2, 3, 4]
+        assert sorted({r["sentence"] for r in records}) == [0, 1, 2, 3, 4, 5]
 
     def test_trace_of_an_earlier_run_is_replaced_when_no_sentence_succeeds(
             self, resources_dir, tmp_path, capsys):
@@ -599,8 +599,9 @@ class TestGenerate:
         shutil.copytree(resources_dir, broken)
         (broken / "matrix.txt").write_text("states -1\n", encoding="utf-8")
         trace, earlier = tmp_path / "trace.jsonl", b'{"sentence": 0}\n'
-        # no argmax walk on the fixture matrix reaches length 8; a missing or
-        # malformed resource fails the load; a refused flag exits before it
+        # no argmax walk of 8 tags on the fixture matrix ends a sentence; a
+        # missing or malformed resource fails the load; a refused flag exits
+        # before it
         for directory, extra, code, left in [
             (resources_dir, ("--policy", "argmax"), EXIT_GENERATION, b""),
             (tmp_path / "missing", (), EXIT_RESOURCE, b""),
@@ -646,8 +647,8 @@ class TestGenerate:
 GOLDEN_RUNS = {
     ("--model", "1"): (
         EXIT_OK,
-        "70f7e47e47dff80a4d8cde83db19bc4825f7c1dabf5a8549fb6d54b34cfd1bd9",
-        "9b6098f2ab376c450ed74228c1db0c1a30496da76a1215c9c5fee862d996cf4e",
+        "d758370944fc81613135034a3ffddc73c76a1536025e8e0b17ff9ac5bfd82355",
+        "edcdad9717eb96ac8f80b5f6f9d2a76ca16510bd2bd58756807b0c5bc53396d2",
     ),
     ("--model", "2"): (
         EXIT_OK,
@@ -671,15 +672,15 @@ GOLDEN_RUNS = {
         "624ce7396729e58d8e32c913e29d15c81f9337c01ecfa134b0f5d6c58f366de3",
         "042894bbdc67bac95d5c7d9cb79681fa11fd0235ecd9333635214bc66c7db70d",
     ),
-    # model 1 at the default --neighbors: 15 of its 20 sentences retry after
-    # 58 relaxation failures in all, each of which costs one attempt
+    # model 1 at the default --neighbors: 17 of its 20 sentences retry after
+    # 69 relaxation failures in all, each of which costs one attempt
     ("--model", "1", "--neighbors", "20"): (
         EXIT_OK,
-        "2044f306fcfdd1bcdb61e1db3399b8ba0d79fcb402693b9ce28fd3f9ad1f754a",
-        "cb7326bd018e29f7c0daeb11158c25e1ee423a76e985f87204ec1d466f9a6a23",
+        "1eaa79e9dc5fcd28a22849fc9ba7d2f75690a6d93246a2c21911f2028d26b439",
+        "2dd09d920e3b7f106b83f6a44fdd74450085dc7894d29d7dbaab59b03fc35261",
     ),
-    # no argmax walk on the fixture matrix reaches length 8: nothing is
-    # printed, and the trace file is empty
+    # no argmax walk of 8 tags on the fixture matrix ends a sentence:
+    # nothing is printed, and the trace file is empty
     ("--model", "1", "--policy", "argmax"): (
         EXIT_GENERATION,
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",

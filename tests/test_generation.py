@@ -105,29 +105,30 @@ def test_model1_relaxation_error_costs_one_attempt(resources, monkeypatch):
     monkeypatch.setattr(model1, "generate_egv", counted)
     monkeypatch.setattr(model1, "fill_content_with_relaxation", counted_fill)
     res = replace(resources, neighbors_m=20)
-    sentence = generate_model1("sol", 8, res, 1)
-    assert sentence.text == "Bajo el sueño o los sueño profundo."
-    assert (len(walks), len(relaxation_errors)) == (3, 2)
+    sentence = generate_model1("sol", 8, res, 2)
+    assert sentence.text == "En los sueño pero el sueño profundo."
+    assert (len(walks), len(relaxation_errors)) == (4, 3)
 
     walks.clear()
     with pytest.raises(GenerationError) as exc:
-        generate_model1("sol", 11, res, 5)
+        generate_model1("luna", 8, res, 6)
     assert type(exc.value) is GenerationError
     assert str(exc.value) == (
-        "model 1 failed after 20 attempts: no word fitting tag 'NCFS' "
-        "within 5 relaxations of query 'sol'"
+        "model 1 failed after 20 attempts: no word fitting tag 'NCMS' "
+        "within 5 relaxations of query 'luna'"
     )
     assert len(walks) == NOVELTY_RETRIES
 
 
-def test_model1_argmax_reports_dead_end(resources):
-    # no argmax walk on the fixture matrix is longer than 5 tags
+def test_model1_argmax_reports_an_unreachable_length(resources):
+    # the argmax walks on the fixture matrix end a sentence only after 4 or
+    # 5 tags
     res = replace(resources, policy=DecodePolicy.argmax())
     with pytest.raises(GenerationError) as exc:
         generate_model1("sol", 8, res, 0)
     assert str(exc.value) == (
-        "model 1 failed after 20 attempts: "
-        "no walk of length 8 under policy argmax: the longest is 5"
+        "model 1 failed after 20 attempts: no walk of length 8 under policy "
+        "argmax ends a sentence; lengths that do: 4, 5"
     )
     assert len(generate_model1("sol", 5, res, 0).tokens) == 5
 

@@ -75,9 +75,11 @@ CASES = {
         "infinite-weight": "luna\tNCFS000\tinf",
         "tag-with-whitespace": "sol\tNC MS000\t1.0",
     }),
-    "matrix": (TransitionMatrix.load, f"0 1 {2**62}", {
-        "row-sum-above-int64": f"0 0 {2**62}",
-        "repeated-cell": "0 1 5",
+    "matrix": (TransitionMatrix.load, f"1 2 {2**62}", {
+        "row-sum-above-int64": f"1 1 {2**62}",
+        "repeated-cell": "1 2 5",
+        "count-into-start": "1 0 1",
+        "count-out-of-end": "3 1 1",
     }),
     "matrix-states": (TransitionMatrix.load, "B", {
         "empty-state": "",
@@ -89,7 +91,7 @@ CASES = {
 # lines a loader reads before its rows, given how many rows follow: the
 # header of a state list counts its lines
 PREAMBLE = {
-    "matrix": lambda rows: "states 2\nA\nB\n",
+    "matrix": lambda rows: "states 4\n<s>\nA\nB\n</s>\n",
     "matrix-states": lambda rows: f"states {rows + 1}\nA\n",
 }
 # what stands between two rows: a blank line, which every loader skips,

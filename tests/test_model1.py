@@ -298,5 +298,5 @@ class TestGenerate:
     def test_golden_output(self, resources):
         # frozen from a verified run on the fixture resources
         sent = generate_model1("amor", 5, resources, seed=42)
-        assert sent.tokens == ("el", "destino", "y", "la", "nieve")
-        assert sent.text == "El destino y la nieve"
+        assert sent.tokens == ("hoy", "la", "nieve", "arde", ".")
+        assert sent.text == "Hoy la nieve arde."
