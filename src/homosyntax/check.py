@@ -106,8 +106,9 @@ def check_template_roundtrip(
     )
 
 
-def _oracle_scores(o, q, vk, store):
-    """Straight-line recomputation of the min-max score, raw vectors only."""
+def _oracle_scores(o, q, vk, store, nearest):
+    """Straight-line recomputation of the min-max score, raw vectors only.
+    ``nearest`` keeps each word's ten nearest across the calls of a run."""
 
     def prox(a, b):
         va, vb = store.vectors[store.index[a]], store.vectors[store.index[b]]
@@ -115,9 +116,10 @@ def _oracle_scores(o, q, vk, store):
         return min(1.0, max(0.0, (cos + 1.0) / 2.0))
 
     def top10(word):
-        others = [w for w in store.words if w != word]
-        others.sort(key=lambda w: (-prox(word, w), w))
-        return others[:10]
+        if word not in nearest:
+            nearest[word] = sorted((w for w in store.words if w != word),
+                                   key=lambda w: (-prox(word, w), w))[:10]
+        return nearest[word]
 
     thetas, betas = [], []
     for w in vk:
@@ -137,8 +139,7 @@ def _oracle_scores(o, q, vk, store):
 
 def check_score_oracle(res: GenerationResources) -> CheckResult:
     rng = random.Random(12345)
-    checked = 0
-    worst = 0.0
+    checked, worst, nearest = 0, 0.0, {}
     for slot in (s for t in res.templates.templates.values() for s in t.slots):
         if checked >= ORACLE_SLOTS:
             break
@@ -152,7 +153,7 @@ def check_score_oracle(res: GenerationResources) -> CheckResult:
         q = rng.choice(res.store.words)
         block = model3.CandidateBlock.of(vocab, res.store)
         scored = model3.score_candidates(o, q, block, res.store)
-        expected = dict(zip(vocab, _oracle_scores(o, q, vocab, res.store)))
+        expected = dict(zip(vocab, _oracle_scores(o, q, vocab, res.store, nearest)))
         for c in scored:
             worst = max(worst, abs(c["s"] - expected[c["w"]]))
         checked += 1

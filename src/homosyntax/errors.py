@@ -22,8 +22,8 @@ class BuildError(HomosyntaxError):
 
 
 class GenerationError(HomosyntaxError):
-    """An attempt or a request could not be completed (e.g. no walk of the
-    length ends a sentence, a slot without candidates, retries exhausted)."""
+    """An attempt or a request could not be completed (e.g. a slot without
+    candidates, a relaxation out of hops, retries exhausted)."""
 
 
 class FormatError(HomosyntaxError):
@@ -121,8 +121,8 @@ class OovError(HomosyntaxError):
 
 class TableError(HomosyntaxError):
     """A loaded resource lacks what a request needs: a tag missing from the
-    associative table or the function-word dictionary, or an empty template
-    store."""
+    associative table or the function-word dictionary, an empty template
+    store, or a length no walk of the matrix ends a sentence at."""
 
 
 class ResourceError(HomosyntaxError):

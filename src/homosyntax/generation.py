@@ -161,11 +161,11 @@ def generate(
     ``skeleton(rng)`` returns the provenance and the items of one skeleton.
     ``Literal`` items are copied, every other item goes to
     ``fill_slot(position, item, rng)``, which returns the word and its trace
-    record. A ``GenerationError`` from either (no walk of the length ends a
-    sentence, a relaxation out of hops, a slot without candidates or with
-    degenerate scores) costs one attempt. Any other error ends the request:
-    a query with no vector (``OovError``), a resource that lacks a tag or a
-    template (``TableError``).
+    record. A ``GenerationError`` from either (a relaxation out of hops, a
+    slot without candidates or with degenerate scores) costs one attempt.
+    Any other error ends the request: a query with no vector (``OovError``),
+    a resource that lacks a tag, a template or a walk of the length that
+    ends a sentence (``TableError``), which every attempt would repeat.
     """
     if q not in res.store:
         raise OovError(q)

@@ -15,8 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (BuildError, ConfigError, FormatError, GenerationError,
-                     load_rows, read_lines, write_lines)
+from .errors import (BuildError, ConfigError, FormatError, TableError, load_rows,
+                     read_lines, write_lines)
 from .pos import PosTag, TaggedSentence, tag_of
 
 START = "<s>"
@@ -217,14 +217,14 @@ def generate_egv(
     table, and returns its PosTag objects. A draw is the bisect at one
     ``rng.random()`` that ``rng.choices(tags, cum_weights=cum)`` makes, so
     a walk takes exactly n numbers from ``rng``. A length that no walk
-    under the policy ends a sentence at fails before anything is drawn.
+    under the policy ends a sentence at raises TableError before drawing.
     """
     if not (MIN_LEN <= n <= MAX_LEN):
         raise ConfigError(f"length must be in [{MIN_LEN}, {MAX_LEN}], got {n}")
     table = m.draws(policy)
     if START not in table[n - 1]:
         lengths = [k for k in range(MIN_LEN, MAX_LEN + 1) if START in table[k - 1]]
-        raise GenerationError(
+        raise TableError(
             f"no walk of length {n} under policy {policy} ends a sentence; "
             f"lengths that do: {', '.join(map(str, lengths)) or 'none'}"
         )

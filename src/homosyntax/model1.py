@@ -2,12 +2,12 @@
 
 The skeleton is a tag sequence decoded from the POS transition matrix: one
 walk, conditioned on the sentence ending after its last tag. A length that
-no such walk has costs one attempt of the shared driver. Functional slots
-draw uniformly from the function-word dictionary, and a skeleton-final
-punctuation slot is a period. Content slots take the first neighbor of the
-query that fits the slot's tag, trying inflection before relaxing the query
-to its nearest unvisited neighbor; a slot that no relaxation fills costs
-one attempt too, and the next attempt draws a fresh skeleton.
+no such walk has ends the request. Functional slots draw uniformly from the
+function-word dictionary, and a skeleton-final punctuation slot is a period.
+Content slots take the first neighbor of the query that fits the slot's
+tag, trying inflection before relaxing the query to its nearest unvisited
+neighbor; a slot that no relaxation fills costs one attempt of
+``generation.generate``, and the next attempt draws a fresh skeleton.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ def fill_content_with_relaxation(
     forms: FormsLexicon,
     m: int,
     max_hops: int,
-) -> tuple[str, int, list[str]]:
+) -> tuple[str, int, tuple[str, ...]]:
     """Find a tag-fitting word in L(Q), relaxing Q to Q* when needed.
 
     Returns (word, hops, visited queries). A word fits either directly
@@ -45,7 +45,7 @@ def fill_content_with_relaxation(
     and the lexicon, and neither changes once loaded, so it is kept in
     ``store.memo`` under a key holding the lexicon, which the store keeps
     alive: the word (None when the budget ran out), the hops and the visited
-    queries. Each call gets its own visited list, or its own error.
+    queries. Each call gets the kept tuple of them, or an error of its own.
     A cold fill reads each neighbor's fit under the tag from the entry
     ``("fit", forms, tag.truncated)``: per store row, whether it is attested
     under the tag and its inflected form or None, each worked out when a pass
@@ -61,7 +61,7 @@ def fill_content_with_relaxation(
             f"no word fitting tag {tag.truncated!r} within {max_hops} "
             f"relaxations of query {q!r}"
         )
-    return word, hops, list(visited)
+    return word, hops, visited
 
 
 def _relax(

@@ -23,9 +23,9 @@ def rank_vocabulary(
     q: str,
     ta: AssociativeTable,
     store: EmbeddingStore,
-) -> tuple[tuple[str, float], ...]:
+) -> tuple[str, ...]:
     """The first min(3, n) of the tag's n attested, in-vocabulary words by
-    descending proximity to q, ties by word, as (word, proximity) pairs.
+    descending proximity to q, ties by word.
 
     Only the top three are ever drawn from, so ``top_k`` sorts only the words
     at or above the third. The tag's ``ta.words``, their unit vectors and
@@ -48,8 +48,7 @@ def rank_vocabulary(
         memo[unit_key] = words, store.unit_block(rows), store.word_rank[rows]
     words, block, rank = memo[unit_key]
     prox = store.block_proximity(iq, block)
-    top = top_k(prox, 3, rank)
-    memo[key] = tuple(zip([words[i] for i in top.tolist()], prox[top].tolist()))
+    memo[key] = tuple(words[i] for i in top_k(prox, 3, rank).tolist())
     return memo[key]
 
 
@@ -67,7 +66,7 @@ def fill_by_rank(pos: int, slot: Slot, q: str, res: GenerationResources,
                  rng: random.Random, **fields) -> tuple[str, dict]:
     """Model 2's slot fill: a uniform draw among the three words of the
     slot's tag nearest q, and its trace record, with fields after the tag."""
-    top3 = [w for w, _ in rank_vocabulary(slot.tag, q, res.ta, res.store)]
+    top3 = rank_vocabulary(slot.tag, q, res.ta, res.store)
     word = rng.choice(top3)
     return word, {"position": pos, "tag": slot.tag.truncated, **fields,
                   "top3": top3, "chosen": word}

@@ -57,9 +57,6 @@ class CandidateBlock:
             a.flags.writeable = False
         return cls(tuple(vk), rows, nbrs, prox)
 
-    def __len__(self) -> int:
-        return len(self.words)
-
     def profile(self, a: str, n_a: np.ndarray,
                 store: EmbeddingStore) -> tuple[np.ndarray, np.ndarray]:
         """prox(w, N(a)) and prox(a, N(w)) for every candidate w, two
@@ -87,8 +84,6 @@ def score_candidates(
     anchor's ``profile`` (w against N(a), a against N(w)).
     Each value is the one-pair proximity, and each cosine runs over the same
     contiguous 3k-float rows as when U is built row by row."""
-    if len(block) < 2:
-        raise GenerationError(f"need >= 2 candidates, got {len(block)}")
     # OovError for o, then q; the block holds no OOV candidate
     oq = np.concatenate(store.neighbors_many([o, q], SEGMENT))
     n, k = block.neighbors.shape

@@ -195,6 +195,20 @@ class TestExitCodes:
             "no in-vocabulary candidate for tag 'AQ0"
         )
 
+    def test_unreachable_length_ends_the_request_as_a_table_error(
+            self, resources_dir, capsys):
+        # no argmax walk of 8 tags ends a sentence on the fixture matrix
+        code = main(_gen(resources_dir, "--model", "1", "--policy", "argmax",
+                         "--query", "sol", "--len", "8"))
+        captured = capsys.readouterr()
+        assert code == EXIT_GENERATION
+        assert not captured.out
+        assert json.loads(captured.err.splitlines()[0]) == {
+            "error": "TableError",
+            "message": "no walk of length 8 under policy argmax ends a "
+                       "sentence; lengths that do: 4, 5",
+        }
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("name, line, edit", [
         ("vectors.txt", 1, lambda lines: ["-1 3"] + lines[1:]),

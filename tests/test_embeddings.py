@@ -98,6 +98,20 @@ class TestBatchedProximity:
         ]
         assert got.tolist() == expected
 
+    def test_block_gives_the_one_pair_values(self, store):
+        # model 2 ranks a tag's words against a unit block made once from
+        # their rows: each value is the one-pair proximity, bit for bit
+        rng = random.Random(4)
+        v = len(store)
+        for n in (1, 2, 3, 17, 150, 300):
+            rows = [rng.randrange(v) for _ in range(n)]
+            block = store.unit_block(rows)
+            assert not block.flags.writeable
+            for a in (rows[0], rng.randrange(v)):
+                got = store.block_proximity(a, block).tolist()
+                assert got == store.proximity(a, rows).tolist()
+                assert got == [_dot_reference(store, a, b) for b in rows]
+
     def test_array_values_in_unit_interval(self, store):
         w = store.words
         u = np.concatenate([store.neighbors(a, 10) for a in w[:3]])
@@ -556,6 +570,13 @@ class TestTraining:
         with pytest.raises(BuildError, match="need >= 100 sentences, got 50"):
             train_embeddings(recs)
 
+    def test_vocabulary_too_small_after_min_count(self):
+        # 100 sentences, but only "a" occurs often enough to keep
+        recs = [SentenceRecord("d", i, ("a", f"w{i}")) for i in range(100)]
+        with pytest.raises(BuildError,
+                           match="^vocabulary too small after min_count filtering$"):
+            train_embeddings(recs, dims=8, min_count=2)
+
     def test_small_dims(self, sentences):
         with pytest.raises(BuildError, match="need dims >= 8, got 4"):
             train_embeddings(sentences, dims=4)
@@ -648,6 +669,11 @@ class TestSerialization:
         with pytest.raises(FormatError, match="non-finite") as exc:
             EmbeddingStore.load(p)
         assert (exc.value.line, exc.value.path) == (4, str(p))
+
+    def test_words_and_vectors_of_other_lengths_rejected_by_constructor(self):
+        with pytest.raises(FormatError,
+                           match="^vocab size does not match vector count$"):
+            EmbeddingStore(["a", "b"], np.array([[1.0, 0.0]]))
 
     def test_non_finite_vectors_rejected_by_constructor(self):
         with pytest.raises(FormatError, match="non-finite"):

@@ -120,16 +120,25 @@ def test_model1_relaxation_error_costs_one_attempt(resources, monkeypatch):
     assert len(walks) == NOVELTY_RETRIES
 
 
-def test_model1_argmax_reports_an_unreachable_length(resources):
+def test_model1_argmax_reports_an_unreachable_length(resources, monkeypatch):
     # the argmax walks on the fixture matrix end a sentence only after 4 or
-    # 5 tags
+    # 5 tags: a length of 8 depends on no draw, so the request ends at its
+    # first attempt instead of repeating the same error 20 times
+    walks, walk = [], model1.generate_egv
+
+    def counted(*args):
+        walks.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(model1, "generate_egv", counted)
     res = replace(resources, policy=DecodePolicy.argmax())
-    with pytest.raises(GenerationError) as exc:
+    with pytest.raises(TableError) as exc:
         generate_model1("sol", 8, res, 0)
     assert str(exc.value) == (
-        "model 1 failed after 20 attempts: no walk of length 8 under policy "
-        "argmax ends a sentence; lengths that do: 4, 5"
+        "no walk of length 8 under policy argmax ends a sentence; lengths "
+        "that do: 4, 5"
     )
+    assert len(walks) == 1
     assert len(generate_model1("sol", 5, res, 0).tokens) == 5
 
 

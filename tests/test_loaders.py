@@ -80,6 +80,8 @@ CASES = {
         "repeated-cell": "1 2 5",
         "count-into-start": "1 0 1",
         "count-out-of-end": "3 1 1",
+        "state-index-out-of-range": "1 4 1",
+        "negative-state-index": "-2 1 1",
     }),
     "matrix-states": (TransitionMatrix.load, "B", {
         "empty-state": "",
@@ -195,23 +197,48 @@ def test_located_format_error_passes_unchanged():
     assert exc.value is inner
 
 
-# headers that no array can be shaped from, and a count no matrix can hold
+# headers a loader refuses at line 1: missing, empty, unreadable, or
+# naming a shape no array can take or a count no matrix can hold
 HEADERS = {
-    "vectors-negative-count": (EmbeddingStore.load, "-1 3\n"),
-    "vectors-zero-dims": (EmbeddingStore.load, "1 0\nsol\n"),
-    "vectors-negative-dims": (EmbeddingStore.load, "1 -2\nsol 1.0\n"),
-    "matrix-negative-states": (TransitionMatrix.load, "states -1\nA\n"),
+    "vectors-negative-count": (EmbeddingStore.load, "-1 3\n",
+                               "bad header '-1 3': need vocab_count >= 0, dims >= 1"),
+    "vectors-zero-dims": (EmbeddingStore.load, "1 0\nsol\n",
+                          "bad header '1 0': need vocab_count >= 0, dims >= 1"),
+    "vectors-negative-dims": (EmbeddingStore.load, "1 -2\nsol 1.0\n",
+                              "bad header '1 -2': need vocab_count >= 0, dims >= 1"),
+    "vectors-empty": (EmbeddingStore.load, "", "empty embedding file"),
+    "vectors-non-integer-header": (EmbeddingStore.load, "1 2.0\nsol 1.0 2.0\n",
+                                   "non-integer header"),
+    "matrix-negative-states": (TransitionMatrix.load, "states -1\nA\n",
+                               "negative state count -1"),
+    "matrix-empty": (TransitionMatrix.load, "", "missing 'states <n>' header"),
+    "matrix-missing-states-header": (TransitionMatrix.load, "4\n<s>\nA\nB\n</s>\n",
+                                     "missing 'states <n>' header"),
+    "matrix-bad-state-count": (TransitionMatrix.load, "states four\n<s>\n</s>\n",
+                               "bad state count"),
+    "matrix-no-state-count": (TransitionMatrix.load, "states \n<s>\n</s>\n",
+                              "bad state count"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(HEADERS))
 def test_bad_header_names_file_and_line_1(tmp_path, name):
-    load, text = HEADERS[name]
+    load, text, message = HEADERS[name]
     p = tmp_path / name
     p.write_text(text, encoding="utf-8")
     with pytest.raises(FormatError) as exc:
         load(p)
     assert (exc.value.path, exc.value.line) == (str(p), 1)
+    assert str(exc.value) == f"{p}: line 1: {message}"
+
+
+def test_too_few_state_lines_names_the_file(tmp_path):
+    # the state lines run out: no line holds the fault, so none is named
+    p = tmp_path / "matrix.txt"
+    p.write_text("states 4\n<s>\nA\n", encoding="utf-8")
+    with pytest.raises(FormatError, match="expected 4 state lines$") as exc:
+        TransitionMatrix.load(p)
+    assert (exc.value.path, exc.value.line) == (str(p), None)
 
 
 @pytest.mark.filterwarnings("error")

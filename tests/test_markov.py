@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from homosyntax.corpus import SentenceRecord
-from homosyntax.errors import BuildError, ConfigError, FormatError, GenerationError
+from homosyntax.errors import BuildError, ConfigError, FormatError, TableError
 from homosyntax.markov import (
     DecodePolicy,
     END,
@@ -103,7 +103,7 @@ class TestGenerate:
             for n in sorted(set(range(3, 16)) - set(lengths)):
                 rng = random.Random(0)
                 state = rng.getstate()
-                with pytest.raises(GenerationError) as exc:
+                with pytest.raises(TableError) as exc:
                     generate_egv(matrix, n, policy, rng)
                 assert str(exc.value) == (
                     f"no walk of length {n} under policy {policy} ends a "
@@ -293,7 +293,7 @@ class TestSuccessorTable:
         m = TransitionMatrix((START, *tags, END), counts)
         _check_table(m, policy, n)
         if START not in m.draws(policy)[n - 1]:
-            with pytest.raises(GenerationError, match=(
+            with pytest.raises(TableError, match=(
                     f"^no walk of length {n} under policy {policy} ends")):
                 generate_egv(m, n, policy, random.Random(0))
 

@@ -64,6 +64,14 @@ def _score(o, q, vk, store, invert=False):
     return score_candidates(o, q, CandidateBlock.of(vk, store), store, invert)
 
 
+_E1, _E2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+
+
+def _axis_store(**vectors):
+    """A store of the words given, each at its 2-d vector."""
+    return EmbeddingStore(list(vectors), np.array(list(vectors.values())))
+
+
 class TestScoring:
     def test_against_oracle(self, resources):
         store = resources.store
@@ -148,8 +156,45 @@ class TestScoring:
         assert ss == sorted(ss)
 
     def test_too_few_candidates(self, resources):
-        with pytest.raises(GenerationError, match="^need >= 2 candidates, got 1$"):
-            _score("sol", "luna", ["mar"], resources.store)
+        # every tag keeps one in-vocabulary word: a slot whose original has
+        # a vector has one candidate, which costs the attempt in fill_slot
+        store = resources.store
+        ta = AssociativeTable({tag: [wc for wc in words if wc[0] in store][:1]
+                               for tag, words in resources.ta.table.items()})
+        assert all(len(ta.words(tag, store)) == 1 for tag in ta.table)
+        with pytest.raises(GenerationError) as exc:
+            generate_model3("sol", 8, replace(resources, ta=ta), 0)
+        prefix = ("model 3 failed after 20 attempts: fewer than 2 in-vocabulary "
+                  "candidates for ")
+        assert str(exc.value).startswith(prefix)
+        assert str(exc.value)[len(prefix):].strip("'") in ta.table
+
+    @pytest.mark.parametrize("invert", [False, True])
+    def test_zero_norm_distance_vector(self, invert):
+        # w is opposite every other word: its profile against U, which holds
+        # only the others, is all zeros
+        store = _axis_store(w=_E1, **{f"b{i:02d}": -_E1 for i in range(12)})
+        with pytest.raises(GenerationError, match="^zero-norm distance vector$"):
+            _score("b00", "b01", ["w", "b02"], store, invert)
+
+    @pytest.mark.parametrize("invert", [False, True])
+    def test_zero_similarity(self, invert):
+        # q and the candidates lie on opposite ends of one axis, and every
+        # word of U on that axis: each theta is 0
+        store = _axis_store(a=_E1, b=-_E1, c=_E1, d=-_E1)
+        with pytest.raises(GenerationError, match="^zero similarity in scoring$"):
+            _score("c", "a", ["b", "d"], store, invert)
+
+    def test_zero_similarity_in_inverted_scoring(self):
+        # o is opposite the candidate x, and U lies on their axis: x's beta
+        # is 0, which only the inverted score divides by
+        store = _axis_store(v=_E2, **{f"n{i:02d}": -_E1 for i in range(12)},
+                            **{f"p{i:02d}": _E1 for i in range(12)})
+        scored = _score("n00", "p00", ["p01", "v"], store)
+        assert [c["beta"] for c in scored if c["w"] == "p01"] == [0.0]
+        with pytest.raises(GenerationError,
+                           match="^zero similarity in inverted scoring$"):
+            _score("n00", "p00", ["p01", "v"], store, invert=True)
 
     def test_oov_candidate(self, resources):
         with pytest.raises(OovError):
@@ -459,7 +504,7 @@ def _reference_top3(tag, q, store, ta):
     ranked = sorted(
         words, key=lambda w: (-store.proximity(store.index[q], store.index[w]), w)
     )
-    return ranked[:3]
+    return tuple(ranked[:3])
 
 
 class TestOovFallback:
