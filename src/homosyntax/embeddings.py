@@ -232,7 +232,7 @@ class EmbeddingStore:
                 f"bad header {lines[0]!r}: need vocab_count >= 0, dims >= 1", 1, path
             )
         if len(lines) - 1 < count:
-            raise FormatError(f"expected {count} vector rows", path=path)
+            raise FormatError(f"expected {count} vector rows", 1, path)
         row_of: dict[str, int] = {}  # word -> row index, in file order
         vectors: list[float] = []  # the components of every row, in order
 
@@ -302,6 +302,7 @@ def _write_copy(path: Path, key: list[int], store: EmbeddingStore) -> None:
 
 
 LEARNING_RATE = 0.025  # initial SGD step, decayed linearly to 1e-4 of it
+BLOCK = 16  # sentences prepared at once: ~0.26 MB of arrays at the fixture's density
 
 
 def lowercase_words(tokens: list[str] | tuple[str, ...]) -> list[str]:
@@ -320,14 +321,22 @@ def train_embeddings(
 ) -> EmbeddingStore:
     """Single-threaded skip-gram with negative sampling; fully deterministic.
 
-    Pairs are trained one at a time, in sentence order, by plain SGD. The
-    negatives of a sentence's pairs are drawn in one ``rng.choice`` call
-    before its first pair: the same numbers from the same seeded stream, in
-    the same order, as one call per pair, so the vectors do not depend on
-    how the draws are grouped. A pair whose targets (its context and its
-    negatives) are all distinct updates their output rows in one assignment;
-    a pair that drew a target twice goes through ``np.subtract.at``, which
-    applies both updates to that row one after the other.
+    Pairs are trained one at a time, in sentence order, by plain SGD. Their
+    work is prepared BLOCK sentences at a time, and none of it changes a bit:
+    the block's negatives come from one ``rng.choice`` call, which takes the
+    same numbers from the seeded stream, in the same order, as one call per
+    pair; each pair's learning rate is its center's global step, divided and
+    clamped elementwise as one float would be; and the pair losses are
+    subtracted from the epoch's sum one at a time, in pair order. So the
+    vectors do not depend on the block size. In the pair loop every ufunc
+    takes arrays and writes into a kept buffer, and an elementwise IEEE
+    operation rounds the same whether its operand is a scalar or an array.
+    The input rows are kept negated, since rounding to nearest is symmetric:
+    ``np.dot(wo, -h)`` is exactly -z, ``wo + g * -h`` is ``wo - g * h`` and
+    ``-h + grad_h`` is ``-(h - grad_h)``. A pair whose targets (its context
+    and its negatives) are all distinct updates their output rows in one
+    assignment; a pair that drew a target twice goes through ``np.add.at``,
+    which applies both updates to that row one after the other.
     """
     if len(corpus) < 100:
         raise BuildError(f"need >= 100 sentences, got {len(corpus)}")
@@ -353,7 +362,8 @@ def train_embeddings(
 
     rng = np.random.default_rng(seed)
     v = len(vocab)
-    w_in = (rng.random((v, dims)) - 0.5) / dims
+    # the input rows, kept negated while training
+    neg_in = -((rng.random((v, dims)) - 0.5) / dims)
     w_out = np.zeros((v, dims))
 
     # unigram^0.75 negative-sampling distribution
@@ -361,63 +371,84 @@ def train_embeddings(
     neg_probs = counts**0.75
     neg_probs /= neg_probs.sum()
 
-    # each sentence's (center, context) pairs in training order, with the
-    # position of each pair's center; the same in every epoch
-    pair_lists = []
-    for sent in encoded:
-        centers, contexts, positions = [], [], []
-        for ci, center in enumerate(sent):
-            for xi in range(max(0, ci - window), min(len(sent), ci + window + 1)):
-                if xi != ci:
-                    centers.append(center)
-                    contexts.append(sent[xi])
-                    positions.append(ci)
-        pair_lists.append((centers, contexts, positions))
-    pairs = max(1, sum(len(centers) for centers, _, _ in pair_lists))
+    # the (center, context) pairs of each block of BLOCK sentences in training
+    # order, with the step of each pair's center within an epoch; the same
+    # in every epoch
+    blocks = []
+    tokens = 0
+    for first in range(0, len(encoded), BLOCK):
+        centers, contexts, steps = [], [], []
+        for sent in encoded[first : first + BLOCK]:
+            for ci, center in enumerate(sent):
+                for xi in range(max(0, ci - window), min(len(sent), ci + window + 1)):
+                    if xi != ci:
+                        centers.append(center)
+                        contexts.append(sent[xi])
+                        steps.append(tokens + ci)
+            tokens += len(sent)
+        blocks.append((centers, contexts, np.array(steps)))
+    pairs = max(1, sum(len(centers) for centers, _, _ in blocks))
 
-    labels = np.zeros(negatives + 1)
+    # the operands and buffers every pair reuses: each ufunc below takes
+    # arrays, so none converts a Python float, and writes into its third
+    # argument
+    k = negatives + 1
+    labels = np.zeros(k)
     labels[0] = 1.0
+    ones = np.ones(k)
+    g = np.empty((k, 1))  # a column, so that g * h is the outer product
+    g_row = g[:, 0]
+    grad_h = np.empty(dims)
+    wo = np.empty((k, dims))
+    update = np.empty((k, dims))
+    dot, exp, add, divide, subtract, multiply = (  # as locals, for the pair loop
+        np.dot, np.exp, np.add, np.divide, np.subtract, np.multiply
+    )
     eps = 1e-10
-    total_steps = max(1, epochs * sum(len(s) for s in encoded))
-    step = 0
+    total_steps = max(1, epochs * tokens)
     losses = []
-    for _epoch in range(epochs):
+    for epoch in range(epochs):
         epoch_loss = 0.0
-        for sent, (centers, contexts, positions) in zip(encoded, pair_lists):
-            alphas = [
-                LEARNING_RATE * max(1.0 - (step + ci) / total_steps, 1e-4)
-                for ci in range(len(sent))
-            ]
-            step += len(sent)
+        for centers, contexts, steps in blocks:
             n = len(centers)
             # row j: pair j's context, then its negatives
-            targets = np.empty((n, negatives + 1), dtype=np.int64)
+            targets = np.empty((n, k), dtype=np.int64)
             targets[:, 0] = contexts
             targets[:, 1:] = rng.choice(v, size=(n, negatives), p=neg_probs)
             ordered = np.sort(targets, axis=1)
             distinct = (ordered[:, 1:] != ordered[:, :-1]).all(axis=1).tolist()
-            probs = np.empty((n, negatives + 1))
-            for center, t, p, ci, unique in zip(
-                centers, targets, probs, positions, distinct
+            # row j: pair j's learning rate once per target, so that its
+            # multiply takes operands of one shape, which is cheaper than a broadcast
+            rates = np.empty((n, k))
+            rates[:] = LEARNING_RATE * np.maximum(
+                1.0 - (steps + epoch * tokens) / total_steps, 1e-4
+            )[:, None]
+            probs = np.empty((n, k))
+            for center, t, p, rate, unique in zip(
+                centers, targets, probs, rates, distinct
             ):
-                h = w_in[center]  # a view: updating h updates w_in
-                wo = w_out.take(t, axis=0)
+                neg_h = neg_in[center]  # a view: updating it updates neg_in
+                # every index is in range; "clip" skips the copy that "raise"
+                # makes through a buffer when given out=
+                w_out.take(t, axis=0, out=wo, mode="clip")
                 # p = 1 / (1 + exp(-z)), in place
-                np.negative(np.dot(wo, h), out=p)
-                np.exp(p, out=p)
-                p += 1.0
-                np.divide(1.0, p, out=p)
-                g = (p - labels) * alphas[ci]
-                grad_h = np.dot(g, wo)
-                update = g[:, None] * h
+                dot(wo, neg_h, p)
+                exp(p, p)
+                add(p, ones, p)
+                divide(ones, p, p)
+                subtract(p, labels, g_row)
+                multiply(g_row, rate, g_row)
+                dot(g_row, wo, grad_h)
+                multiply(g, neg_h, update)  # -(g * h)
                 if unique:
-                    w_out[t] = wo - update
+                    add(wo, update, wo)
+                    w_out[t] = wo
                 else:
                     # a target drawn twice takes both updates, the second
-                    # on top of the first: subtract.at applies them in order,
+                    # on top of the first: add.at applies them in order,
                     # bit for bit, where an assignment would keep only one
-                    np.subtract.at(w_out, t, update)
-                h -= grad_h
+                    np.add.at(w_out, t, update)
+                add(neg_h, grad_h, neg_h)
             # each pair's loss, subtracted one at a time in pair order, the
             # order that fixes the last bits of the sum
             pair_losses = np.log(probs[:, 0] + eps) + np.log(
@@ -427,7 +458,9 @@ def train_embeddings(
                 epoch_loss -= loss
         losses.append(epoch_loss / pairs)
 
-    store = EmbeddingStore(vocab, w_in)
+    # 0.0 - x, not -x: no row starts with a -0.0 and h - grad_h never makes
+    # one, so every zero comes back as +0.0
+    store = EmbeddingStore(vocab, 0.0 - neg_in)
     store.training_losses = losses
     return store
 

@@ -107,7 +107,7 @@ class TransitionMatrix:
         if n < 0:
             raise FormatError(f"negative state count {n}", 1, path)
         if len(lines) < 1 + n:
-            raise FormatError(f"expected {n} state lines", path=path)
+            raise FormatError(f"expected {n} state lines", 1, path)
         states = tuple(lines[1 : 1 + n])
         seen: set[str] = set()
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from homosyntax import embeddings
 from homosyntax.corpus import SentenceRecord
 from homosyntax.embeddings import (
     AssociativeTable,
@@ -514,11 +515,15 @@ def _training_runs(draw):
 
     The first two sentences hold the first two words, so at least two words
     pass min_count. V <= 3 with three or more negatives forces a repeated
-    target in every pair; larger V mixes pairs with and without one.
+    target in every pair; larger V mixes pairs with and without one. About
+    half the corpora have 100-110 sentences, the others 300-360, so that
+    the pairs span several of the trainer's blocks (embeddings.BLOCK
+    sentences prepared at once).
     """
     v = draw(st.integers(min_value=2, max_value=40))
     words = [f"w{chr(97 + i // 26)}{chr(97 + i % 26)}" for i in range(v)]
-    lengths = draw(st.lists(st.integers(1, 6), min_size=98, max_size=108))
+    count = draw(st.one_of(st.integers(98, 108), st.integers(298, 358)))
+    lengths = draw(st.lists(st.integers(1, 6), min_size=count, max_size=count))
     picks = iter(draw(st.lists(
         st.integers(0, v - 1), min_size=sum(lengths), max_size=sum(lengths)
     )))
@@ -529,7 +534,7 @@ def _training_runs(draw):
         SentenceRecord("h", i, tuple(s)) for i, s in enumerate(sentences)
     ]
     params = dict(
-        dims=8,
+        dims=draw(st.sampled_from((8, 9, 64))),
         window=draw(st.sampled_from((0, 1, 2, 5))),  # 0: no pairs at all
         negatives=draw(st.sampled_from((1, 3, 5))),
         epochs=draw(st.sampled_from((1, 2))),
@@ -560,8 +565,19 @@ class TestTrainingOracle:
         words, vectors, losses = _reference_train(corpus, **params)
         store = train_embeddings(corpus, **params)
         assert store.words == words
-        assert np.array_equal(store.vectors, vectors)
+        assert store.vectors.tobytes() == vectors.tobytes()  # zeros' signs too
         assert store.training_losses == losses
+
+    @pytest.mark.parametrize("block", [1, 7, 601])
+    def test_block_size_leaves_every_bit(self, sentences, store, monkeypatch, block):
+        # the fixture's 600 sentences one at a time, 7 at a time (the last
+        # block short) and all in one block, against the default BLOCK
+        assert embeddings.BLOCK < len(sentences) < 601
+        monkeypatch.setattr(embeddings, "BLOCK", block)
+        blocked = train_embeddings(sentences, **EMB_PARAMS)
+        assert blocked.words == store.words
+        assert blocked.vectors.tobytes() == store.vectors.tobytes()
+        assert blocked.training_losses == store.training_losses
 
 
 class TestTraining:

@@ -233,12 +233,23 @@ def test_bad_header_names_file_and_line_1(tmp_path, name):
 
 
 def test_too_few_state_lines_names_the_file(tmp_path):
-    # the state lines run out: no line holds the fault, so none is named
+    # the state lines run out: line 1 declared the count they fall short of
     p = tmp_path / "matrix.txt"
     p.write_text("states 4\n<s>\nA\n", encoding="utf-8")
     with pytest.raises(FormatError, match="expected 4 state lines$") as exc:
         TransitionMatrix.load(p)
-    assert (exc.value.path, exc.value.line) == (str(p), None)
+    assert (exc.value.path, exc.value.line) == (str(p), 1)
+    assert str(exc.value) == f"{p}: line 1: expected 4 state lines"
+
+
+def test_too_few_vector_rows_names_line_1(tmp_path):
+    # as for the matrix: the header at line 1 declared three rows
+    p = tmp_path / "vectors.txt"
+    p.write_text("3 2\nsol 1.0 2.0\nluna 3.0 4.0\n", encoding="utf-8")
+    with pytest.raises(FormatError) as exc:
+        EmbeddingStore.load(p)
+    assert (exc.value.path, exc.value.line) == (str(p), 1)
+    assert str(exc.value) == f"{p}: line 1: expected 3 vector rows"
 
 
 @pytest.mark.filterwarnings("error")
