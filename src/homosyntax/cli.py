@@ -139,10 +139,9 @@ def _cmd_ingest(args) -> int:
     # checked before the documents are read: below 1 word keeps blank lines
     _check_least(("--min-words", args.min_words, 1),
                  ("--max-words", args.max_words, args.min_words))
-    docs = corpus_mod.read_documents(args.indir)
     sentences = []
-    for doc in docs:
-        for s in corpus_mod.segment_sentences(doc):
+    for doc_id, text in corpus_mod.read_documents(args.indir):
+        for s in corpus_mod.segment_sentences(doc_id, text):
             sentences.append(corpus_mod.filter_tokens(s))
     kept = corpus_mod.length_filter(sentences, args.min_words, args.max_words)
     corpus_mod.write_sentences(kept, args.out)

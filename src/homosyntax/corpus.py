@@ -11,17 +11,11 @@ from __future__ import annotations
 import re
 import unicodedata
 from dataclasses import dataclass
-from importlib import resources as importlib_resources
+from functools import cache
 from pathlib import Path
 
-from .errors import (ConfigError, ResourceError, read_lines, read_text,
+from .errors import (ConfigError, ResourceError, decode_text, read_lines,
                      write_lines)
-
-
-@dataclass(frozen=True)
-class RawDocument:
-    id: str
-    text: str
 
 
 @dataclass(frozen=True)
@@ -39,21 +33,13 @@ class CorpusStats:
     mean_words_per_sentence: float
 
 
-def _load_abbreviations() -> frozenset[str]:
-    text = (
-        importlib_resources.files("homosyntax")
-        .joinpath("data/abbreviations.txt")
-        .read_text(encoding="utf-8")
+@cache
+def _abbreviations() -> frozenset[str]:
+    """The guarded abbreviations, read on first use from the package data."""
+    lines = read_lines(Path(__file__).parent / "data" / "abbreviations.txt")
+    return frozenset(
+        ln.lower() for ln in map(str.strip, lines) if ln and not ln.startswith("#")
     )
-    abbrevs = set()
-    for line in text.splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            abbrevs.add(line.lower())
-    return frozenset(abbrevs)
-
-
-ABBREVIATIONS = _load_abbreviations()
 
 # terminator run, whitespace, then something that opens a new sentence
 _BOUNDARY = re.compile(r"[.!?…]+\s+(?=[A-ZÁÉÍÓÚÑÜ¿¡«\"“(])")
@@ -75,12 +61,13 @@ def _is_abbreviation(text: str, dot_pos: int) -> bool:
     while start > 0 and not text[start - 1].isspace():
         start -= 1
     word = text[start:dot_pos].lower().lstrip("¿¡«\"“(")
-    return word in ABBREVIATIONS
+    return word in _abbreviations()
 
 
-def segment_sentences(doc: RawDocument) -> list[SentenceRecord]:
-    """Split a document into sentence records with punctuation kept as tokens."""
-    text = unicodedata.normalize("NFC", doc.text)
+def segment_sentences(doc_id: str, text: str) -> list[SentenceRecord]:
+    """Split a document's text into sentence records with punctuation kept as
+    tokens."""
+    text = unicodedata.normalize("NFC", text)
     if not text.strip():
         return []
 
@@ -98,7 +85,7 @@ def segment_sentences(doc: RawDocument) -> list[SentenceRecord]:
     for piece in pieces:
         tokens = tuple(_TOKEN.findall(piece))
         if tokens:
-            records.append(SentenceRecord(doc.id, len(records), tokens))
+            records.append(SentenceRecord(doc_id, len(records), tokens))
     return records
 
 
@@ -129,17 +116,14 @@ def compute_stats(sentences: list[SentenceRecord]) -> CorpusStats:
     return CorpusStats(sentence_count, word_count, char_count, mean)
 
 
-def read_document(path: str | Path) -> RawDocument:
-    path = Path(path)
-    return RawDocument(path.stem, read_text(path))
-
-
-def read_documents(directory: str | Path) -> list[RawDocument]:
-    """Read every ``*.txt`` file in a directory, sorted by name."""
+def read_documents(directory: str | Path) -> list[tuple[str, str]]:
+    """(file stem, text) for every ``*.txt`` file in a directory, sorted by
+    name; the text is UTF-8 (``decode_text``)."""
     directory = Path(directory)
     if not directory.is_dir():
         raise ResourceError(f"{directory}: not a directory")
-    return [read_document(p) for p in sorted(directory.glob("*.txt"))]
+    return [(p.stem, decode_text(p.read_bytes(), p))
+            for p in sorted(directory.glob("*.txt"))]
 
 
 def write_sentences(sentences: list[SentenceRecord], path: str | Path) -> None:

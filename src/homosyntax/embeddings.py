@@ -97,7 +97,10 @@ class EmbeddingStore:
         a and b are each a row or a broadcastable array of rows. Two rows
         give a float; otherwise the result is an array of the broadcast
         shape. np.vecdot runs the same dot kernel as np.dot on one pair, so
-        every element equals the one-pair value bit for bit.
+        each element equals the one-pair value bit for bit, except under
+        OpenBLAS's ``Prescott`` kernel, where a gathered row of an odd number
+        of dims can lose its 16-byte alignment and the dot its last bit
+        (README "Determinism"; ROADMAP item 7).
         """
         prox = _proximity(np.vecdot(self._unit[a], self._unit[b]))
         return float(prox) if prox.ndim == 0 else prox
@@ -112,7 +115,8 @@ class EmbeddingStore:
     def block_proximity(self, a: int, block: np.ndarray) -> np.ndarray:
         """``proximity(a, rows)`` for the rows the block was made from,
         without gathering them again: the same np.vecdot on the same unit
-        vectors, so equal bit for bit."""
+        vectors, so equal bit for bit, but for ``proximity``'s exception
+        under ``Prescott`` (ROADMAP item 7)."""
         return _proximity(np.vecdot(self._unit[a], block))
 
     def neighbors(self, q: str, m: int) -> np.ndarray:

@@ -49,14 +49,9 @@ def decode_text(data: bytes, path: str | Path) -> str:
         raise FormatError(f"not valid UTF-8: {e.reason}", line, path) from e
 
 
-def read_text(path: str | Path) -> str:
-    """The text of a UTF-8 file (``decode_text``)."""
-    return decode_text(Path(path).read_bytes(), path)
-
-
 def read_lines(path: str | Path) -> list[str]:
-    """The lines of a UTF-8 text file (``read_text``), without line ends."""
-    return read_text(path).splitlines()
+    """The lines of a UTF-8 text file (``decode_text``), without line ends."""
+    return decode_text(Path(path).read_bytes(), path).splitlines()
 
 
 def write_lines(path: str | Path, lines: Iterable[str]) -> None:

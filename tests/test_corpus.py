@@ -2,12 +2,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from homosyntax.corpus import (
-    RawDocument,
     SentenceRecord,
     compute_stats,
     filter_tokens,
     length_filter,
-    read_document,
+    read_documents,
     segment_sentences,
 )
 from homosyntax.errors import ConfigError, FormatError
@@ -19,36 +18,33 @@ def _texts(records):
 
 class TestSegmentation:
     def test_two_plain_sentences(self):
-        doc = RawDocument("d", "Llueve. El sol sale.")
-        got = segment_sentences(doc)
+        got = segment_sentences("d", "Llueve. El sol sale.")
         assert _texts(got) == ["Llueve .", "El sol sale ."]
 
     def test_abbreviation_guard(self):
-        doc = RawDocument("d", "El Sr. Ruiz habla.")
-        got = segment_sentences(doc)
+        got = segment_sentences("d", "El Sr. Ruiz habla.")
         assert len(got) == 1
         assert got[0].tokens == ("El", "Sr", ".", "Ruiz", "habla", ".")
 
     def test_empty_document(self):
-        assert segment_sentences(RawDocument("d", "")) == []
+        assert segment_sentences("d", "") == []
 
     def test_question_and_exclamation(self):
-        doc = RawDocument("d", "¿Quién canta? ¡La luna! El mar calla.")
-        assert len(segment_sentences(doc)) == 3
+        text = "¿Quién canta? ¡La luna! El mar calla."
+        assert len(segment_sentences("d", text)) == 3
 
     def test_indices_strictly_increasing(self):
-        doc = RawDocument("d", "Uno llega. Dos esperan. Tres parten.")
-        got = segment_sentences(doc)
+        got = segment_sentences("d", "Uno llega. Dos esperan. Tres parten.")
         assert [r.index for r in got] == [0, 1, 2]
 
     def test_deterministic(self):
-        doc = RawDocument("d", "La noche cae. El viento pasa. ¡Nadie habla!")
-        assert segment_sentences(doc) == segment_sentences(doc)
+        text = "La noche cae. El viento pasa. ¡Nadie habla!"
+        assert segment_sentences("d", text) == segment_sentences("d", text)
 
     def test_abbrev_fixture_file(self, fixdir):
         # expected output inspected manually once: abbreviations never split
-        doc = read_document(fixdir / "abbrev.txt")
-        got = _texts(segment_sentences(doc))
+        text = (fixdir / "abbrev.txt").read_text(encoding="utf-8")
+        got = _texts(segment_sentences("abbrev", text))
         assert got == [
             "El Sr . Ruiz habla .",
             "La Sra . Gómez escucha con atención .",
@@ -163,4 +159,4 @@ def test_non_utf8_rejected(tmp_path):
     p = tmp_path / "bad.txt"
     p.write_bytes(b"caf\xe9 latin-1")
     with pytest.raises(FormatError, match="bad.txt: line 1: not valid UTF-8"):
-        read_document(p)
+        read_documents(tmp_path)

@@ -11,9 +11,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy
+
 import homosyntax
 
 SRC = Path(homosyntax.__file__).resolve().parents[1]
+NUMPY_DIR = str(Path(numpy.__file__).resolve().parents[1])
 MODULES = sorted(
     p.stem for p in (SRC / "homosyntax").glob("*.py") if p.stem != "__init__"
 )
@@ -57,6 +60,38 @@ def test_cli_leaves_the_check_harness_unimported():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["False"]
+
+
+# whether a CLI import imported importlib.resources and the data files it
+# opened, then the data files opened once an abbreviation is looked up: the
+# last shows that the hook sees the abbreviation list being read
+SHOW_DATA_OPENS = """
+import os, sys
+data = os.path.join("homosyntax", "data") + os.sep
+opened = []
+def hook(event, args):
+    if event == "open" and isinstance(args[0], (str, bytes, os.PathLike)):
+        name = os.fsdecode(args[0])
+        if data in name:
+            opened.append(os.path.basename(name))
+sys.addaudithook(hook)
+import homosyntax.cli
+print(["importlib.resources" in sys.modules, opened[:]])
+homosyntax.corpus._is_abbreviation("El Sr.", 5)
+print(opened)
+"""
+
+
+def test_cli_import_opens_no_data_file():
+    # without site, whose own imports would hide importlib.resources; only
+    # ingest needs the abbreviation list, so it is read on first use
+    done = _python(
+        "-S", "-c", SHOW_DATA_OPENS, env={**os.environ, "PYTHONPATH": NUMPY_DIR}
+    )
+    assert done.returncode == 0, done.stderr
+    imported, segmented = map(ast.literal_eval, done.stdout.splitlines())
+    assert imported == [False, []]
+    assert segmented == ["abbreviations.txt"]
 
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")

@@ -1,8 +1,9 @@
 """Metamorphic relations: changes to the resources that must leave every
 output byte for byte as it was, checked without an expected sentence.
 
-- Scaling: every vector of ``vectors.txt`` times 2. Doubling is exact in
-  binary floating point, so every unit row, proximity and score is too.
+- Scaling: every vector of ``vectors.txt`` times 2, 1/2 or 4. A power of
+  two scales exactly in binary floating point, so every unit row,
+  proximity and score is as it was.
 - Row order: the rows of ``vectors.txt`` in another order. Every ranking
   breaks its ties by word, never by store row.
 """
@@ -35,10 +36,12 @@ def _rewrite_vectors(resources_dir, out, edit):
     return out
 
 
-def _doubled(rows):
-    # repr of a float reads back as the same float
-    return [" ".join([word, *(repr(2 * float(x)) for x in xs)])
-            for word, *xs in (row.split() for row in rows)]
+def _scaled(factor):
+    def edit(rows):
+        # repr of a float reads back as the same float
+        return [" ".join([word, *(repr(factor * float(x)) for x in xs)])
+                for word, *xs in (row.split() for row in rows)]
+    return edit
 
 
 def _shuffled(rows):
@@ -47,11 +50,15 @@ def _shuffled(rows):
     return rows
 
 
+RELATIONS = {"scaled": _scaled(2), "halved": _scaled(0.5),
+             "quadrupled": _scaled(4), "permuted": _shuffled}
+
+
 @pytest.fixture(scope="session")
 def related_dirs(resources_dir, tmp_path_factory):
     base = tmp_path_factory.mktemp("metamorphic")
-    return {"scaled": _rewrite_vectors(resources_dir, base / "scaled", _doubled),
-            "permuted": _rewrite_vectors(resources_dir, base / "permuted", _shuffled)}
+    return {name: _rewrite_vectors(resources_dir, base / name, edit)
+            for name, edit in RELATIONS.items()}
 
 
 def _run(directory, flags, query, length, seed):
@@ -66,7 +73,7 @@ def _run(directory, flags, query, length, seed):
 
 
 @pytest.mark.parametrize("flags", SETTINGS, ids=" ".join)
-@pytest.mark.parametrize("relation", ["scaled", "permuted"])
+@pytest.mark.parametrize("relation", RELATIONS)
 @settings(max_examples=8, deadline=None)
 @given(query=st.sampled_from(QUERIES), length=st.integers(min_value=5, max_value=12),
        seed=st.integers(min_value=0, max_value=1000))
