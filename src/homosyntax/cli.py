@@ -139,13 +139,12 @@ def _cmd_ingest(args) -> int:
     # checked before the documents are read: below 1 word keeps blank lines
     _check_least(("--min-words", args.min_words, 1),
                  ("--max-words", args.max_words, args.min_words))
-    sentences = []
-    for doc_id, text in corpus_mod.read_documents(args.indir):
-        for s in corpus_mod.segment_sentences(doc_id, text):
-            sentences.append(corpus_mod.filter_tokens(s))
+    sentences = [corpus_mod.filter_tokens(s)
+                 for text in corpus_mod.read_documents(args.indir)
+                 for s in corpus_mod.segment_sentences(text)]
     kept = corpus_mod.length_filter(sentences, args.min_words, args.max_words)
     corpus_mod.write_sentences(kept, args.out)
-    print(corpus_mod.format_stats(corpus_mod.compute_stats(kept)), end="")
+    print(corpus_mod.format_stats(kept), end="")
     return EXIT_OK
 
 

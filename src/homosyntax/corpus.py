@@ -25,14 +25,6 @@ class SentenceRecord:
     tokens: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class CorpusStats:
-    sentence_count: int
-    word_count: int
-    char_count: int
-    mean_words_per_sentence: float
-
-
 @cache
 def _abbreviations() -> frozenset[str]:
     """The guarded abbreviations, read on first use from the package data."""
@@ -64,9 +56,9 @@ def _is_abbreviation(text: str, dot_pos: int) -> bool:
     return word in _abbreviations()
 
 
-def segment_sentences(doc_id: str, text: str) -> list[SentenceRecord]:
-    """Split a document's text into sentence records with punctuation kept as
-    tokens."""
+def segment_sentences(text: str) -> list[tuple[str, ...]]:
+    """Split a document's text into the token tuples of its sentences, with
+    punctuation kept as tokens."""
     text = unicodedata.normalize("NFC", text)
     if not text.strip():
         return []
@@ -81,54 +73,38 @@ def segment_sentences(doc_id: str, text: str) -> list[SentenceRecord]:
         start = m.end()
     pieces.append(text[start:])
 
-    records = []
-    for piece in pieces:
-        tokens = tuple(_TOKEN.findall(piece))
-        if tokens:
-            records.append(SentenceRecord(doc_id, len(records), tokens))
-    return records
+    return [tokens for piece in pieces if (tokens := tuple(_TOKEN.findall(piece)))]
 
 
-def filter_tokens(s: SentenceRecord) -> SentenceRecord:
+def filter_tokens(tokens: tuple[str, ...]) -> tuple[str, ...]:
     """Drop number/acronym/time/date tokens, keeping the remaining order."""
-    kept = tuple(
-        t for t in s.tokens if not any(p.match(t) for p in _FILTER_PATTERNS)
+    return tuple(
+        t for t in tokens if not any(p.match(t) for p in _FILTER_PATTERNS)
     )
-    return s if kept == s.tokens else SentenceRecord(s.doc_id, s.index, kept)
 
 
 def length_filter(
-    sentences: list[SentenceRecord], min_w: int = 4, max_w: int = 29
-) -> list[SentenceRecord]:
+    sentences: list[tuple[str, ...]], min_w: int = 4, max_w: int = 29
+) -> list[tuple[str, ...]]:
     """Keep sentences whose token count lies in [min_w, max_w]."""
     if min_w > max_w:
         raise ConfigError(f"min_w {min_w} > max_w {max_w}")
-    return [s for s in sentences if min_w <= len(s.tokens) <= max_w]
+    return [s for s in sentences if min_w <= len(s) <= max_w]
 
 
-def compute_stats(sentences: list[SentenceRecord]) -> CorpusStats:
-    """Counts over the sentences; chars are those of the lines
-    ``write_sentences`` writes, without their newlines."""
-    sentence_count = len(sentences)
-    word_count = sum(len(s.tokens) for s in sentences)
-    char_count = sum(len(" ".join(s.tokens)) for s in sentences)
-    mean = word_count / sentence_count if sentence_count else 0.0
-    return CorpusStats(sentence_count, word_count, char_count, mean)
-
-
-def read_documents(directory: str | Path) -> list[tuple[str, str]]:
-    """(file stem, text) for every ``*.txt`` file in a directory, sorted by
-    name; the text is UTF-8 (``decode_text``)."""
+def read_documents(directory: str | Path) -> list[str]:
+    """The text of every ``*.txt`` file in a directory, sorted by file name;
+    the text is UTF-8 (``decode_text``)."""
     directory = Path(directory)
     if not directory.is_dir():
         raise ResourceError(f"{directory}: not a directory")
-    return [(p.stem, decode_text(p.read_bytes(), p))
+    return [decode_text(p.read_bytes(), p)
             for p in sorted(directory.glob("*.txt"))]
 
 
-def write_sentences(sentences: list[SentenceRecord], path: str | Path) -> None:
+def write_sentences(sentences: list[tuple[str, ...]], path: str | Path) -> None:
     """One sentence per line, tokens space separated."""
-    write_lines(path, (" ".join(s.tokens) for s in sentences))
+    write_lines(path, (" ".join(s) for s in sentences))
 
 
 def read_sentences(path: str | Path) -> list[SentenceRecord]:
@@ -142,10 +118,14 @@ def read_sentences(path: str | Path) -> list[SentenceRecord]:
     return records
 
 
-def format_stats(stats: CorpusStats) -> str:
+def format_stats(sentences: list[tuple[str, ...]]) -> str:
+    """Counts over the sentences; chars are those of the lines
+    ``write_sentences`` writes, without their newlines."""
+    words = sum(map(len, sentences))
+    mean = words / len(sentences) if sentences else 0.0
     return (
-        f"sentences: {stats.sentence_count}\n"
-        f"words: {stats.word_count}\n"
-        f"chars: {stats.char_count}\n"
-        f"mean_words_per_sentence: {stats.mean_words_per_sentence:.2f}\n"
+        f"sentences: {len(sentences)}\n"
+        f"words: {words}\n"
+        f"chars: {sum(len(' '.join(s)) for s in sentences)}\n"
+        f"mean_words_per_sentence: {mean:.2f}\n"
     )

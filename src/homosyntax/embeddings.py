@@ -22,7 +22,7 @@ import numpy as np
 from .corpus import SentenceRecord
 from .errors import (BuildError, FormatError, OovError, TableError, decode_text,
                      load_rows, read_jsonl, write_jsonl, write_lines)
-from .pos import TaggedSentence, is_content
+from .pos import TaggedSentence, count_words, is_content, tag_of
 
 CHUNK = 64  # cold queries per float32 product: 64 x V values, 5 MB at V = 20k
 COPY_FORMAT = 1  # bump when the text parse changes what it returns
@@ -514,12 +514,6 @@ class AssociativeTable:
 
 def build_associative_table(corpus: list[TaggedSentence]) -> AssociativeTable:
     """Group content words by truncated tag, counting occurrences."""
-    counts: dict[str, dict[str, int]] = {}
-    for ts in corpus:
-        for surface, tag in ts.tokens:
-            if not is_content(tag):
-                continue
-            entry = counts.setdefault(tag.truncated, {})
-            word = surface.lower()
-            entry[word] = entry.get(word, 0) + 1
-    return AssociativeTable({tag: list(words.items()) for tag, words in counts.items()})
+    return AssociativeTable({tag: list(words.items())
+                             for tag, words in count_words(corpus).items()
+                             if is_content(tag_of(tag))})

@@ -28,7 +28,7 @@ from .errors import (
 )
 from .markov import DecodePolicy, TransitionMatrix
 from .morphology import FormsLexicon
-from .pos import PosTag, TaggedSentence, is_content
+from .pos import PosTag, TaggedSentence, count_words, is_content, tag_of
 from .templates import Literal, TemplateStore
 
 # tokens that attach to the preceding word
@@ -114,17 +114,10 @@ class FunctionWordDictionary:
 
     @classmethod
     def from_sentences(cls, corpus: list[TaggedSentence]) -> "FunctionWordDictionary":
-        counts: dict[str, dict[str, int]] = {}
-        for ts in corpus:
-            for surface, tag in ts.tokens:
-                if is_content(tag):
-                    continue
-                word = surface if tag.category == "F" else surface.lower()
-                entry = counts.setdefault(tag.truncated, {})
-                entry[word] = entry.get(word, 0) + 1
         table = {
             tag: [w for w, _ in sorted(words.items(), key=lambda wc: (-wc[1], wc[0]))]
-            for tag, words in counts.items()
+            for tag, words in count_words(corpus).items()
+            if not is_content(tag_of(tag))
         }
         return cls(table)
 

@@ -57,7 +57,7 @@ def is_content(tag: PosTag) -> bool:
 @dataclass(frozen=True)
 class TaggedSentence:
     tokens: tuple[tuple[str, PosTag], ...]
-    source: SentenceRecord
+    source_id: str  # "doc:index" of the sentence it tags
 
     @property
     def surfaces(self) -> tuple[str, ...]:
@@ -135,7 +135,20 @@ def tag_sentence(s: SentenceRecord, lex: TaggerLexicon) -> TaggedSentence:
         if full is None:
             full = "NCMS000" if surface[:1].isupper() else "NC0000"
         tagged.append((surface, tag_of(full)))
-    return TaggedSentence(tokens=tuple(tagged), source=s)
+    return TaggedSentence(tuple(tagged), f"{s.doc_id}:{s.index}")
+
+
+def count_words(corpus: list[TaggedSentence]) -> dict[str, dict[str, int]]:
+    """Truncated tag -> word -> occurrences in a tagged corpus, tags and words
+    in order of first use. Punctuation (category F) is counted as written,
+    every other word lowercased."""
+    counts: dict[str, dict[str, int]] = {}
+    for ts in corpus:
+        for surface, tag in ts.tokens:
+            word = surface if tag.category == "F" else surface.lower()
+            entry = counts.setdefault(tag.truncated, {})
+            entry[word] = entry.get(word, 0) + 1
+    return counts
 
 
 def write_tagged_tsv(sentences: list[TaggedSentence], path: str | Path) -> None:
@@ -155,10 +168,8 @@ def read_tagged_tsv(path: str | Path) -> list[TaggedSentence]:
 
     def flush():
         if current:
-            tokens = tuple(current)
-            record = SentenceRecord(path.stem, len(sentences),
-                                    tuple(w for w, _ in tokens))
-            sentences.append(TaggedSentence(tokens=tokens, source=record))
+            source_id = f"{path.stem}:{len(sentences)}"
+            sentences.append(TaggedSentence(tuple(current), source_id))
             current.clear()
 
     for i, line in enumerate(read_lines(path), start=1):

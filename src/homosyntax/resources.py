@@ -43,7 +43,7 @@ REQUIRED = (SENTENCES, MATRIX, TEMPLATES, VECTORS, TA, FUNCDICT, FORMS)
 
 
 def load_resources(directory: str | Path) -> GenerationResources:
-    """Load every resource; set generation parameters on the result."""
+    """Load every resource; the generation parameters keep their defaults."""
     directory = Path(directory)
     missing = [name for name in REQUIRED if not (directory / name).is_file()]
     if missing:

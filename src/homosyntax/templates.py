@@ -61,10 +61,9 @@ def extract_template(ts: TaggedSentence, shared: dict | None = None) -> EgpSkele
             key = surface
             item = shared.get(key) or Literal(surface)
         items.append(shared.setdefault(key, item))
-    source_id = f"{ts.source.doc_id}:{ts.source.index}"
     if not any(isinstance(it, Slot) for it in items):
-        raise ValueError(f"sentence {source_id} has no content words")
-    return EgpSkeleton(items=tuple(items), source_id=source_id)
+        raise ValueError(f"sentence {ts.source_id} has no content words")
+    return EgpSkeleton(items=tuple(items), source_id=ts.source_id)
 
 
 class TemplateStore:

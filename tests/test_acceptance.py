@@ -303,10 +303,15 @@ class TestCriterion06Attestation:
 
 
 class TestCriterion07Novelty:
-    def test_no_corpus_collisions(self, resources, generated_300):
-        collisions = sum(
-            not resources.is_novel(sent.tokens) for sent in generated_300
-        )
+    def test_no_corpus_collisions(self, fixdir, generated_300):
+        # keyed here, not by the generator's own novelty test: lowercased
+        # tokens that hold a letter
+        def key(tokens):
+            return " ".join(t.lower() for t in tokens if any(map(str.isalpha, t)))
+
+        lines = (fixdir / "sentences.txt").read_text(encoding="utf-8").splitlines()
+        corpus = {key(line.split()) for line in lines}
+        collisions = sum(key(sent.tokens) in corpus for sent in generated_300)
         _report(
             "criterion-7 novelty",
             collisions == 0,

@@ -5,18 +5,39 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from homosyntax import check
+from homosyntax import check, model2
 from homosyntax.cli import main
+from homosyntax.generation import GeneratedSentence, GenerationResources
 from homosyntax.markov import TransitionMatrix
 from homosyntax.resources import REQUIRED, load_resources
 
 
-def test_novelty_check_leaves_caller_resources_alone(resources):
+def test_novelty_check_leaves_caller_resources_alone(resources, fixdir):
     res = replace(resources, neighbors_m=20)
-    result = check.check_novelty(res)
+    lines = (fixdir / "sentences.txt").read_text(encoding="utf-8").splitlines()
+    result = check.check_novelty(res, {check.novelty_key(ln.split()) for ln in lines})
     assert result.passed
     assert result.detail == "9 sentences generated, 0 corpus collisions"
     assert res.neighbors_m == 20
+
+
+def test_novelty_check_keys_sentences_apart_from_the_generator(
+        resources_dir, monkeypatch, capsys):
+    # the generator's own novelty test passes everything, and model 2 hands
+    # back the first corpus line with its first letter capitalized: only a
+    # check that reads sentences.txt itself can see the collision
+    text = (resources_dir / "sentences.txt").read_text(encoding="utf-8")
+    tokens = tuple(text.splitlines()[0].split())
+    copied = (tokens[0].capitalize(), *tokens[1:])
+    monkeypatch.setattr(GenerationResources, "is_novel", lambda self, tokens: True)
+    monkeypatch.setattr(model2, "generate_model2", lambda q, n, res, seed:
+                        GeneratedSentence(copied, 2, q, "copied"))
+    capsys.readouterr()
+    assert main(["check", "--resources", str(resources_dir)]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL novelty: " in out
+    assert out.count("FAIL") == 1
+    assert "3 corpus collisions" in out
 
 
 def test_run_check_parses_tagged_corpus_once(resources_dir, monkeypatch):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -653,6 +654,18 @@ class TestGenerate:
         code = main(_gen(resources_dir, "--model", "3", "--query", "sol",
                          "--len", "6", "--seed", "3", "--invert-score"))
         assert code == EXIT_OK
+
+    @pytest.mark.parametrize("model, length, nearest", [("2", "3", 5), ("3", "15", 11)])
+    def test_template_models_take_the_nearest_template_length(
+            self, resources_dir, capsys, model, length, nearest):
+        # the fixture's templates are 5 to 11 tokens long
+        code = main(_gen(resources_dir, "--model", model, "--query", "sol",
+                         "--len", length, "--count", "5"))
+        lines = capsys.readouterr().out.splitlines()
+        assert code == EXIT_OK
+        assert len(lines) == 5
+        # tokens as ingest makes them: a word, or one punctuation mark
+        assert {len(re.findall(r"\w+|[^\w\s]", line)) for line in lines} == {nearest}
 
 
 # exit code, sha256 of stdout and of the --trace file for

@@ -919,8 +919,7 @@ class TestVectorParsing:
 
 def _ts(pairs):
     tokens = tuple((w, PosTag(t)) for w, t in pairs)
-    src = SentenceRecord("d", 0, tuple(w for w, _ in tokens))
-    return TaggedSentence(tokens=tokens, source=src)
+    return TaggedSentence(tokens, "d:0")
 
 
 class TestAssociativeTable:

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from homosyntax.corpus import SentenceRecord
 from homosyntax.errors import BuildError, ConfigError, FormatError, TableError
 from homosyntax.markov import (
     DecodePolicy,
@@ -21,8 +20,7 @@ from homosyntax.pos import PosTag, TaggedSentence
 
 def _ts(tags):
     tokens = tuple((f"w{i}", PosTag(t)) for i, t in enumerate(tags))
-    src = SentenceRecord("d", 0, tuple(w for w, _ in tokens))
-    return TaggedSentence(tokens=tokens, source=src)
+    return TaggedSentence(tokens, "d:0")
 
 
 def _chain_matrix(pairs):

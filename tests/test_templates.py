@@ -4,7 +4,6 @@ from collections import Counter
 
 import pytest
 
-from homosyntax.corpus import SentenceRecord
 from homosyntax.errors import TableError
 from homosyntax.pos import PosTag, TaggedSentence, is_content
 from homosyntax.templates import (
@@ -25,8 +24,7 @@ FIXTURE_TEMPLATES_SHA256 = (
 
 def _ts(pairs, doc_id="d", index=0):
     tokens = tuple((w, PosTag(t)) for w, t in pairs)
-    src = SentenceRecord(doc_id, index, tuple(w for w, _ in tokens))
-    return TaggedSentence(tokens=tokens, source=src)
+    return TaggedSentence(tokens, f"{doc_id}:{index}")
 
 
 def _store(*sentences):
