@@ -72,7 +72,6 @@ class EmbeddingStore:
         self.word_rank = np.argsort(sorted(range(len(words)), key=words.__getitem__))
         self.word_rank.flags.writeable = False
         self.memo: dict[tuple, object] = {}
-        self.training_losses: list[float] = []
 
     def __len__(self) -> int:
         return len(self.words)
@@ -330,11 +329,10 @@ def train_embeddings(
     the block's negatives come from one ``rng.choice`` call, which takes the
     same numbers from the seeded stream, in the same order, as one call per
     pair; each pair's learning rate is its center's global step, divided and
-    clamped elementwise as one float would be; and the pair losses are
-    subtracted from the epoch's sum one at a time, in pair order. So the
-    vectors do not depend on the block size. In the pair loop every ufunc
-    takes arrays and writes into a kept buffer, and an elementwise IEEE
-    operation rounds the same whether its operand is a scalar or an array.
+    clamped elementwise as one float would be. So the vectors do not depend
+    on the block size. In the pair loop every ufunc takes arrays and writes
+    into a kept buffer, and an elementwise IEEE operation rounds the same
+    whether its operand is a scalar or an array.
     The input rows are kept negated, since rounding to nearest is symmetric:
     ``np.dot(wo, -h)`` is exactly -z, ``wo + g * -h`` is ``wo - g * h`` and
     ``-h + grad_h`` is ``-(h - grad_h)``. A pair whose targets (its context
@@ -391,7 +389,6 @@ def train_embeddings(
                         steps.append(tokens + ci)
             tokens += len(sent)
         blocks.append((centers, contexts, np.array(steps)))
-    pairs = max(1, sum(len(centers) for centers, _, _ in blocks))
 
     # the operands and buffers every pair reuses: each ufunc below takes
     # arrays, so none converts a Python float, and writes into its third
@@ -402,17 +399,15 @@ def train_embeddings(
     ones = np.ones(k)
     g = np.empty((k, 1))  # a column, so that g * h is the outer product
     g_row = g[:, 0]
+    p = np.empty(k)
     grad_h = np.empty(dims)
     wo = np.empty((k, dims))
     update = np.empty((k, dims))
     dot, exp, add, divide, subtract, multiply = (  # as locals, for the pair loop
         np.dot, np.exp, np.add, np.divide, np.subtract, np.multiply
     )
-    eps = 1e-10
     total_steps = max(1, epochs * tokens)
-    losses = []
     for epoch in range(epochs):
-        epoch_loss = 0.0
         for centers, contexts, steps in blocks:
             n = len(centers)
             # row j: pair j's context, then its negatives
@@ -427,10 +422,7 @@ def train_embeddings(
             rates[:] = LEARNING_RATE * np.maximum(
                 1.0 - (steps + epoch * tokens) / total_steps, 1e-4
             )[:, None]
-            probs = np.empty((n, k))
-            for center, t, p, rate, unique in zip(
-                centers, targets, probs, rates, distinct
-            ):
+            for center, t, rate, unique in zip(centers, targets, rates, distinct):
                 neg_h = neg_in[center]  # a view: updating it updates neg_in
                 # every index is in range; "clip" skips the copy that "raise"
                 # makes through a buffer when given out=
@@ -453,20 +445,10 @@ def train_embeddings(
                     # bit for bit, where an assignment would keep only one
                     np.add.at(w_out, t, update)
                 add(neg_h, grad_h, neg_h)
-            # each pair's loss, subtracted one at a time in pair order, the
-            # order that fixes the last bits of the sum
-            pair_losses = np.log(probs[:, 0] + eps) + np.log(
-                1.0 - probs[:, 1:] + eps
-            ).sum(axis=1)
-            for loss in pair_losses.tolist():
-                epoch_loss -= loss
-        losses.append(epoch_loss / pairs)
 
     # 0.0 - x, not -x: no row starts with a -0.0 and h - grad_h never makes
     # one, so every zero comes back as +0.0
-    store = EmbeddingStore(vocab, 0.0 - neg_in)
-    store.training_losses = losses
-    return store
+    return EmbeddingStore(vocab, 0.0 - neg_in)
 
 
 class AssociativeTable:

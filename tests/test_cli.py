@@ -856,6 +856,16 @@ class TestPipelineCommands:
         for path in expected.iterdir():
             assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name
 
+    def test_train_emb_writes_the_pinned_vectors(self, fixdir, tmp_path, capsys):
+        out = tmp_path / "vectors.txt"
+        argv = ["train-emb", "--in", str(fixdir / "sentences.txt"),
+                "--out", str(out), "--seed", "1"]
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out == "trained 150 x 64 vectors\n"
+        pinned = json.loads((fixdir.parents[1] / "perfbench" / "digests.json")
+                            .read_text(encoding="utf-8"))
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == pinned["vectors.txt"]
+
     def test_ingest_counts_the_lines_it_writes(self, fixdir, tmp_path, capsys):
         raw = tmp_path / "raw"
         raw.mkdir()

@@ -449,7 +449,7 @@ def _reference_train(corpus, dims, window, epochs, negatives, seed, min_count=2)
     """The skip-gram trainer written one pair at a time, one draw per pair.
 
     Oracle for train_embeddings: a separate copy of the straightforward loop,
-    returning (words, vectors, per-epoch losses).
+    returning (words, vectors).
     """
     sentences = [
         [t.lower() for t in s.tokens if any(c.isalpha() for c in t)] for s in corpus
@@ -475,10 +475,7 @@ def _reference_train(corpus, dims, window, epochs, negatives, seed, min_count=2)
 
     total_steps = max(1, epochs * sum(len(s) for s in encoded))
     step = 0
-    losses = []
     for _epoch in range(epochs):
-        epoch_loss = 0.0
-        pairs = 0
         for sent in encoded:
             for ci, center in enumerate(sent):
                 alpha = 0.025 * max(1.0 - step / total_steps, 1e-4)
@@ -500,13 +497,7 @@ def _reference_train(corpus, dims, window, epochs, negatives, seed, min_count=2)
                     grad_h = g @ w_out[targets]
                     np.subtract.at(w_out, targets, np.outer(g, h))
                     w_in[center] -= grad_h
-                    eps = 1e-10
-                    epoch_loss -= float(
-                        np.log(p[0] + eps) + np.log(1.0 - p[1:] + eps).sum()
-                    )
-                    pairs += 1
-        losses.append(epoch_loss / max(1, pairs))
-    return vocab, w_in, losses
+    return vocab, w_in
 
 
 @st.composite
@@ -562,11 +553,10 @@ class TestTrainingOracle:
     @given(_training_runs())
     def test_matches_per_pair_reference_exactly(self, run):
         corpus, params = run
-        words, vectors, losses = _reference_train(corpus, **params)
+        words, vectors = _reference_train(corpus, **params)
         store = train_embeddings(corpus, **params)
         assert store.words == words
         assert store.vectors.tobytes() == vectors.tobytes()  # zeros' signs too
-        assert store.training_losses == losses
 
     @pytest.mark.parametrize("block", [1, 7, 601])
     def test_block_size_leaves_every_bit(self, sentences, store, monkeypatch, block):
@@ -577,7 +567,6 @@ class TestTrainingOracle:
         blocked = train_embeddings(sentences, **EMB_PARAMS)
         assert blocked.words == store.words
         assert blocked.vectors.tobytes() == store.vectors.tobytes()
-        assert blocked.training_losses == store.training_losses
 
 
 class TestTraining:
@@ -597,9 +586,6 @@ class TestTraining:
         with pytest.raises(BuildError, match="need dims >= 8, got 4"):
             train_embeddings(sentences, dims=4)
 
-    def test_loss_decreases(self, store):
-        assert store.training_losses[-1] < store.training_losses[0]
-
     def test_deterministic(self, sentences, store):
         params = dict(EMB_PARAMS, epochs=1)
         a = train_embeddings(sentences, **params)
@@ -607,23 +593,24 @@ class TestTraining:
         assert a.words == b.words
         assert np.array_equal(a.vectors, b.vectors)
 
-    def test_fixture_vectors_and_losses_are_frozen(self, store, tmp_path):
-        # the fixture build at EMB_PARAMS, pinned to the last bit: any change
-        # to the trainer's arithmetic or to its draws from the seeded stream
-        # moves the digest or a loss
+    def test_fixture_vectors_file_is_frozen(self, store, tmp_path):
+        # the fixture build at EMB_PARAMS as saved: 6 decimals, the same
+        # under every OpenBLAS kernel measured (README "Determinism")
         path = tmp_path / "vectors.txt"
         store.save(path)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == (
             "0ee0a22e23a3c849afbfa98f5a7e79870c84f424982674c6e271efeebd259cf1"
         )
-        assert [repr(x) for x in store.training_losses] == [
-            "3.267687393181743",
-            "2.6596670898023036",
-            "2.6367582212062595",
-            "2.6245677955668256",
-            "2.615015385373184",
-        ]
+
+    def test_fixture_vector_bits_are_frozen(self, store):
+        # the same build pinned to the last bit, which the file's 6 decimals
+        # cannot: any change to the trainer's arithmetic or to its draws from
+        # the seeded stream moves it. These bits are the default kernel's
+        digest = hashlib.sha256(store.vectors.tobytes()).hexdigest()
+        assert digest == (
+            "fddad71e6a87a8306b1883d4e14f80f625e77c99bc448db8717a6ec6edbdb06d"
+        )
 
     def test_semantic_regression(self, store):
         # verified once on the fixture corpus, frozen: nouns sharing

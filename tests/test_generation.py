@@ -14,7 +14,7 @@ from homosyntax.errors import (
     OovError,
     TableError,
 )
-from homosyntax.generation import NOVELTY_RETRIES, generate
+from homosyntax.generation import NOVELTY_RETRIES, detokenize, generate
 from homosyntax.markov import DecodePolicy
 from homosyntax.model1 import fill_content_with_relaxation, generate_model1
 from homosyntax.model2 import generate_model2, rank_vocabulary
@@ -140,6 +140,15 @@ def test_model1_argmax_reports_an_unreachable_length(resources, monkeypatch):
     )
     assert len(walks) == 1
     assert len(generate_model1("sol", 5, res, 0).tokens) == 5
+
+
+@pytest.mark.parametrize("tokens, text", [
+    (["¿", "qué", "?"], "¿Qué?"),  # opening punctuation takes the next word
+    (["«", "sol", "»", "."], "«Sol»."),
+    (["¡", "1990", ",", "..."], "¡1990,..."),  # no letter to capitalize
+])
+def test_detokenize(tokens, text):
+    assert detokenize(tokens) == text
 
 
 class TestDriver:

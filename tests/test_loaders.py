@@ -82,12 +82,22 @@ CASES = {
         "count-out-of-end": "3 1 1",
         "state-index-out-of-range": "1 4 1",
         "negative-state-index": "-2 1 1",
+        "two-fields": "1 2",
     }),
     "matrix-states": (TransitionMatrix.load, "B", {
         "empty-state": "",
         "state-with-whitespace": "0 5 205",
         "repeated-state": "A",
     }),
+    "tagged": (read_tagged_tsv, "El\tDA0MS0", {
+        "no-tab": "sol NCMS000",
+    }),
+}
+
+# the whole diagnostic of rows whose check no other test reaches
+MESSAGES = {
+    ("matrix", "two-fields"): "bad count row: expected 'i j count'",
+    ("tagged", "no-tab"): "expected 'surface<TAB>fulltag'",
 }
 
 # lines a loader reads before its rows, given how many rows follow: the
@@ -130,6 +140,8 @@ def test_bad_row_names_file_and_line(tmp_path, name, bad):
         load(p)
     assert (exc.value.path, exc.value.line) == (str(p), line)
     assert str(exc.value).startswith(f"{p}: line {line}: ")
+    if (name, bad) in MESSAGES:
+        assert str(exc.value) == f"{p}: line {line}: {MESSAGES[name, bad]}"
 
 
 # every text-file reader, with a valid file that it reads
@@ -207,6 +219,8 @@ HEADERS = {
     "vectors-negative-dims": (EmbeddingStore.load, "1 -2\nsol 1.0\n",
                               "bad header '1 -2': need vocab_count >= 0, dims >= 1"),
     "vectors-empty": (EmbeddingStore.load, "", "empty embedding file"),
+    "vectors-one-field-header": (EmbeddingStore.load, "1\nsol 1.0\n",
+                                 "expected '<vocab_count> <dims>' header"),
     "vectors-non-integer-header": (EmbeddingStore.load, "1 2.0\nsol 1.0 2.0\n",
                                    "non-integer header"),
     "matrix-negative-states": (TransitionMatrix.load, "states -1\nA\n",
