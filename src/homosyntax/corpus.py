@@ -10,19 +10,11 @@ from __future__ import annotations
 
 import re
 import unicodedata
-from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
 
 from .errors import (ConfigError, ResourceError, decode_text, read_lines,
                      write_lines)
-
-
-@dataclass(frozen=True)
-class SentenceRecord:
-    doc_id: str
-    index: int
-    tokens: tuple[str, ...]
 
 
 @cache
@@ -107,15 +99,9 @@ def write_sentences(sentences: list[tuple[str, ...]], path: str | Path) -> None:
     write_lines(path, (" ".join(s) for s in sentences))
 
 
-def read_sentences(path: str | Path) -> list[SentenceRecord]:
-    """Inverse of write_sentences; one document per file."""
-    path = Path(path)
-    records = []
-    for i, line in enumerate(read_lines(path)):
-        tokens = tuple(line.split())
-        if tokens:
-            records.append(SentenceRecord(path.stem, i, tokens))
-    return records
+def read_sentences(path: str | Path) -> list[tuple[str, ...]]:
+    """Inverse of write_sentences: the token tuple of each non-blank line."""
+    return [tuple(line.split()) for line in read_lines(path) if line.strip()]
 
 
 def format_stats(sentences: list[tuple[str, ...]]) -> str:

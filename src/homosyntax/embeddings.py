@@ -19,7 +19,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import SentenceRecord
 from .errors import (BuildError, FormatError, OovError, TableError, decode_text,
                      load_rows, read_jsonl, write_jsonl, write_lines)
 from .pos import TaggedSentence, count_words, is_content, tag_of
@@ -314,7 +313,7 @@ def lowercase_words(tokens: list[str] | tuple[str, ...]) -> list[str]:
 
 
 def train_embeddings(
-    corpus: list[SentenceRecord],
+    corpus: list[tuple[str, ...]],
     dims: int = 64,
     window: int = 5,
     epochs: int = 5,
@@ -345,7 +344,7 @@ def train_embeddings(
     if dims < 8:
         raise BuildError(f"need dims >= 8, got {dims}")
 
-    sentences = [lowercase_words(s.tokens) for s in corpus]
+    sentences = [lowercase_words(s) for s in corpus]
     freq: dict[str, int] = {}
     for sent in sentences:
         for t in sent:

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import SentenceRecord
 from .errors import FormatError, load_rows, read_lines, read_tsv, write_lines
 
 
@@ -57,7 +56,6 @@ def is_content(tag: PosTag) -> bool:
 @dataclass(frozen=True)
 class TaggedSentence:
     tokens: tuple[tuple[str, PosTag], ...]
-    source_id: str  # "doc:index" of the sentence it tags
 
     @property
     def surfaces(self) -> tuple[str, ...]:
@@ -127,15 +125,15 @@ class TaggerLexicon:
         return None
 
 
-def tag_sentence(s: SentenceRecord, lex: TaggerLexicon) -> TaggedSentence:
+def tag_sentence(tokens: tuple[str, ...], lex: TaggerLexicon) -> TaggedSentence:
     """Assign exactly one tag per token; total by construction."""
     tagged = []
-    for surface in s.tokens:
+    for surface in tokens:
         full = lex.best_tag(surface)
         if full is None:
             full = "NCMS000" if surface[:1].isupper() else "NC0000"
         tagged.append((surface, tag_of(full)))
-    return TaggedSentence(tuple(tagged), f"{s.doc_id}:{s.index}")
+    return TaggedSentence(tuple(tagged))
 
 
 def count_words(corpus: list[TaggedSentence]) -> dict[str, dict[str, int]]:
@@ -162,14 +160,12 @@ def write_tagged_tsv(sentences: list[TaggedSentence], path: str | Path) -> None:
 
 
 def read_tagged_tsv(path: str | Path) -> list[TaggedSentence]:
-    path = Path(path)
     sentences: list[TaggedSentence] = []
     current: list[tuple[str, PosTag]] = []
 
     def flush():
         if current:
-            source_id = f"{path.stem}:{len(sentences)}"
-            sentences.append(TaggedSentence(tuple(current), source_id))
+            sentences.append(TaggedSentence(tuple(current)))
             current.clear()
 
     for i, line in enumerate(read_lines(path), start=1):

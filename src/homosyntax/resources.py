@@ -62,5 +62,5 @@ def load_resources(directory: str | Path) -> GenerationResources:
         ta=AssociativeTable.load(directory / TA),
         funcdict=FunctionWordDictionary.load(directory / FUNCDICT),
         forms=FormsLexicon.load(directory / FORMS),
-        corpus_norms=frozenset(normalize_tokens(s.tokens) for s in sentences),
+        corpus_norms=frozenset(normalize_tokens(s) for s in sentences),
     )

@@ -48,7 +48,9 @@ class EgpSkeleton:
         )
 
 
-def extract_template(ts: TaggedSentence, shared: dict | None = None) -> EgpSkeleton:
+def extract_template(
+    ts: TaggedSentence, source_id: str, shared: dict | None = None
+) -> EgpSkeleton:
     """Hollow out content words; ValueError if the sentence has none. An item
     is made once per ``shared``, keyed by its strings."""
     shared = {} if shared is None else shared
@@ -62,8 +64,8 @@ def extract_template(ts: TaggedSentence, shared: dict | None = None) -> EgpSkele
             item = shared.get(key) or Literal(surface)
         items.append(shared.setdefault(key, item))
     if not any(isinstance(it, Slot) for it in items):
-        raise ValueError(f"sentence {ts.source_id} has no content words")
-    return EgpSkeleton(items=tuple(items), source_id=ts.source_id)
+        raise ValueError(f"sentence {source_id} has no content words")
+    return EgpSkeleton(items=tuple(items), source_id=source_id)
 
 
 class TemplateStore:
@@ -78,12 +80,16 @@ class TemplateStore:
 
     @classmethod
     def from_sentences(cls, corpus: list[TaggedSentence]) -> "TemplateStore":
-        """Build a store, skipping sentences without a content word."""
+        """Build a store, skipping sentences without a content word. A
+        template's source is ``sentences:i``, its sentence's 0-based place in
+        the corpus, however the corpus was read: a resource directory's corpus
+        is always sentences.txt, and pinned digests hold those bytes."""
         templates: dict[str, EgpSkeleton] = {}
         shared: dict[tuple[str, str] | str, Slot | Literal] = {}
-        for ts in corpus:
+        for i, ts in enumerate(corpus):
             if any(is_content(tag) for _, tag in ts.tokens):
-                templates[f"t{len(templates):06d}"] = extract_template(ts, shared)
+                tid = f"t{len(templates):06d}"
+                templates[tid] = extract_template(ts, f"sentences:{i}", shared)
         return cls(templates)
 
     def save(self, path: str | Path) -> None:

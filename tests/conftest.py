@@ -89,7 +89,7 @@ def resources(matrix, template_store, store, ta, funcdict, forms_lexicon, senten
         ta=ta,
         funcdict=funcdict,
         forms=forms_lexicon,
-        corpus_norms=frozenset(normalize_tokens(s.tokens) for s in sentences),
+        corpus_norms=frozenset(normalize_tokens(s) for s in sentences),
         neighbors_m=FIXTURE_NEIGHBORS_M,
     )
 

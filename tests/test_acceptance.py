@@ -80,7 +80,7 @@ class TestCriterion03TemplateRoundTrip:
         bad = 0
         for ts in tagged:
             try:
-                template = extract_template(ts)
+                template = extract_template(ts, "d:0")
             except ValueError:  # no content word
                 continue
             total += 1

@@ -14,6 +14,7 @@ from homosyntax.cli import (
     RESOURCES_ENV,
     main,
 )
+from homosyntax.corpus import read_sentences
 from homosyntax.errors import (
     BuildError,
     ConfigError,
@@ -24,7 +25,7 @@ from homosyntax.errors import (
     ResourceError,
     TableError,
 )
-from homosyntax.pos import read_tagged_tsv
+from homosyntax.pos import tag_sentence
 from homosyntax.templates import TemplateStore
 
 from conftest import FIXTURE_NEIGHBORS_M
@@ -846,15 +847,29 @@ class TestPipelineCommands:
         tagged = tmp_path / "tagged.tsv"
         tagged.write_bytes((resources_dir / "tagged.tsv").read_bytes())
         assert main(["build", "--resources", str(tmp_path)]) == EXIT_OK
-        # a template names the stem of the file its sentence was read from
-        expected = tmp_path / "expected"
-        expected.mkdir()
-        TemplateStore.from_sentences(read_tagged_tsv(tagged)).save(
-            expected / "templates.jsonl")
-        for name in ("matrix.txt", "ta.jsonl", "funcdict.jsonl"):
-            (expected / name).write_bytes((resources_dir / name).read_bytes())
-        for path in expected.iterdir():
-            assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name
+        for name in ("matrix.txt", "templates.jsonl", "ta.jsonl", "funcdict.jsonl"):
+            assert (tmp_path / name).read_bytes() == (resources_dir / name).read_bytes(), name
+
+    def test_build_and_the_library_name_each_template_by_its_sentence(
+        self, fixdir, tagger_lexicon, tmp_path, capsys
+    ):
+        # a blank line, then a sentence without a content word: ids count
+        # sentences, not lines, and skip no number for the template-less one
+        sents = tmp_path / "sentences.txt"
+        sents.write_text("el sol brilla .\n\nde la y .\nla luna canta .\n",
+                         encoding="utf-8")
+        assert main(["tag", "--in", str(sents), "--lexicon", str(fixdir / "lexicon.tsv"),
+                     "--out", str(tmp_path / "tagged.tsv")]) == EXIT_OK
+        assert main(["build", "--resources", str(tmp_path)]) == EXIT_OK
+        library = tmp_path / "library.jsonl"
+        TemplateStore.from_sentences(
+            [tag_sentence(s, tagger_lexicon) for s in read_sentences(sents)]
+        ).save(library)
+        built = (tmp_path / "templates.jsonl").read_bytes()
+        assert built == library.read_bytes()
+        ids = [json.loads(ln)["source_id"] for ln in built.decode().splitlines()]
+        # unique too: the benchmark's oracle keys templates by source id
+        assert ids == ["sentences:0", "sentences:2"]
 
     def test_train_emb_writes_the_pinned_vectors(self, fixdir, tmp_path, capsys):
         out = tmp_path / "vectors.txt"

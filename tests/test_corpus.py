@@ -6,7 +6,9 @@ from homosyntax.corpus import (
     format_stats,
     length_filter,
     read_documents,
+    read_sentences,
     segment_sentences,
+    write_sentences,
 )
 from homosyntax.errors import ConfigError, FormatError
 
@@ -138,9 +140,21 @@ class TestStats:
     def test_totals_equal_per_sentence_sums(self, fixdir, sentences):
         # the fixture's lines are single-spaced, as write_sentences writes them
         lines = (fixdir / "sentences.txt").read_text(encoding="utf-8").splitlines()
-        got = _stats([s.tokens for s in sentences])
-        assert int(got["words"]) == sum(len(s.tokens) for s in sentences)
+        got = _stats(sentences)
+        assert int(got["words"]) == sum(map(len, sentences))
         assert int(got["chars"]) == sum(len(line) for line in lines)
+
+
+# a token holds no whitespace, which write_sentences uses to join tokens
+_tokens = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1).filter(
+    lambda t: t.split() == [t])
+
+
+@given(st.lists(st.lists(_tokens, min_size=1).map(tuple)))
+def test_read_sentences_inverts_write_sentences(tmp_path_factory, sentences):
+    p = tmp_path_factory.getbasetemp() / "round_trip.txt"
+    write_sentences(sentences, p)
+    assert read_sentences(p) == sentences
 
 
 def test_non_utf8_rejected(tmp_path):

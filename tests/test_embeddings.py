@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from homosyntax import embeddings
-from homosyntax.corpus import SentenceRecord
 from homosyntax.embeddings import (
     AssociativeTable,
     EmbeddingStore,
@@ -452,7 +451,7 @@ def _reference_train(corpus, dims, window, epochs, negatives, seed, min_count=2)
     returning (words, vectors).
     """
     sentences = [
-        [t.lower() for t in s.tokens if any(c.isalpha() for c in t)] for s in corpus
+        [t.lower() for t in s if any(c.isalpha() for c in t)] for s in corpus
     ]
     freq = {}
     for sent in sentences:
@@ -521,9 +520,7 @@ def _training_runs(draw):
     sentences = [words[:2], words[:2]] + [
         [words[next(picks)] for _ in range(n)] for n in lengths
     ]
-    corpus = [
-        SentenceRecord("h", i, tuple(s)) for i, s in enumerate(sentences)
-    ]
+    corpus = [tuple(s) for s in sentences]
     params = dict(
         dims=draw(st.sampled_from((8, 9, 64))),
         window=draw(st.sampled_from((0, 1, 2, 5))),  # 0: no pairs at all
@@ -571,13 +568,13 @@ class TestTrainingOracle:
 
 class TestTraining:
     def test_below_floor(self):
-        recs = [SentenceRecord("d", i, ("a", "b")) for i in range(50)]
+        recs = [("a", "b")] * 50
         with pytest.raises(BuildError, match="need >= 100 sentences, got 50"):
             train_embeddings(recs)
 
     def test_vocabulary_too_small_after_min_count(self):
         # 100 sentences, but only "a" occurs often enough to keep
-        recs = [SentenceRecord("d", i, ("a", f"w{i}")) for i in range(100)]
+        recs = [("a", f"w{i}") for i in range(100)]
         with pytest.raises(BuildError,
                            match="^vocabulary too small after min_count filtering$"):
             train_embeddings(recs, dims=8, min_count=2)
@@ -620,7 +617,7 @@ class TestTraining:
     def test_min_count_respected(self, store, sentences):
         freq = {}
         for s in sentences:
-            for t in s.tokens:
+            for t in s:
                 t = t.lower()
                 if any(c.isalpha() for c in t):
                     freq[t] = freq.get(t, 0) + 1
@@ -906,7 +903,7 @@ class TestVectorParsing:
 
 def _ts(pairs):
     tokens = tuple((w, PosTag(t)) for w, t in pairs)
-    return TaggedSentence(tokens, "d:0")
+    return TaggedSentence(tokens)
 
 
 class TestAssociativeTable:

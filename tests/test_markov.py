@@ -20,7 +20,7 @@ from homosyntax.pos import PosTag, TaggedSentence
 
 def _ts(tags):
     tokens = tuple((f"w{i}", PosTag(t)) for i, t in enumerate(tags))
-    return TaggedSentence(tokens, "d:0")
+    return TaggedSentence(tokens)
 
 
 def _chain_matrix(pairs):

@@ -1,7 +1,6 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from homosyntax.corpus import SentenceRecord
 from homosyntax import pos
 from homosyntax.pos import (
     PosTag,
@@ -81,20 +80,17 @@ class TestClassify:
 
 class TestTagger:
     def test_profesor(self, tagger_lexicon):
-        s = SentenceRecord("d", 0, ("Profesor",))
-        ts = tag_sentence(s, tagger_lexicon)
+        ts = tag_sentence(("Profesor",), tagger_lexicon)
         assert ts.tokens[0][1].full == "NCMS000"
 
     def test_preposition_classified_functional(self, tagger_lexicon):
-        s = SentenceRecord("d", 0, ("de",))
-        ts = tag_sentence(s, tagger_lexicon)
+        ts = tag_sentence(("de",), tagger_lexicon)
         tag = ts.tokens[0][1]
         assert tag.category == "S"
         assert not is_content(tag)
 
     def test_unknown_token_total(self, tagger_lexicon):
-        s = SentenceRecord("d", 0, ("zzzqx", "Zzzqx", "el"))
-        ts = tag_sentence(s, tagger_lexicon)
+        ts = tag_sentence(("zzzqx", "Zzzqx", "el"), tagger_lexicon)
         assert len(ts.tokens) == 3
         assert all(tag.full for _, tag in ts.tokens)
         assert ts.tokens[1][1].full == "NCMS000"  # capitalized fallback
@@ -102,7 +98,7 @@ class TestTagger:
     def test_never_reorders(self, sentences, tagger_lexicon):
         for s in sentences[:50]:
             ts = tag_sentence(s, tagger_lexicon)
-            assert ts.surfaces == s.tokens
+            assert ts.surfaces == s
 
     def test_deterministic(self, sentences, tagger_lexicon):
         s = sentences[0]

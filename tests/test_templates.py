@@ -22,43 +22,41 @@ FIXTURE_TEMPLATES_SHA256 = (
 )
 
 
-def _ts(pairs, doc_id="d", index=0):
-    tokens = tuple((w, PosTag(t)) for w, t in pairs)
-    return TaggedSentence(tokens, f"{doc_id}:{index}")
+def _ts(pairs):
+    return TaggedSentence(tuple((w, PosTag(t)) for w, t in pairs))
 
 
 def _store(*sentences):
-    return TemplateStore.from_sentences([_ts(pairs, index=i)
-                                         for i, pairs in enumerate(sentences)])
+    return TemplateStore.from_sentences([_ts(pairs) for pairs in sentences])
 
 
 class TestExtract:
     def test_basic_hollowing(self):
         ts = _ts([("el", "DA0MS0"), ("sol", "NCMS000"), ("brilla", "VMIP3S0")])
-        t = extract_template(ts)
+        t = extract_template(ts, "d:0")
         assert t.items == (Literal("el"), Slot(PosTag("NCMS"), "sol"),
                            Slot(PosTag("VMIP"), "brilla"))
 
     def test_all_functional_fails(self):
         ts = _ts([("de", "SPS00"), ("la", "DA0FS0"), ("a", "SPS00")])
         with pytest.raises(ValueError, match="sentence d:0 has no content words"):
-            extract_template(ts)
+            extract_template(ts, "d:0")
 
     def test_identity_fill_round_trip(self, tagged):
         for ts in tagged[:100]:
-            t = extract_template(ts)
+            t = extract_template(ts, "d:0")
             assert t.identity_fill() == ts.surfaces
 
     def test_slot_count_matches_classifier(self, tagged):
         for ts in tagged[:100]:
-            t = extract_template(ts)
+            t = extract_template(ts, "d:0")
             content = sum(is_content(tag) for _, tag in ts.tokens)
             assert len(t.slots) == content
 
     def test_punctuation_is_literal(self):
         ts = _ts([("sol", "NCMS000"), (",", "Fc"), ("arde", "VMIP3S0"),
                   (".", "Fp")])
-        t = extract_template(ts)
+        t = extract_template(ts, "d:0")
         assert t.items[1] == Literal(",")
         assert t.items[3] == Literal(".")
 
@@ -98,6 +96,9 @@ class TestStore:
         store = _store(short, untemplatable, longer, short)
         assert list(store.templates) == ["t000000", "t000001", "t000002"]
         assert store.by_length == {2: ["t000000", "t000002"], 3: ["t000001"]}
+        # a source id counts sentences, the untemplatable one too
+        assert [t.source_id for t in store.templates.values()] == [
+            "sentences:0", "sentences:2", "sentences:3"]
 
     def test_selection_deterministic(self, template_store):
         a = select_template(template_store, 8, random.Random(7))
